@@ -16,14 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import geometry
-from .chp import CIRCLE, BorderSolution, Dna, Sigma, dna_from_letters, dna_from_values, canonicalize_dna, disk_count, solve_border
+from .chp import CIRCLE, BorderSolution, Dna, Sigma, _letters_of, _nearest_block, canonicalize_dna, disk_count, dna_from_letters, dna_from_values, solve_border
 from .errors import AmbiguousStart, Coincident, ConstructionFailed, InconsistentDna, NoIntersection, NoPath
 from .geometry import Point2, PolygonSpec
-
-PI_3 = math.pi / 3.0
-_S3 = math.sqrt(3.0) / 2.0
-# exact unit rotations by multiples of 60 degrees, for bit-stable replication
-_ROT6 = ((1.0, 0.0), (0.5, _S3), (-0.5, _S3), (-1.0, 0.0), (-0.5, -_S3), (0.5, -_S3))
 
 
 @dataclass
@@ -70,18 +65,6 @@ def circle_pair_intersection(c1: Point2, c2: Point2, d: float) -> Tuple[Point2, 
     return left, right
 
 
-def _rotate_exact(p: Point2, t: int) -> Point2:
-    c, s = _ROT6[t % 6]
-    return (c * p[0] - s * p[1], s * p[0] + c * p[1])
-
-
-def _inside_domain(sigma: Sigma, spec: Optional[PolygonSpec], p: Point2, tol: float) -> bool:
-    if sigma == CIRCLE:
-        return math.hypot(p[0], p[1]) <= 1.0 + tol
-    assert spec is not None
-    return geometry.contains(spec, p, tol)
-
-
 class _Workspace:
     """Placed disks with their shell indices, for partner and overlap scans."""
 
@@ -90,13 +73,9 @@ class _Workspace:
         self.points: List[Point2] = []
         self.shells: List[int] = []
 
-    def add(self, p: Point2, shell: int) -> None:
-        self.points.append(p)
-        self.shells.append(shell)
-
-    def add_with_rotations(self, p: Point2, shell: int) -> None:
-        for t in range(6):
-            self.add(_rotate_exact(p, t), shell)
+    def add(self, points: Sequence[Point2], shell: int) -> None:
+        self.points.extend(points)
+        self.shells.extend([shell] * len(points))
 
     def too_close(self, p: Point2) -> bool:
         limit = self.d * (1.0 - 1e-9)
@@ -145,8 +124,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
 
     # border shell: sector chain replicated by the six rotations
     sector_border = list(border.chain[:-1])
-    for p in sector_border:
-        ws.add_with_rotations(p, k)
+    ws.add(geometry.sixfold(sector_border), k)
 
     # DNA path from P1; its points seed every inner shell's corner
     seeds: List[Point2] = []
@@ -159,9 +137,9 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     if tail > 1e-9:
         raise ConstructionFailed(f"DNA path misses the center by {tail:.3e}")
     seeds[-1] = (0.0, 0.0)
-    ws.add(seeds[-1], 0)
+    ws.add([seeds[-1]], 0)
     for j, p in enumerate(seeds[:-1]):
-        ws.add_with_rotations(p, k - 1 - j)
+        ws.add(geometry.sixfold([p]), k - 1 - j)
 
     chain_radius = [math.hypot(*p) for p in seeds[::-1]]  # index = shell, [0]=center
     chain_radius.append(math.hypot(*border.chain[0]))
@@ -182,7 +160,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
                 ok = [
                     p
                     for p in branches
-                    if _inside_domain(sigma, spec, p, 1e-9)
+                    if geometry.contains(spec, p, 1e-9)
                     and r_lo <= math.hypot(p[0], p[1]) <= r_hi
                     and not ws.too_close(p)
                 ]
@@ -195,23 +173,19 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
             if placed is None:
                 raise ConstructionFailed(f"shell {m}, position {i}: no tangent placement")
             row.append(placed)
-            ws.add_with_rotations(placed, m)
-        closure = geometry.dist(_rotate_exact(row[0], 1), row[-1])
+            ws.add(geometry.sixfold([placed]), m)
+        closure = geometry.dist(geometry.sixfold([row[0]])[1], row[-1])
         if abs(closure - d) > 1e-9:
             raise ConstructionFailed(f"shell {m}: closure gap {closure - d:.3e}")
         sector_rows.append(row)
 
-    centers: List[Point2] = []
-    for row in sector_rows:
-        for t in range(6):
-            for p in row:
-                centers.append(_rotate_exact(p, t))
+    centers = [p for row in sector_rows for p in geometry.sixfold(row)]
     centers.append((0.0, 0.0))
     if len(centers) != disk_count(k):
         raise ConstructionFailed(f"assembled {len(centers)} disks, expected {disk_count(k)}")
 
     arr = np.asarray(centers, dtype=float)
-    if _min_pairwise(arr) < d * (1.0 - 1e-9):
+    if geometry.min_distance(arr) < d * (1.0 - 1e-9):
         raise ConstructionFailed("overlap in assembled configuration")
     return PackingConfiguration(
         spec=spec,
@@ -219,34 +193,6 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
         diameter=d,
         meta={"mode": "deterministic", "sigma": sigma, "k": k, "dna": dna.letters},
     )
-
-
-def _min_pairwise(centers: np.ndarray) -> float:
-    n = len(centers)
-    if n < 2:
-        return math.inf
-    if n <= 400:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        dist[np.arange(n), np.arange(n)] = np.inf
-        return float(dist.min())
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(centers)
-    dist, _ = tree.query(centers, k=2)
-    return float(dist[:, 1].min())
-
-
-def _contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, int]]:
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(centers)
-    pairs = []
-    for i, j in sorted(tree.query_pairs(d * (1.0 + tol))):
-        gap = float(np.hypot(*(centers[i] - centers[j])))
-        if gap >= d * (1.0 - tol):
-            pairs.append((i, j))
-    return pairs
 
 
 def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float = 1e-6) -> Dna:
@@ -271,7 +217,7 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
         raise NoPath("no disk at the origin")
 
     adjacency: Dict[int, List[int]] = {}
-    for i, j in _contact_pairs(centers, d, tol):
+    for i, j in geometry.contact_pairs(centers, d, tol):
         adjacency.setdefault(i, []).append(j)
         adjacency.setdefault(j, []).append(i)
 
@@ -318,13 +264,8 @@ def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution, tol:
     limit = min(0.45 * gap, max(tol, 1e-9)) if len(blocks) > 1 else max(tol, 1e-9)
     seq = []
     for v in values:
-        best, best_err = None, limit
-        for b, ref in enumerate(blocks):
-            err = abs((v - ref + math.pi) % (2.0 * math.pi) - math.pi)
-            if err <= best_err:
-                best, best_err = b, err
-        if best is None:
+        b = _nearest_block(v, blocks, limit)
+        if b is None:
             raise NoPath(f"path direction {v:.6f} matches no building block")
-        seq.append(best)
-    letters = "".join(chr(ord("a") + b) for b in seq)
-    return dna_from_letters(letters, border)
+        seq.append(b)
+    return dna_from_letters(_letters_of(seq), border)

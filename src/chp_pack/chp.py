@@ -63,12 +63,16 @@ class BorderSolution:
 
     def blocks(self) -> Tuple[float, ...]:
         """Distinct DNA letter values phi + pi/3, ascending."""
-        out: List[float] = []
-        pos = 0
-        for n in self.degeneracies:
-            out.append(self.phi[pos] + PI_3)
-            pos += n
-        return tuple(out)
+        return _blocks(self.phi, self.degeneracies)
+
+
+def _blocks(phi: Sequence[float], degeneracies: Sequence[int]) -> Tuple[float, ...]:
+    out: List[float] = []
+    pos = 0
+    for n in degeneracies:
+        out.append(phi[pos] + PI_3)
+        pos += n
+    return tuple(out)
 
 
 def _require_sigma(sigma: Sigma) -> None:
@@ -88,13 +92,11 @@ def _group_degeneracies(phi: Sequence[float]) -> Tuple[int, ...]:
     return tuple(runs)
 
 
-def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
-    """Arclength positions of the chain points for a trial chord length d.
+def _perimeter(sigma: int):
+    """``point_at(s)``: the delta=0 polygon boundary point at arclength s from P1.
 
-    The boundary of the delta=0 polygon is parametrized by arclength
-    starting at P1 and wrapping over vertices as needed; every chord is
-    located by bisection on its endpoint arclength, using that the chord
-    length grows monotonically with arc travel on this scale.
+    A closure, so that the edge length and angles are worked out once per
+    sigma and not on every call inside the bisections.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     u0 = geometry.vertex_angle(sigma)
@@ -110,6 +112,18 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
             (1.0 - f) * math.sin(a) + f * math.sin(b),
         )
 
+    return point_at
+
+
+def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
+    """Arclength positions of the chain points for a trial chord length d.
+
+    The boundary of the delta=0 polygon is parametrized by arclength
+    starting at P1 and wrapping over vertices as needed; every chord is
+    located by bisection on its endpoint arclength, using that the chord
+    length grows monotonically with arc travel on this scale.
+    """
+    point_at = _perimeter(sigma)
     arcs = [0.0]
     s = 0.0
     px, py = point_at(0.0)
@@ -144,18 +158,8 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
 def _solve_polygon_border(sigma: int, k: int) -> dict:
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge
-    u0 = geometry.vertex_angle(sigma)
     step = TWO_PI / sigma
-
-    def point_at(s: float) -> Point2:
-        i, t = divmod(s, edge)
-        a = u0 + step * i
-        b = a + step
-        f = t / edge
-        return (
-            (1.0 - f) * math.cos(a) + f * math.cos(b),
-            (1.0 - f) * math.sin(a) + f * math.sin(b),
-        )
+    point_at = _perimeter(sigma)
 
     def travel_excess(d: float) -> float:
         return _chain_arcs(sigma, k, d)[-1] - target
@@ -247,13 +251,8 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
     degs = _group_degeneracies(raw["phi"])
     if tuple(reversed(degs)) != degs:
         raise NoSolution(f"degeneracies {degs} not symmetric for sigma={sigma}, k={k}")
-    blocks = []
-    pos = 0
-    for n in degs:
-        blocks.append(raw["phi"][pos] + PI_3)
-        pos += n
     base = _sorted_seq(degs)
-    images = _rotation_images(k, degs, tuple(blocks), raw["hits"], raw["alphas"], base)
+    images = _rotation_images(k, degs, _blocks(raw["phi"], degs), raw["hits"], raw["alphas"], base)
     eta = 1 if _reflect_seq(base, len(degs)) in images else 2
     return BorderSolution(
         sigma=sigma,
@@ -355,9 +354,8 @@ def reflect_dna(dna: Dna, sigma: Sigma) -> Dna:
     _require_sigma(sigma)
     shift = 0.0 if sigma == CIRCLE else TWO_PI / sigma
     values = tuple(math.pi - v - shift for v in dna.values)
-    ell = max(_seq_of(dna.letters)) + 1
-    seq = tuple(ell - 1 - b for b in _seq_of(dna.letters))
-    return Dna(values=values, letters=_letters_of(seq))
+    seq = _seq_of(dna.letters)
+    return Dna(values=values, letters=_letters_of(_reflect_seq(seq, max(seq) + 1)))
 
 
 def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
@@ -553,13 +551,13 @@ def chp_density(sigma: Sigma, k: int) -> float:
     are not multiples of 6 have no globally symmetric packing, so the
     combinatorial operations still reject them.
     """
+    if k < 1:
+        raise NoSolution(f"k must be >= 1, got {k}")
     n = disk_count(k)
     if sigma == CIRCLE:
         s = math.sin(math.pi / (6.0 * k))
         return n * s * s / (1.0 + s) ** 2
     if isinstance(sigma, int) and sigma >= 6 and sigma % 6 != 0:
-        if k < 1:
-            raise NoSolution(f"k must be >= 1, got {k}")
         d = _solve_polygon_border(sigma, k)["d"]
     else:
         d = solve_border(sigma, k).d
@@ -571,6 +569,8 @@ def chp_density(sigma: Sigma, k: int) -> float:
 def chp_density_full_vertex(sigma: int, k: int) -> float:
     """Closed-form density when every vertex is occupied (6k/sigma integer)."""
     _require_sigma(sigma)
+    if k < 1:
+        raise NoSolution(f"k must be >= 1, got {k}")
     if (6 * k) % sigma != 0:
         raise PreconditionViolated(f"6k/sigma = {6 * k}/{sigma} is not an integer")
     n = disk_count(k)

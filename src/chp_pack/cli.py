@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .builder import build_chp
 from .chp import (
     CIRCLE,
@@ -26,7 +27,7 @@ from .chp import (
     enumerate_dnas,
     solve_border,
 )
-from .configio import read_config, write_config
+from .configio import dumps_config, read_config
 from .errors import ChpError
 from .optimizer import OptimizerParams, PinSet, algorithm1, algorithm2
 from .svg import render_svg
@@ -52,6 +53,13 @@ def _sigma_arg(text: str):
     if value < 3:
         raise ValueError("sigma must be at least 3")
     return value
+
+
+def _sigma_list_arg(text: str) -> List[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}") from None
 
 
 def _fmt17(x: float) -> str:
@@ -100,7 +108,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("-o", "--output", default=None, help="output JSON path (default: stdout)")
 
     sp = sub.add_parser("tables", help="reproduce the configuration-count tables")
-    sp.add_argument("--sigma-list", default=_TABLE_SIGMAS, help="comma-separated side counts")
+    sp.add_argument("--sigma-list", type=_sigma_list_arg, default=_TABLE_SIGMAS, help="comma-separated side counts")
     sp.add_argument("--k-max", type=int, default=8, help="largest shell count per sigma")
     sp.add_argument("--enumerate-limit", type=int, default=2520, help="enumerate only rows with count at most this")
     sp.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
@@ -167,12 +175,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    config = build_chp(args.sigma, args.k, args.dna)
-    import io
-
-    buf = io.StringIO()
-    write_config(config, buf)
-    _emit(buf.getvalue(), args.output)
+    _emit(dumps_config(build_chp(args.sigma, args.k, args.dna)), args.output)
     return 0
 
 
@@ -198,8 +201,7 @@ def _table_row(job) -> tuple:
 
 
 def _cmd_tables(args) -> int:
-    sigmas = [int(s) for s in args.sigma_list.split(",") if s.strip()]
-    jobs = [(s, k, args.enumerate_limit) for s in sigmas for k in range(1, args.k_max + 1)]
+    jobs = [(s, k, args.enumerate_limit) for s in args.sigma_list for k in range(1, args.k_max + 1)]
     workers = min(_workers(), len(jobs)) if jobs else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -237,31 +239,15 @@ def _cmd_pack(args) -> int:
         cand_d = packing_radius(cand.centers)
         if cand_d > best_d:
             best, best_d = cand, cand_d
-    import io
-
-    buf = io.StringIO()
-    write_config(best, buf)
-    if args.output is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        _emit(buf.getvalue(), args.output)
+    _emit(dumps_config(best), args.output)
+    if args.output is not None:
         sys.stdout.write(json.dumps(_config_summary(best)) + "\n")
     return 0
 
 
 def _border_pins(config) -> PinSet:
-    centers = np.asarray(config.centers, dtype=float)
-    if config.spec is None:
-        on = [i for i, p in enumerate(centers) if abs(math.hypot(p[0], p[1]) - 1.0) <= 1e-7]
-        return PinSet.of(on)
-    from . import geometry
-
-    angles = geometry.edge_normal_angles(config.spec.sigma)
-    normals = np.array([[math.cos(a), math.sin(a)] for a in angles])
-    apothem = geometry.apothem(config.spec.sigma, config.spec.delta)
-    proj = centers @ normals.T
-    on = [i for i in range(len(centers)) if abs(proj[i].max() - apothem) <= 1e-7]
-    return PinSet.of(on)
+    excess = geometry.outside_by(config.spec, np.asarray(config.centers, dtype=float))
+    return PinSet.of(np.flatnonzero(np.abs(excess) <= 1e-7))
 
 
 def _cmd_shake(args) -> int:
@@ -281,11 +267,7 @@ def _cmd_shake(args) -> int:
         current = algorithm2(current, params, pins, trial=t, record=record)
         sys.stdout.write("".join(r + "\n" for r in rows))
     if args.output is not None:
-        import io
-
-        buf = io.StringIO()
-        write_config(current, buf)
-        _emit(buf.getvalue(), args.output)
+        _emit(dumps_config(current), args.output)
     return 0
 
 

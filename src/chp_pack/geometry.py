@@ -17,11 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Point2 = Tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
+
+# dense pair distances up to this many points, a k-d tree above
+_DENSE_MAX = 200
+
+_S3 = math.sqrt(3.0) / 2.0
+# exact unit rotations by multiples of 60 degrees, for bit-stable replication
+_ROT6 = ((1.0, 0.0), (0.5, _S3), (-0.5, _S3), (-1.0, 0.0), (-0.5, -_S3), (0.5, -_S3))
 
 
 @dataclass(frozen=True)
@@ -123,14 +132,30 @@ def edge_normal_angles(sigma: int) -> List[float]:
     return [base + TWO_PI * i / sigma for i in range(sigma)]
 
 
-def contains(spec: PolygonSpec, point: Point2, tol: float = 0.0) -> bool:
-    """True when ``point`` lies in the polygon, fattened outward by ``tol``."""
-    h = apothem(spec.sigma, spec.delta) + tol
+def contains(spec: Optional[PolygonSpec], point: Point2, tol: float = 0.0) -> bool:
+    """True when ``point`` lies in the polygon (unit circle for None), fattened outward by ``tol``."""
     x, y = point
+    if spec is None:
+        return math.hypot(x, y) <= 1.0 + tol
+    h = apothem(spec.sigma, spec.delta) + tol
     for a in edge_normal_angles(spec.sigma):
         if x * math.cos(a) + y * math.sin(a) > h:
             return False
     return True
+
+
+def outside_by(spec: Optional[PolygonSpec], points: np.ndarray) -> np.ndarray:
+    """Per point, how far it lies outside the polygon (unit circle for None).
+
+    For a polygon this is the worst edge excess ``n . x - apothem`` over
+    the outward edge normals ``n``; for the circle it is ``|x| - 1``.
+    Points inside get a value <= 0.
+    """
+    if spec is None:
+        return np.hypot(points[:, 0], points[:, 1]) - 1.0
+    angles = np.asarray(edge_normal_angles(spec.sigma))
+    normals = np.vstack([np.cos(angles), np.sin(angles)])
+    return (points @ normals).max(axis=1) - apothem(spec.sigma, spec.delta)
 
 
 def project_into(spec: PolygonSpec, point: Point2) -> Point2:
@@ -160,6 +185,16 @@ def project_into(spec: PolygonSpec, point: Point2) -> Point2:
     return best
 
 
+def sixfold(points: Sequence[Point2]) -> List[Point2]:
+    """``points`` under the six exact rotations by multiples of 60 degrees.
+
+    Rotation-major: all points rotated by 0, then all by 60 degrees, and
+    so on.  The rotation table is exact to the last bit, so a replicated
+    ring is the same wherever it is built.
+    """
+    return [(c * x - s * y, s * x + c * y) for c, s in _ROT6 for x, y in points]
+
+
 def rotate(point: Point2, angle: float) -> Point2:
     """Rotate ``point`` about the origin."""
     c, s = math.cos(angle), math.sin(angle)
@@ -177,3 +212,28 @@ def reflect(point: Point2, axis_angle: float) -> Point2:
 def dist(p: Point2, q: Point2) -> float:
     """Euclidean distance."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def min_distance(centers: np.ndarray) -> float:
+    """Minimum pairwise distance of at least two points."""
+    n = len(centers)
+    if n <= _DENSE_MAX:
+        diff = centers[:, None, :] - centers[None, :, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        dist[np.arange(n), np.arange(n)] = np.inf
+        return float(dist.min())
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(centers).query(centers, k=2)
+    return float(dist[:, 1].min())
+
+
+def contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, int]]:
+    """Sorted index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(centers).query_pairs(d * (1.0 + tol), output_type="ndarray")
+    gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
+    pairs = pairs[gap >= d * (1.0 - tol)]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return [(int(i), int(j)) for i, j in pairs]

@@ -9,6 +9,7 @@ has the same minimizers and stays finite at any s.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -86,28 +87,33 @@ def _log_terms(centers: np.ndarray, s: float, lam: float) -> np.ndarray:
     return s * (math.log(lam) - np.log(r2)), r2, diff
 
 
+def _free_mask(n: int, pins: Optional[PinSet]) -> np.ndarray:
+    free = np.ones(n, dtype=bool)
+    if pins is not None and pins.indices:
+        free[list(pins.indices)] = False
+    return free
+
+
 def energy(config, s: float, lam: float) -> float:
     """Sum over pairs of (lambda/r^2)^s, accumulated in the log domain."""
     centers = _centers_of(config)
     if len(centers) < 2:
         return 0.0
-    logterms, _, _ = _log_terms(centers, s, lam)
-    flat = logterms[np.triu_indices(len(centers), k=1)]
-    m = float(flat.max())
-    lse = m + math.log(float(np.exp(flat - m).sum()))
-    return math.exp(lse) if lse <= 709.0 else math.inf
+    value, _ = _objective(centers, s, lam, _free_mask(len(centers), None), False)
+    return math.exp(value) if value <= 709.0 else math.inf
 
 
 def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None) -> np.ndarray:
-    """Analytic gradient of ``energy`` per center; pinned rows are zeroed."""
+    """Analytic gradient of ``energy`` per center; pinned rows are zeroed.
+
+    Computed as ``energy * grad(log energy)``, the gradient ``minimize``
+    follows; raises OverflowError where the energy itself overflows.
+    """
     centers = _centers_of(config)
-    logterms, r2, diff = _log_terms(centers, s, lam)
-    terms = np.exp(np.clip(logterms, -745.0, 709.0))
-    coef = -2.0 * s * terms / r2
-    grad = np.einsum("ij,ijk->ik", coef, diff)
-    if pins is not None:
-        grad[list(pins.indices)] = 0.0
-    return grad
+    if len(centers) < 2:
+        return np.zeros_like(centers)
+    value, grad = _objective(centers, s, lam, _free_mask(len(centers), pins), True)
+    return math.exp(value) * grad
 
 
 def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray, need_grad: bool):
@@ -126,20 +132,13 @@ def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray, need
 
 
 def _project_all(centers: np.ndarray, spec: Optional[PolygonSpec], free: np.ndarray) -> np.ndarray:
-    out = centers
+    bad = free & (geometry.outside_by(spec, centers) > 0.0)
+    if not np.any(bad):
+        return centers
+    out = centers.copy()
     if spec is None:
-        radius = np.hypot(out[:, 0], out[:, 1])
-        bad = free & (radius > 1.0)
-        if np.any(bad):
-            out = out.copy()
-            out[bad] *= (1.0 / radius[bad])[:, None]
-        return out
-    angles = np.asarray(geometry.edge_normal_angles(spec.sigma))
-    normals = np.vstack([np.cos(angles), np.sin(angles)])
-    proj = out @ normals
-    bad = free & (proj.max(axis=1) > geometry.apothem(spec.sigma, spec.delta))
-    if np.any(bad):
-        out = out.copy()
+        out[bad] *= (1.0 / np.hypot(out[bad, 0], out[bad, 1]))[:, None]
+    else:
         for i in np.flatnonzero(bad):
             out[i] = geometry.project_into(spec, (out[i, 0], out[i, 1]))
     return out
@@ -156,12 +155,10 @@ def minimize(
     params = params or OptimizerParams()
     pins = pins or PinSet()
     x = _centers_of(config).copy()
-    free = np.ones(len(x), dtype=bool)
-    if pins.indices:
-        bad = [i for i in pins.indices if not 0 <= i < len(x)]
-        if bad:
-            raise PreconditionViolated(f"pinned indices {bad} out of range")
-        free[list(pins.indices)] = False
+    bad = [i for i in pins.indices if not 0 <= i < len(x)]
+    if bad:
+        raise PreconditionViolated(f"pinned indices {bad} out of range")
+    free = _free_mask(len(x), pins)
 
     spec = config.spec
     f, g = _objective(x, s, lam, free, True)
@@ -281,12 +278,7 @@ def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[Packi
     border = solve_border(sigma, k)
     d = border.d
     spec = None if sigma == CIRCLE else PolygonSpec(int(sigma), 0.0)
-    pts: List[Tuple[float, float]] = []
-    for t in range(6):
-        a = t * math.pi / 3.0
-        ca, sa = math.cos(a), math.sin(a)
-        for p in border.chain[:-1]:
-            pts.append((ca * p[0] - sa * p[1], sa * p[0] + ca * p[1]))
+    pts = geometry.sixfold(border.chain[:-1])
     pts.append((0.0, 0.0))
 
     lattice: List[Tuple[float, float]] = []
@@ -327,9 +319,7 @@ def algorithm2(
     pins = pins or PinSet()
     base = packing_radius(config.centers)
     x = _centers_of(config).copy()
-    free = np.ones(len(x), dtype=bool)
-    if pins.indices:
-        free[list(pins.indices)] = False
+    free = _free_mask(len(x), pins)
     for i in np.flatnonzero(free):
         gen = _rng(params.seed, (trial << 32) | i)
         r = params.perturb_amplitude * base * math.sqrt(gen.uniform())
@@ -441,22 +431,17 @@ def shell_rotation_search(
 
 def _shell_indices(centers: np.ndarray, d: float) -> np.ndarray:
     """Shell index per disk: contact-graph distance from the center disk."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(centers)
     n = len(centers)
     adj: List[List[int]] = [[] for _ in range(n)]
-    for i, j in tree.query_pairs(d * (1.0 + 1e-4)):
-        gap = float(np.hypot(*(centers[i] - centers[j])))
-        if gap >= d * (1.0 - 1e-4):
-            adj[i].append(j)
-            adj[j].append(i)
+    for i, j in geometry.contact_pairs(centers, d, 1e-4):
+        adj[i].append(j)
+        adj[j].append(i)
     start = int(np.argmin(np.hypot(centers[:, 0], centers[:, 1])))
     depth = np.full(n, -1, dtype=int)
     depth[start] = 0
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nxt in adj[node]:
             if depth[nxt] < 0:
                 depth[nxt] = depth[node] + 1

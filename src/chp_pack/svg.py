@@ -13,22 +13,12 @@ from typing import List
 
 import numpy as np
 
-from .builder import PackingConfiguration, _contact_pairs
-from .geometry import vertex_angle
+from . import geometry
+from .builder import PackingConfiguration
 
 
 def _f(x: float) -> str:
     return f"{x:.8f}"
-
-
-def _container_vertices(sigma: int, r: float) -> List[tuple]:
-    rc = (math.cos(math.pi / sigma) + r) / math.cos(math.pi / sigma)
-    u0 = vertex_angle(sigma)
-    out = []
-    for i in range(sigma):
-        a = u0 + 2.0 * math.pi * i / sigma
-        out.append((rc * math.cos(a), rc * math.sin(a)))
-    return out
 
 
 def render_svg(
@@ -39,10 +29,7 @@ def render_svg(
 ) -> str:
     centers = np.asarray(config.centers, dtype=float)
     r = config.diameter / 2.0
-    if config.spec is None:
-        extent = 1.0 + r
-    else:
-        extent = (math.cos(math.pi / config.spec.sigma) + r) / math.cos(math.pi / config.spec.sigma)
+    extent = 1.0 + r if config.spec is None else geometry.circumradius(config.spec.sigma, r)
     margin = extent * 1.02
 
     parts: List[str] = []
@@ -59,7 +46,7 @@ def render_svg(
             f'fill="none" stroke="#222222" stroke-width="{_f(stroke)}"/>'
         )
     else:
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in _container_vertices(config.spec.sigma, r))
+        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in geometry.polygon_vertices(config.spec.sigma, r))
         parts.append(
             f'<polygon class="container" points="{pts}" '
             f'fill="none" stroke="#222222" stroke-width="{_f(stroke)}"/>'
@@ -79,7 +66,7 @@ def render_svg(
             )
         else:
             sigma = config.spec.sigma
-            verts = _container_vertices(sigma, r)
+            verts = geometry.polygon_vertices(sigma, r)
             wedge = [(0.0, 0.0)] + [verts[i] for i in range(sigma // 6 + 1)]
             pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in wedge)
             parts.append(
@@ -87,8 +74,8 @@ def render_svg(
                 f'fill="#f5d76e" fill-opacity="0.45" stroke="none"/>'
             )
 
-    if contacts and len(centers) >= 2:
-        for i, j in _contact_pairs(centers, config.diameter, 1e-6):
+    if contacts:
+        for i, j in geometry.contact_pairs(centers, config.diameter, 1e-6):
             parts.append(
                 f'<line class="contact" x1="{_f(centers[i, 0])}" y1="{_f(centers[i, 1])}" '
                 f'x2="{_f(centers[j, 0])}" y2="{_f(centers[j, 1])}" '

@@ -21,17 +21,9 @@ PI_3 = math.pi / 3.0
 def packing_radius(config: Union[PackingConfiguration, np.ndarray]) -> float:
     """Minimum pairwise center distance."""
     centers = config.centers if isinstance(config, PackingConfiguration) else np.asarray(config, dtype=float)
-    n = len(centers)
-    if n < 2:
+    if len(centers) < 2:
         raise ValueError("need at least two centers")
-    if n <= 200:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        dist[np.arange(n), np.arange(n)] = np.inf
-        return float(dist.min())
-    tree = cKDTree(centers)
-    dist, _ = tree.query(centers, k=2)
-    return float(dist[:, 1].min())
+    return geometry.min_distance(centers)
 
 
 def density(config: PackingConfiguration) -> float:
@@ -40,19 +32,7 @@ def density(config: PackingConfiguration) -> float:
     n = config.n_disks
     if config.spec is None:
         return n * r * r / (1.0 + r) ** 2
-    sigma = config.spec.sigma
-    h = math.cos(math.pi / sigma) + r
-    return n * math.pi * r * r / (sigma * h * h * math.tan(math.pi / sigma))
-
-
-def _containment_violation(config: PackingConfiguration) -> float:
-    centers = config.centers
-    if config.spec is None:
-        return float(max(0.0, np.hypot(centers[:, 0], centers[:, 1]).max() - 1.0))
-    sigma = config.spec.sigma
-    angles = np.asarray(geometry.edge_normal_angles(sigma))
-    proj = centers @ np.vstack([np.cos(angles), np.sin(angles)])
-    return float(max(0.0, proj.max() - geometry.apothem(sigma, config.spec.delta)))
+    return n * math.pi * r * r / geometry.polygon_area(config.spec.sigma, r)
 
 
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
@@ -108,12 +88,7 @@ def is_chp(config: PackingConfiguration, sigma: Sigma, k: int, tol: float = 1e-9
     if symmetry_residual(config, tol) > tol:
         return False
 
-    expected = []
-    for t in range(6):
-        a = t * PI_3
-        ca, sa = math.cos(a), math.sin(a)
-        for p in border.chain[:-1]:
-            expected.append((ca * p[0] - sa * p[1], sa * p[0] + ca * p[1]))
+    expected = geometry.sixfold(border.chain[:-1])
     tree = cKDTree(centers)
     dist, idx = tree.query(np.asarray(expected))
     if dist.max() > tol or len(set(idx.tolist())) != len(expected):
@@ -151,14 +126,10 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration, tol: float = 1e
 
 def contact_count_histogram(config: PackingConfiguration, tol: float = 1e-9) -> Dict[int, int]:
     """Histogram mapping contacts-per-disk to the number of such disks."""
-    d = config.diameter
-    tree = cKDTree(config.centers)
     counts = np.zeros(config.n_disks, dtype=int)
-    for i, j in tree.query_pairs(d * (1.0 + tol)):
-        gap = float(np.hypot(*(config.centers[i] - config.centers[j])))
-        if gap >= d * (1.0 - tol):
-            counts[i] += 1
-            counts[j] += 1
+    for i, j in geometry.contact_pairs(config.centers, config.diameter, tol):
+        counts[i] += 1
+        counts[j] += 1
     hist: Dict[int, int] = {}
     for c in counts.tolist():
         hist[c] = hist.get(c, 0) + 1
@@ -190,7 +161,7 @@ class ValidationReport:
 def validate_config(config: PackingConfiguration, tol: float = 1e-9) -> ValidationReport:
     """Assemble the full certification report for ``config``."""
     min_dist = packing_radius(config)
-    violation = _containment_violation(config)
+    violation = float(max(0.0, geometry.outside_by(config.spec, config.centers).max()))
     valid = min_dist >= config.diameter * (1.0 - tol) and violation <= tol
     return ValidationReport(
         min_distance=min_dist,

@@ -149,6 +149,16 @@ def test_density_full_vertex_agrees():
         chp_density_full_vertex(12, 3)
 
 
+@pytest.mark.parametrize("sigma", [CIRCLE, 12, 6, 15])
+@pytest.mark.parametrize("k", [0, -1])
+def test_density_rejects_k_below_one(sigma, k):
+    with pytest.raises(NoSolution):
+        chp_density(sigma, k)
+    if sigma in (12, 6):
+        with pytest.raises(NoSolution):
+            chp_density_full_vertex(sigma, k)
+
+
 def test_hexagon_density_closed_form():
     for k in range(1, 11):
         n = disk_count(k)

@@ -133,6 +133,16 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "bad_arguments"
 
+    for bad_list in ("12,x", "circle"):
+        code, _, err = run_cli(["tables", "--sigma-list", bad_list], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    for k in ("0", "-1"):
+        code, _, err = run_cli(["density", "--sigma", "circle", "--k", k], capsys)
+        assert code == 3
+        assert json.loads(err)["error"] == "NoSolution"
+
     code, _, err = run_cli(["validate", "-i", str(tmp_path / "nope.json")], capsys)
     assert code == 2
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from chp_pack import geometry
@@ -104,3 +105,23 @@ def test_spec_validation():
         PolygonSpec(2, 0.0)
     with pytest.raises(ValueError):
         PolygonSpec(12, -0.1)
+
+
+@pytest.mark.parametrize("spec", [PolygonSpec(12, 0.0), None], ids=["sigma12", "circle"])
+def test_vectorized_primitives_match_scalar_scans(spec):
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.2, 1.2, (300, 2))
+    d, tol = 0.1, 0.2
+    brute = [
+        (i, j)
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if d * (1.0 - tol) <= float(np.hypot(*(pts[i] - pts[j]))) <= d * (1.0 + tol)
+    ]
+    assert brute
+    assert geometry.contact_pairs(pts, d, tol) == brute
+    excess = geometry.outside_by(spec, pts)
+    for tol in (0.0, 1e-3):
+        inside = [geometry.contains(spec, (x, y), tol) for x, y in pts]
+        assert (excess <= tol).tolist() == inside
+    assert 0 < sum(inside) < len(pts)

@@ -43,15 +43,16 @@ def test_packing_radius_matches_solver():
 
 
 def test_packing_radius_large_uses_grid_path():
+    # 200 points and fewer take the dense path, more take the k-d tree
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (500, 2))
-    brute = min(
-        float(np.hypot(*(pts[i] - pts[j])))
-        for i in range(120)
-        for j in range(i + 1, 120)
-    )
-    assert packing_radius(pts[:120]) == pytest.approx(brute, abs=1e-15)
-    assert packing_radius(pts) > 0
+    for n in (120, 199, 200, 201, 500):
+        brute = min(
+            float(np.hypot(*(pts[i] - pts[j])))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        assert packing_radius(pts[:n]) == pytest.approx(brute, abs=1e-15)
 
 
 def test_density_matches_formula():
