@@ -77,7 +77,10 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _workers() -> int:
     raw = os.environ.get("CHP_PACK_THREADS", "")
     if raw.strip():
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise _BadArguments(f"CHP_PACK_THREADS must be an integer, got {raw!r}") from None
     return os.cpu_count() or 1
 
 

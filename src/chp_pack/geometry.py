@@ -15,9 +15,10 @@ grows the polygon about the origin without rotating it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +145,28 @@ def contains(spec: Optional[PolygonSpec], point: Point2, tol: float = 0.0) -> bo
     return True
 
 
+class _Frame(NamedTuple):
+    """Read-only constants of one polygon, arrays indexed by edge."""
+
+    normals: np.ndarray  # (2, sigma): outward normals, cosines over sines, as ``contains`` computes them
+    vertices: np.ndarray  # (sigma, 2), counterclockwise from P1
+    edges: np.ndarray  # (sigma, 2): vertex i + 1 minus vertex i
+    edge_len2: np.ndarray  # (sigma,): squared edge lengths
+    apothem: float
+
+
+@functools.lru_cache(maxsize=128)
+def _frame(sigma: int, delta: float) -> _Frame:
+    angles = edge_normal_angles(sigma)
+    normals = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+    verts = np.array(polygon_vertices(sigma, delta))
+    edges = np.roll(verts, -1, axis=0) - verts
+    edge_len2 = edges[:, 0] * edges[:, 0] + edges[:, 1] * edges[:, 1]
+    for arr in (normals, verts, edges, edge_len2):
+        arr.setflags(write=False)
+    return _Frame(normals, verts, edges, edge_len2, apothem(sigma, delta))
+
+
 def outside_by(spec: Optional[PolygonSpec], points: np.ndarray) -> np.ndarray:
     """Per point, how far it lies outside the polygon (unit circle for None).
 
@@ -153,36 +176,36 @@ def outside_by(spec: Optional[PolygonSpec], points: np.ndarray) -> np.ndarray:
     """
     if spec is None:
         return np.hypot(points[:, 0], points[:, 1]) - 1.0
-    angles = np.asarray(edge_normal_angles(spec.sigma))
-    normals = np.vstack([np.cos(angles), np.sin(angles)])
-    return (points @ normals).max(axis=1) - apothem(spec.sigma, spec.delta)
+    frame = _frame(spec.sigma, spec.delta)
+    return (points @ frame.normals).max(axis=1) - frame.apothem
 
 
-def project_into(spec: PolygonSpec, point: Point2) -> Point2:
-    """Closest point of the closed polygon to ``point``.
+def project_into(spec: PolygonSpec, points: np.ndarray) -> np.ndarray:
+    """Closest points of the closed polygon to the rows of ``points``.
 
-    Interior points are returned unchanged; exterior points are projected
-    onto the nearest edge segment or vertex.
+    Takes an ``(m, 2)`` array and returns a new ``(m, 2)`` array.  Rows
+    that pass ``contains``' edge test come back unchanged; every other
+    row goes to the nearest point of the nearest edge segment (the first
+    edge on a tie), with the same floating-point operations as a scalar
+    scan over the edges, so results match it to the last bit.
     """
-    if contains(spec, point):
-        return point
-    verts = polygon_vertices(spec.sigma, spec.delta)
-    px, py = point
-    best: Point2 = verts[0]
-    best_d2 = math.inf
-    n = spec.sigma
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
-        t = min(1.0, max(0.0, t))
-        qx, qy = ax + t * ex, ay + t * ey
-        d2 = (px - qx) ** 2 + (py - qy) ** 2
-        if d2 < best_d2:
-            best_d2 = d2
-            best = (qx, qy)
-    return best
+    frame = _frame(spec.sigma, spec.delta)
+    out = np.array(points, dtype=float)
+    # elementwise like ``contains``; a matmul may round differently
+    reach = out[:, :1] * frame.normals[0] + out[:, 1:] * frame.normals[1]
+    outside = (reach > frame.apothem).any(axis=1)
+    if not outside.any():
+        return out
+    p = out[outside][:, None, :]
+    # per point and edge a + t e, t the clipped parameter of the foot of p on the edge's line
+    w = (p - frame.vertices) * frame.edges
+    t = np.minimum(1.0, np.maximum(0.0, (w[..., 0] + w[..., 1]) / frame.edge_len2))
+    q = frame.vertices + t[..., None] * frame.edges
+    # libm pow, like a scalar ``** 2``: ``x * x`` rounds differently in rare cases
+    d2 = np.float_power(p - q, 2.0)
+    best = (d2[..., 0] + d2[..., 1]).argmin(axis=1)
+    out[outside] = q[np.arange(len(best)), best]
+    return out
 
 
 def sixfold(points: Sequence[Point2]) -> List[Point2]:

@@ -99,7 +99,7 @@ def energy(config, s: float, lam: float) -> float:
     centers = _centers_of(config)
     if len(centers) < 2:
         return 0.0
-    value, _ = _objective(centers, s, lam, _free_mask(len(centers), None), False)
+    value, _ = _evaluate(centers, s, lam)
     return math.exp(value) if value <= 709.0 else math.inf
 
 
@@ -112,23 +112,32 @@ def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None)
     centers = _centers_of(config)
     if len(centers) < 2:
         return np.zeros_like(centers)
-    value, grad = _objective(centers, s, lam, _free_mask(len(centers), pins), True)
+    value, grad = _objective(centers, s, lam, _free_mask(len(centers), pins))
     return math.exp(value) * grad
 
 
-def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray, need_grad: bool):
-    """log-energy and its gradient restricted to unpinned disks."""
+def _evaluate(centers: np.ndarray, s: float, lam: float):
+    """log-energy, and the ``(w, total, r2, diff)`` its gradient is built from."""
     logterms, r2, diff = _log_terms(centers, s, lam)
     m = float(logterms.max())
     w = np.exp(logterms - m)
     total = 0.5 * float(w.sum())
-    value = m + math.log(total)
-    if not need_grad:
-        return value, None
+    return m + math.log(total), (w, total, r2, diff)
+
+
+def _gradient(state, s: float, free: np.ndarray) -> np.ndarray:
+    """Gradient of the log-energy from ``_evaluate``'s state; pinned rows are zero."""
+    w, total, r2, diff = state
     coef = (-2.0 * s) * (w / total) / r2
     grad = np.einsum("ij,ijk->ik", coef, diff)
     grad[~free] = 0.0
-    return value, grad
+    return grad
+
+
+def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray):
+    """log-energy and its gradient restricted to unpinned disks."""
+    value, state = _evaluate(centers, s, lam)
+    return value, _gradient(state, s, free)
 
 
 def _project_all(centers: np.ndarray, spec: Optional[PolygonSpec], free: np.ndarray) -> np.ndarray:
@@ -139,8 +148,7 @@ def _project_all(centers: np.ndarray, spec: Optional[PolygonSpec], free: np.ndar
     if spec is None:
         out[bad] *= (1.0 / np.hypot(out[bad, 0], out[bad, 1]))[:, None]
     else:
-        for i in np.flatnonzero(bad):
-            out[i] = geometry.project_into(spec, (out[i, 0], out[i, 1]))
+        out[bad] = geometry.project_into(spec, out[bad])
     return out
 
 
@@ -161,7 +169,7 @@ def minimize(
     free = _free_mask(len(x), pins)
 
     spec = config.spec
-    f, g = _objective(x, s, lam, free, True)
+    f, g = _objective(x, s, lam, free)
     if not math.isfinite(f):
         raise NonFinite(f"objective is {f} at the starting point")
     alpha = 0.05 * math.sqrt(lam) / max(float(np.abs(g).max()), 1e-300)
@@ -187,7 +195,7 @@ def minimize(
             move_norm2 = float((move * move).sum())
             if move_norm2 == 0.0:
                 break
-            f_trial, _ = _objective(trial, s, lam, free, False)
+            f_trial, state = _evaluate(trial, s, lam)
             if math.isnan(f_trial):
                 raise NonFinite("objective became NaN during line search")
             if f_trial <= f - 1e-4 / max(a, 1e-300) * move_norm2:
@@ -196,13 +204,11 @@ def minimize(
             a *= 0.5
         if not accepted:
             break
-        prev_x, prev_g = x, g
-        x = trial
-        f_new, g = _objective(x, s, lam, free, True)
-        if abs(f - f_new) <= params.inner_tol * max(1.0, abs(f)):
-            f = f_new
+        prev_x, prev_g, prev_f = x, g, f
+        x, f = trial, f_trial
+        g = _gradient(state, s, free)
+        if abs(prev_f - f) <= params.inner_tol * max(1.0, abs(prev_f)):
             break
-        f = f_new
         alpha = a
 
     out = PackingConfiguration(
@@ -315,6 +321,8 @@ def algorithm2(
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
     """One shake trial: perturb, re-run the ladder, keep only improvements."""
+    if config.n_disks < 2:
+        raise PreconditionViolated("need at least two disks")
     params = params or OptimizerParams()
     pins = pins or PinSet()
     base = packing_radius(config.centers)

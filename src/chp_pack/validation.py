@@ -140,7 +140,7 @@ def contact_count_histogram(config: PackingConfiguration, tol: float = 1e-9) -> 
 class ValidationReport:
     """Certification summary of one configuration."""
 
-    min_distance: float
+    min_distance: Optional[float]
     worst_containment_violation: float
     density: float
     is_valid: bool
@@ -159,10 +159,14 @@ class ValidationReport:
 
 
 def validate_config(config: PackingConfiguration, tol: float = 1e-9) -> ValidationReport:
-    """Assemble the full certification report for ``config``."""
-    min_dist = packing_radius(config)
+    """Assemble the full certification report for ``config``.
+
+    With fewer than two disks there is no pair to separate: ``min_distance``
+    is None and validity rests on containment alone.
+    """
+    min_dist = packing_radius(config) if config.n_disks > 1 else None
     violation = float(max(0.0, geometry.outside_by(config.spec, config.centers).max()))
-    valid = min_dist >= config.diameter * (1.0 - tol) and violation <= tol
+    valid = (min_dist is None or min_dist >= config.diameter * (1.0 - tol)) and violation <= tol
     return ValidationReport(
         min_distance=min_dist,
         worst_containment_violation=violation,

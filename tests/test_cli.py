@@ -124,7 +124,22 @@ def test_validate_good_and_corrupt(tmp_path, capsys):
     assert json.loads(out)["is_valid"] is False
 
 
-def test_exit_codes_and_error_json(tmp_path, capsys):
+def test_validate_and_shake_single_disk(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    doc = {"schema_version": "chp-pack/1", "sigma": 12, "n_disks": 1, "diameter": 0.5, "centers": [[0.0, 0.0]]}
+    one.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["validate", "-i", str(one)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["min_distance"] is None
+    assert report["is_valid"] is True
+
+    code, _, err = run_cli(["shake", "-i", str(one), "--trials", "1"], capsys)
+    assert code == 3
+    assert json.loads(err.splitlines()[-1])["error"] == "PreconditionViolated"
+
+
+def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["count", "--sigma", "13", "--k", "2"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "NotMultipleOfSix"
@@ -137,6 +152,12 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
         code, _, err = run_cli(["tables", "--sigma-list", bad_list], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "bad_arguments"
+
+    with monkeypatch.context() as env:
+        env.setenv("CHP_PACK_THREADS", "x")
+        code, _, err = run_cli(["tables", "--sigma-list", "12", "--k-max", "1"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad_arguments"
 
     for k in ("0", "-1"):
         code, _, err = run_cli(["density", "--sigma", "circle", "--k", k], capsys)

@@ -56,17 +56,17 @@ def test_contains_and_project():
     assert geometry.contains(spec, geometry.fundamental_vertex(12), 1e-12)
     outside = (2.0, 0.3)
     assert not geometry.contains(spec, outside, 1e-9)
-    proj = geometry.project_into(spec, outside)
-    assert geometry.contains(spec, proj, 1e-9)
+    proj = geometry.project_into(spec, np.array([outside]))[0]
+    assert geometry.contains(spec, tuple(proj), 1e-9)
     # projection is the identity on interior points
     inside = (0.1, -0.2)
-    assert geometry.project_into(spec, inside) == inside
+    assert tuple(geometry.project_into(spec, np.array([inside]))[0]) == inside
 
 
 def test_projection_is_nearest_boundary_point():
     spec = PolygonSpec(6, 0.0)
     p = (1.5, 0.0)
-    q = geometry.project_into(spec, p)
+    q = tuple(geometry.project_into(spec, np.array([p]))[0])
     # brute force over dense boundary samples
     best = min(
         geometry.dist(p, geometry.boundary_point(t, 0.0, 6))
@@ -125,3 +125,48 @@ def test_vectorized_primitives_match_scalar_scans(spec):
         inside = [geometry.contains(spec, (x, y), tol) for x, y in pts]
         assert (excess <= tol).tolist() == inside
     assert 0 < sum(inside) < len(pts)
+
+
+def _scalar_projection(spec, point):
+    """Per-point reference: the edge test of ``contains``, then a scan over the edge segments."""
+    x, y = point
+    h = geometry.apothem(spec.sigma, spec.delta)
+    if all(x * math.cos(a) + y * math.sin(a) <= h for a in geometry.edge_normal_angles(spec.sigma)):
+        return point
+    verts = geometry.polygon_vertices(spec.sigma, spec.delta)
+    best, best_d2 = verts[0], math.inf
+    for i in range(spec.sigma):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % spec.sigma]
+        ex, ey = bx - ax, by - ay
+        t = min(1.0, max(0.0, ((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey)))
+        qx, qy = ax + t * ex, ay + t * ey
+        d2 = (x - qx) ** 2 + (y - qy) ** 2
+        if d2 < best_d2:
+            best, best_d2 = (qx, qy), d2
+    return best
+
+
+@pytest.mark.parametrize("sigma", [3, 6, 12, 60])
+def test_array_projection_matches_scalar_scan(sigma):
+    spec = PolygonSpec(sigma, 0.0)
+    rng = np.random.default_rng(sigma)
+    verts = np.array(geometry.polygon_vertices(sigma))
+    edge = rng.integers(sigma, size=400)
+    along = rng.uniform(0.0, 1.0, (400, 1))
+    on_edges = verts[edge] + along * (verts[(edge + 1) % sigma] - verts[edge])
+    near_vertices = verts[rng.integers(sigma, size=400)]
+    # random points, then points within 1e-3 .. 1e-15 of an edge or a vertex
+    near = [
+        base + rng.normal(0.0, scale, base.shape)
+        for base in (on_edges, near_vertices)
+        for scale in (1e-3, 1e-9, 1e-15)
+    ]
+    pts = np.vstack([rng.uniform(-1.5, 1.5, (800, 2))] + near)
+    got = geometry.project_into(spec, pts)
+    want = np.array([_scalar_projection(spec, (x, y)) for x, y in pts.tolist()])
+    assert got.shape == pts.shape
+    assert np.array_equal(got, want)
+    moved = np.any(want != pts, axis=1)
+    assert 0 < moved.sum() < len(pts)
+    assert np.array_equal(got[~moved], pts[~moved])

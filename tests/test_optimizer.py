@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chp_pack import build_chp, chp_density, solve_border
+from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
 from chp_pack.errors import CoincidentPoints, PreconditionViolated
 from chp_pack.geometry import PolygonSpec, contains
@@ -91,6 +91,42 @@ def test_minimize_keeps_pins_bit_identical():
     assert not np.array_equal(out.centers, cfg.centers)
 
 
+def test_minimize_evaluates_each_iterate_once(monkeypatch):
+    # the start is evaluated once and every line-search trial once; an
+    # accepted trial's gradient comes from that trial's evaluation
+    events = []
+    log_terms, project_all = optimizer._log_terms, optimizer._project_all
+
+    def counted_log_terms(*args):
+        events.append("evaluate")
+        return log_terms(*args)
+
+    def counted_project_all(*args):
+        events.append("trial")
+        return project_all(*args)
+
+    monkeypatch.setattr(optimizer, "_log_terms", counted_log_terms)
+    monkeypatch.setattr(optimizer, "_project_all", counted_project_all)
+    cfg = random_instance(np.random.default_rng(4))
+    lam = packing_radius(cfg.centers) ** 2
+    out = minimize(cfg, 10.0, lam, None, OptimizerParams(max_inner_iters=30))
+    trials = events.count("trial")
+    assert trials >= 30
+    assert events.count("evaluate") == 1 + trials
+    assert not np.array_equal(out.centers, cfg.centers)
+
+    # and the gradient those evaluations feed still matches the energy
+    events.clear()
+    g = energy_gradient(out, 10.0, lam)
+    assert events.count("evaluate") == 1
+    h = 3e-7 * packing_radius(out.centers)
+    scale = float(np.abs(g).max())
+    for i in range(10):
+        for c in (0, 1):
+            fd = finite_difference(out.centers, 10.0, lam, i, c, h)
+            assert abs(g[i, c] - fd) <= 1e-5 * max(scale, abs(fd))
+
+
 def test_minimize_respects_container():
     rng = np.random.default_rng(21)
     cfg = random_instance(rng, n=25)
@@ -136,6 +172,12 @@ def test_algorithm2_identity_when_everything_pinned():
     pins = PinSet.of(range(config.n_disks))
     out = algorithm2(config, OptimizerParams(seed=4, perturb_amplitude=0.0), pins)
     assert np.array_equal(out.centers, config.centers)
+
+
+def test_algorithm2_needs_two_disks():
+    one = PackingConfiguration(spec=PolygonSpec(12, 0.0), centers=np.zeros((1, 2)), diameter=0.5, meta={})
+    with pytest.raises(PreconditionViolated, match="two disks"):
+        algorithm2(one, OptimizerParams(seed=1))
 
 
 def test_algorithm2_never_degrades():

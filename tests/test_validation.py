@@ -156,3 +156,16 @@ def test_validate_config_overlap():
     report = validate_config(_cfg(pts, diameter=0.35))
     assert not report.is_valid
     assert report.min_distance < 0.35
+
+
+def test_validate_config_single_disk():
+    # no pair to separate: the report says so and rests on containment
+    report = validate_config(_cfg([[0.1, -0.2]], diameter=0.5))
+    assert report.min_distance is None
+    assert report.is_valid
+    assert report.to_json_dict()["min_distance"] is None
+    assert report.contact_count_histogram == {0: 1}
+    outside = validate_config(_cfg([[1.2, 0.0]], diameter=0.5))
+    assert outside.min_distance is None
+    assert not outside.is_valid
+    assert outside.worst_containment_violation > 0.0
