@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, Union
 
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
@@ -115,41 +115,52 @@ def _perimeter(sigma: int):
     return point_at
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0) -> float:
+    """Where ``below`` turns false in the bracket ``[lo, hi]``.
+
+    ``below(lo)`` must hold and ``below(hi)`` must not.  The bracket is
+    halved until its midpoint equals an end, which leaves the two ends
+    adjacent floats, or until its width is at most ``tol * max(1, hi)``;
+    the last midpoint is returned.  Every step leaves a strictly smaller
+    bracket of floats, so the loop ends for any finite bracket without an
+    iteration cap.
+    """
+    # halving each end first cannot overflow, and for normal floats it
+    # rounds exactly as 0.5 * (lo + hi) does
+    mid = 0.5 * lo + 0.5 * hi
+    while lo < mid < hi and hi - lo > tol * max(1.0, hi):
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
+
+
 def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
     """Arclength positions of the chain points for a trial chord length d.
 
     The boundary of the delta=0 polygon is parametrized by arclength
     starting at P1 and wrapping over vertices as needed; every chord is
     located by bisection on its endpoint arclength, using that the chord
-    length grows monotonically with arc travel on this scale.
+    length grows monotonically with arc travel on this scale.  The chord
+    from the point at arclength s is bracketed by ``[s + d(1 - 1e-12),
+    s + 2d]``: an arc is never shorter than its chord, and an arc that
+    turns at one vertex of interior angle at least 120 degrees is at most
+    2/sqrt(3) times its chord, so the chord at arc 2d is longer than d.
+    The bisection ends without a cap: at the float fixed point, or first
+    at a width of 1e-16 on arcs below about 0.25.
     """
     point_at = _perimeter(sigma)
     arcs = [0.0]
     s = 0.0
     px, py = point_at(0.0)
     for _ in range(k):
-        lo = s + d * (1.0 - 1e-12)
-        hi = s + 2.0 * d
-
-        def chord_excess(t: float) -> float:
+        def short(t: float) -> bool:
             qx, qy = point_at(t)
-            return math.hypot(qx - px, qy - py) - d
+            return math.hypot(qx - px, qy - py) < d
 
-        grow = 0
-        while chord_excess(hi) < 0.0:
-            hi = s + (hi - s) * 1.5
-            grow += 1
-            if grow > 60:
-                raise NoSolution(f"chord bracket failed for sigma={sigma}, k={k}")
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if chord_excess(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
-        s = 0.5 * (lo + hi)
+        s = _bisect(short, s + d * (1.0 - 1e-12), s + 2.0 * d, 1e-16)
         arcs.append(s)
         px, py = point_at(s)
     return arcs
@@ -161,27 +172,11 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     step = TWO_PI / sigma
     point_at = _perimeter(sigma)
 
-    def travel_excess(d: float) -> float:
-        return _chain_arcs(sigma, k, d)[-1] - target
-
-    # arclength >= chord length, so d = target/k overshoots (or matches on sigma=6)
+    # arclength >= chord length, so d = target/k overshoots (or matches on
+    # sigma=6); k chords cover at most 2/sqrt(3) times their length in arc,
+    # so half of it falls short.  A bad bracket shows in the residual below.
     hi = target / k
-    lo = 0.5 * hi
-    guard = 0
-    while travel_excess(lo) >= 0.0:
-        lo *= 0.5
-        guard += 1
-        if guard > 200:
-            raise NoSolution(f"no bracket for sigma={sigma}, k={k}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if travel_excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * hi:
-            break
-    d = 0.5 * (lo + hi)
+    d = _bisect(lambda t: _chain_arcs(sigma, k, t)[-1] < target, 0.5 * hi, hi)
 
     arcs = _chain_arcs(sigma, k, d)
     chain = [point_at(s) for s in arcs]

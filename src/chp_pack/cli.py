@@ -259,16 +259,18 @@ def _cmd_shake(args) -> int:
     config = read_config(args.input)
     pins = _border_pins(config) if args.pin == "border" else PinSet()
     params = OptimizerParams(seed=args.seed)
-    sys.stdout.write("trial,rung,s,density\n")
+    # the header goes out with the first trial's rows, so a trial that
+    # rejects its input leaves stdout empty
+    rows: List[str] = ["trial,rung,s,density"]
     current = config
     for t in range(args.trials):
-        rows: List[str] = []
 
         def record(rung: int, s: float, cfg) -> None:
             rows.append(f"{t},{rung},{format(s, '.6g')},{format(packing_density(cfg), '.12g')}")
 
         current = algorithm2(current, params, pins, trial=t, record=record)
         sys.stdout.write("".join(r + "\n" for r in rows))
+        rows.clear()
     if args.output is not None:
         _emit(dumps_config(current), args.output)
     return 0

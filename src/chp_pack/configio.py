@@ -132,12 +132,18 @@ def loads_config(text: str) -> PackingConfiguration:
 
     meta: dict = {}
     if "k" in doc:
-        meta["k"] = doc["k"]
+        k = doc["k"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ParseError(f"field 'k': expected a positive integer, got {k!r}")
+        meta["k"] = k
     if "dna" in doc and doc["dna"] is not None:
         meta["dna"] = doc["dna"]
     prov = doc.get("provenance", {})
-    if prov and not isinstance(prov, dict):
+    if not isinstance(prov, dict):
         raise ParseError(f"field 'provenance': expected an object, got {prov!r}")
+    params = prov.get("params")
+    if params is not None and not isinstance(params, (dict, str)):
+        raise ParseError(f"field 'provenance.params': expected an object or a string, got {params!r}")
     meta.update(prov)
     return PackingConfiguration(spec=spec, centers=centers, diameter=float(diameter), meta=meta)
 

@@ -74,11 +74,6 @@ def circumradius(sigma: int, delta: float = 0.0) -> float:
     return apothem(sigma, delta) / math.cos(math.pi / sigma)
 
 
-def edge_length(sigma: int, delta: float = 0.0) -> float:
-    """Length of one polygon edge."""
-    return 2.0 * apothem(sigma, delta) * math.tan(math.pi / sigma)
-
-
 def polygon_area(sigma: int, delta: float = 0.0) -> float:
     """Area enclosed by the polygon."""
     h = apothem(sigma, delta)
@@ -223,13 +218,6 @@ def rotate(point: Point2, angle: float) -> Point2:
     c, s = math.cos(angle), math.sin(angle)
     x, y = point
     return (c * x - s * y, s * x + c * y)
-
-
-def reflect(point: Point2, axis_angle: float) -> Point2:
-    """Reflect ``point`` across the line through the origin at ``axis_angle``."""
-    c, s = math.cos(2.0 * axis_angle), math.sin(2.0 * axis_angle)
-    x, y = point
-    return (c * x + s * y, s * x - c * y)
 
 
 def dist(p: Point2, q: Point2) -> float:

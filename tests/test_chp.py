@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from chp_pack import (
     CIRCLE,
@@ -11,6 +13,7 @@ from chp_pack import (
     disk_count,
     solve_border,
 )
+from chp_pack import chp, geometry
 from chp_pack.errors import PreconditionViolated
 from chp_pack.geometry import dist, fundamental_vertex, rotate
 
@@ -181,3 +184,101 @@ def test_density_increases_then_saturates():
     vals = [chp_density(12, k) for k in range(2, 24)]
     assert vals[-1] > vals[0]
     assert all(v < math.pi / math.sqrt(12.0) for v in vals)
+
+
+def _reference_chain_arcs(sigma, k, d):
+    """The chord march with capped bisections and bracket growth, kept as the reference."""
+    point_at = chp._perimeter(sigma)
+    arcs = [0.0]
+    s = 0.0
+    px, py = point_at(0.0)
+    for _ in range(k):
+        lo = s + d * (1.0 - 1e-12)
+        hi = s + 2.0 * d
+
+        def chord_excess(t):
+            qx, qy = point_at(t)
+            return math.hypot(qx - px, qy - py) - d
+
+        grow = 0
+        while chord_excess(hi) < 0.0:
+            hi = s + (hi - s) * 1.5
+            grow += 1
+            if grow > 60:
+                raise NoSolution("chord bracket failed")
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if chord_excess(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-16 * max(1.0, hi):
+                break
+        s = 0.5 * (lo + hi)
+        arcs.append(s)
+        px, py = point_at(s)
+    return arcs
+
+
+def _reference_polygon_border(sigma, k):
+    """The border solve with a 100-step capped outer bisection and bracket repair."""
+    edge = 2.0 * math.sin(math.pi / sigma)
+    target = (sigma / 6.0) * edge
+    step = 2.0 * math.pi / sigma
+    point_at = chp._perimeter(sigma)
+
+    def travel_excess(d):
+        return _reference_chain_arcs(sigma, k, d)[-1] - target
+
+    hi = target / k
+    lo = 0.5 * hi
+    guard = 0
+    while travel_excess(lo) >= 0.0:
+        lo *= 0.5
+        guard += 1
+        if guard > 200:
+            raise NoSolution("no bracket")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if travel_excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17 * hi:
+            break
+    d = 0.5 * (lo + hi)
+
+    arcs = _reference_chain_arcs(sigma, k, d)
+    chain = [point_at(s) for s in arcs]
+    chain[0] = geometry.fundamental_vertex(sigma)
+    chain[-1] = geometry.rotate(chain[0], math.pi / 3.0) if sigma % 6 == 0 else point_at(target)
+    phi = tuple(
+        math.atan2(chain[j + 1][1] - chain[j][1], chain[j + 1][0] - chain[j][0]) for j in range(k)
+    )
+    hits, alphas = [], []
+    for c, s in enumerate(arcs[:-1]):
+        m = round(s / edge)
+        if abs(s - m * edge) <= chp.GROUP_TOL:
+            hits.append(c)
+            alphas.append(m * step)
+    return {"phi": phi, "d": d, "chain": tuple(chain), "hits": tuple(hits), "alphas": tuple(alphas)}
+
+
+@pytest.mark.parametrize("sigma", [6, 7, 12, 18, 24, 30, 36, 42, 48, 54, 60])
+def test_border_solver_matches_capped_reference(sigma):
+    for k in (1, 2, 3, 5, 8, 13):
+        got = chp._solve_polygon_border(sigma, k)
+        want = _reference_polygon_border(sigma, k)
+        for key in ("d", "chain", "phi", "hits", "alphas"):
+            assert got[key] == want[key], (sigma, k, key)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite, _finite)
+def test_bisect_stops_at_the_float_fixed_point(a, b, c):
+    lo, x0, hi = sorted((a, b, c))
+    assume(lo < x0)
+    got = chp._bisect(lambda x: x < x0, lo, hi)
+    assert got == x0 or got == math.nextafter(x0, -math.inf)

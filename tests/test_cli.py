@@ -134,8 +134,9 @@ def test_validate_and_shake_single_disk(tmp_path, capsys):
     assert report["min_distance"] is None
     assert report["is_valid"] is True
 
-    code, _, err = run_cli(["shake", "-i", str(one), "--trials", "1"], capsys)
+    code, out, err = run_cli(["shake", "-i", str(one), "--trials", "1"], capsys)
     assert code == 3
+    assert out == ""
     assert json.loads(err.splitlines()[-1])["error"] == "PreconditionViolated"
 
 
@@ -171,6 +172,14 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
     bad.write_text("{ not json")
     code, _, err = run_cli(["validate", "-i", str(bad)], capsys)
     assert code == 3
+    assert json.loads(err)["error"] == "ParseError"
+
+    doc = json.loads(dumps_config(build_chp(12, 1)))
+    doc["provenance"] = {"params": 5}
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["shake", "-i", str(bad), "-o", str(tmp_path / "out.json")], capsys)
+    assert code == 3
+    assert out == ""
     assert json.loads(err)["error"] == "ParseError"
 
 
@@ -246,6 +255,19 @@ def test_config_field_errors():
     assert "centers" in str(info.value)
     with pytest.raises(ParseError):
         loads_config("[1, 2, 3]")
+    doc["n_disks"] = config.n_disks
+    for field, value in (
+        ("k", "x"),
+        ("k", 2.5),
+        ("k", True),
+        ("k", 0),
+        ("provenance", {"params": 5}),
+        ("provenance", []),
+    ):
+        bad = dict(doc, **{field: value})
+        with pytest.raises(ParseError) as info:
+            loads_config(json.dumps(bad))
+        assert field in str(info.value)
 
 
 def test_circle_config_round_trip():

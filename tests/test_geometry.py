@@ -44,9 +44,8 @@ def test_gamma_matches_boundary_radius():
         assert abs(math.atan2(p[1], p[0]) % (2 * math.pi) - t % (2 * math.pi)) < 1e-12
 
 
-def test_apothem_and_edge_length():
+def test_apothem():
     assert geometry.apothem(6, 0.0) == pytest.approx(math.cos(math.pi / 6), abs=1e-16)
-    assert geometry.edge_length(6) == pytest.approx(1.0, abs=1e-15)
     assert geometry.apothem(12, 0.25) == pytest.approx(math.cos(math.pi / 12) + 0.25, abs=1e-16)
 
 
@@ -83,16 +82,10 @@ def test_interior_point_lands_inside():
             assert geometry.contains(spec, p, 1e-12)
 
 
-def test_rotate_reflect_roundtrip():
+def test_rotate_roundtrip():
     p = (0.3, -0.7)
     q = geometry.rotate(p, math.pi / 3)
     assert geometry.dist(geometry.rotate(q, -math.pi / 3), p) < 1e-16
-    r = geometry.reflect(p, 0.7)
-    assert geometry.dist(geometry.reflect(r, 0.7), p) < 1e-15
-    # reflection across the x axis flips y
-    rx = geometry.reflect(p, 0.0)
-    assert rx[0] == pytest.approx(p[0], abs=1e-16)
-    assert rx[1] == pytest.approx(-p[1], abs=1e-16)
 
 
 def test_polygon_area():
