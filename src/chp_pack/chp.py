@@ -96,20 +96,26 @@ def _perimeter(sigma: int):
     """``point_at(s)``: the delta=0 polygon boundary point at arclength s from P1.
 
     A closure, so that the edge length and angles are worked out once per
-    sigma and not on every call inside the bisections.
+    sigma and not on every call inside the bisections, and the cosines and
+    sines of the two corners of edge i once per edge the march visits.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     u0 = geometry.vertex_angle(sigma)
     step = TWO_PI / sigma
+    corners: Dict[float, Tuple[float, float, float, float]] = {}
 
     def point_at(s: float) -> Point2:
         i, t = divmod(s, edge)
-        a = u0 + step * i
-        b = a + step
+        trig = corners.get(i)
+        if trig is None:
+            a = u0 + step * i
+            b = a + step
+            trig = corners[i] = (math.cos(a), math.cos(b), math.sin(a), math.sin(b))
+        cos_a, cos_b, sin_a, sin_b = trig
         f = t / edge
         return (
-            (1.0 - f) * math.cos(a) + f * math.cos(b),
-            (1.0 - f) * math.sin(a) + f * math.sin(b),
+            (1.0 - f) * cos_a + f * cos_b,
+            (1.0 - f) * sin_a + f * sin_b,
         )
 
     return point_at
@@ -247,7 +253,8 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
     if tuple(reversed(degs)) != degs:
         raise NoSolution(f"degeneracies {degs} not symmetric for sigma={sigma}, k={k}")
     base = _sorted_seq(degs)
-    images = _rotation_images(k, degs, _blocks(raw["phi"], degs), raw["hits"], raw["alphas"], base)
+    memo: List[_Letters] = [{} for _ in raw["hits"]]
+    images = _rotation_images(k, degs, _blocks(raw["phi"], degs), raw["hits"], raw["alphas"], base, memo)
     eta = 1 if _reflect_seq(base, len(degs)) in images else 2
     return BorderSolution(
         sigma=sigma,
@@ -357,6 +364,11 @@ def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
     return tuple(ell - 1 - b for b in seq)
 
 
+# per occupied vertex: (block, branch, shell turns) -> block index, or None
+# when the direction matches no block; see _trace_from_vertex
+_Letters = Dict[Tuple[int, int, int], Union[int, None]]
+
+
 def _trace_from_vertex(
     k: int,
     counts: Sequence[int],
@@ -364,6 +376,7 @@ def _trace_from_vertex(
     seq: Sequence[int],
     c: int,
     alpha: float,
+    letters: _Letters,
 ) -> Set[Tuple[int, ...]]:
     """Re-trace the path of ``seq`` starting from the occupied vertex c.
 
@@ -372,18 +385,23 @@ def _trace_from_vertex(
     one (rarely two) disks of the next ring in, which fixes the chord
     direction contributed to the rotated DNA.  Returns every completed
     direction sequence, already mapped back through the rotation alpha.
+
+    The letter a step contributes depends only on the block b, the branch
+    e (0: the disk at j, 1: the one at j - 1) and the number t of shell
+    turns so far: it is the block nearest to ``blocks[b] + e*pi/3 +
+    t*pi/3 - alpha``.  ``letters`` memoizes that lookup per (b, e, t) for
+    this vertex, so a caller that traces many sequences from the same
+    vertex passes the same dict every time; a direction that matches no
+    block is stored as None and raises InconsistentDna only when a
+    completed path holds it.
     """
     results: Set[Tuple[int, ...]] = set()
 
-    def walk(i: int, j: int, t: int, remaining: List[int], out: List[float]) -> None:
+    def walk(i: int, j: int, t: int, remaining: List[int], out: List[Union[int, None]]) -> None:
         if i == k:
-            mapped: List[int] = []
-            for v in out:
-                b = _nearest_block(v - alpha, blocks)
-                if b is None:
-                    raise InconsistentDna(f"re-traced direction {v - alpha!r} matches no block")
-                mapped.append(b)
-            results.add(tuple(mapped))
+            if None in out:
+                raise InconsistentDna(f"a direction re-traced from vertex {c} matches no block")
+            results.add(tuple(out))
             return
         m = k - i
         while j > m:
@@ -395,11 +413,17 @@ def _trace_from_vertex(
         hi = before + remaining[b]
         remaining[b] -= 1
         if j <= hi:
-            out.append(blocks[b] + t * PI_3)
+            key = (b, 0, t)
+            if key not in letters:
+                letters[key] = _nearest_block(blocks[b] + t * PI_3 - alpha, blocks)
+            out.append(letters[key])
             walk(i + 1, j, t, remaining, out)
             out.pop()
         if j - 1 >= lo:
-            out.append(blocks[b] + PI_3 + t * PI_3)
+            key = (b, 1, t)
+            if key not in letters:
+                letters[key] = _nearest_block(blocks[b] + PI_3 + t * PI_3 - alpha, blocks)
+            out.append(letters[key])
             walk(i + 1, j - 1, t, remaining, out)
             out.pop()
         remaining[b] += 1
@@ -417,22 +441,38 @@ def _rotation_images(
     hits: Sequence[int],
     alphas: Sequence[float],
     seq: Sequence[int],
+    memo: Sequence[_Letters],
 ) -> Set[Tuple[int, ...]]:
+    """Union of the re-traced sequences from every occupied vertex.
+
+    ``memo`` holds one letter dict per vertex (see _trace_from_vertex).
+    """
     images: Set[Tuple[int, ...]] = set()
-    for c, alpha in zip(hits, alphas):
-        images |= _trace_from_vertex(k, counts, blocks, seq, c, alpha)
+    for c, alpha, letters in zip(hits, alphas, memo):
+        images |= _trace_from_vertex(k, counts, blocks, seq, c, alpha, letters)
     return images
 
 
-def _orbit(border: BorderSolution, seq: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
-    counts = border.degeneracies
-    blocks = border.blocks()
-    hits = border.vertex_hits
-    alphas = border.vertex_angles
-    orbit = _rotation_images(border.k, counts, blocks, hits, alphas, seq)
-    mirrored = _reflect_seq(seq, len(counts))
-    orbit |= _rotation_images(border.k, counts, blocks, hits, alphas, mirrored)
-    return orbit
+def _letter_memo(border: BorderSolution) -> List[_Letters]:
+    return [{} for _ in border.vertex_hits]
+
+
+def _orbit(border: BorderSolution, seq: Tuple[int, ...], memo: Sequence[_Letters]) -> Set[Tuple[int, ...]]:
+    """All DNA sequences equivalent to ``seq``: its vertex rotations and their mirrors.
+
+    The mirror half is the letter-wise reflection of the rotation images,
+    not a second walk of the mirrored sequence.  The two agree because
+    the degeneracies are palindromic (solve_border checks this): the
+    reflection of the sector about its bisector maps the set of occupied
+    vertices onto itself, so reflecting a packing and then rotating it
+    onto P1 from one vertex is the same as rotating it from the mirror
+    vertex and then reflecting.
+    """
+    images = _rotation_images(
+        border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq, memo
+    )
+    ell = len(border.degeneracies)
+    return images | {_reflect_seq(x, ell) for x in images}
 
 
 def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
@@ -442,7 +482,7 @@ def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
     else:
         dna = dna_from_values(dna.values, border)
     seq = _seq_of(dna.letters)
-    best = min(_orbit(border, seq))
+    best = min(_orbit(border, seq, _letter_memo(border)))
     return dna_from_letters(_letters_of(best), border)
 
 
@@ -452,29 +492,30 @@ def reflection_is_rotation(dna: Union[Dna, str], border: BorderSolution) -> bool
         dna = dna_from_letters(dna, border)
     seq = _seq_of(dna.letters)
     images = _rotation_images(
-        border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq
+        border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq,
+        _letter_memo(border),
     )
     return _reflect_seq(seq, len(border.degeneracies)) in images
 
 
 def _multiset_permutations(counts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    k = sum(counts)
-    live = list(counts)
-    seq: List[int] = []
-
-    def rec() -> Iterator[Tuple[int, ...]]:
-        if len(seq) == k:
-            yield tuple(seq)
+    """Every arrangement of the multiset ``counts``, in ascending lexicographic order."""
+    seq = list(_sorted_seq(counts))
+    n = len(seq)
+    while True:
+        yield tuple(seq)
+        # next permutation: raise the last ascent by the smallest larger
+        # letter after it, then sort the tail ascending by reversing it
+        i = n - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for b in range(len(live)):
-            if live[b]:
-                live[b] -= 1
-                seq.append(b)
-                yield from rec()
-                seq.pop()
-                live[b] += 1
-
-    return rec()
+        j = n - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
 def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
@@ -488,10 +529,11 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
         raise CapExceeded(f"{total} configurations exceed cap {cap}")
     seen: Set[Tuple[int, ...]] = set()
     reps: List[str] = []
+    memo = _letter_memo(border)
     for perm in _multiset_permutations(border.degeneracies):
         if perm in seen:
             continue
-        orbit = _orbit(border, perm)
+        orbit = _orbit(border, perm, memo)
         # ascending iteration meets each class at its lexicographic minimum
         if perm != min(orbit):
             raise InconsistentDna(f"orbit of {_letters_of(perm)} has smaller member {_letters_of(min(orbit))}")

@@ -57,9 +57,25 @@ def _sigma_arg(text: str):
 
 def _sigma_list_arg(text: str) -> List[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        values = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}")
+    return values
+
+
+def _int_at_least(low: int):
+    """An argparse ``type=`` that reads an integer and refuses one below ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
 
 
 def _fmt17(x: float) -> str:
@@ -103,7 +119,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("enumerate", help="list canonical DNA strings")
     add_sigma_k(sp)
-    sp.add_argument("--limit", type=int, default=100000, help="refuse when the class count exceeds this")
+    sp.add_argument("--limit", type=_int_at_least(1), default=100000, help="refuse when the class count exceeds this")
 
     sp = sub.add_parser("build", help="construct a configuration deterministically")
     add_sigma_k(sp)
@@ -112,20 +128,20 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("tables", help="reproduce the configuration-count tables")
     sp.add_argument("--sigma-list", type=_sigma_list_arg, default=_TABLE_SIGMAS, help="comma-separated side counts")
-    sp.add_argument("--k-max", type=int, default=8, help="largest shell count per sigma")
-    sp.add_argument("--enumerate-limit", type=int, default=2520, help="enumerate only rows with count at most this")
+    sp.add_argument("--k-max", type=_int_at_least(1), default=8, help="largest shell count per sigma")
+    sp.add_argument("--enumerate-limit", type=_int_at_least(0), default=2520, help="enumerate only rows with count at most this")
     sp.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
 
     sp = sub.add_parser("pack", help="random-start energy ladder packing")
     sp.add_argument("--sigma", type=_sigma_arg, required=True)
-    sp.add_argument("--n", type=int, required=True, help="number of disks")
+    sp.add_argument("--n", type=_int_at_least(2), required=True, help="number of disks")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_int_at_least(1), default=1)
     sp.add_argument("-o", "--output", default=None, help="write best configuration JSON here")
 
     sp = sub.add_parser("shake", help="perturb and re-pack an existing configuration")
     sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_int_at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pin", choices=["border", "none"], default="none")
     sp.add_argument("-o", "--output", default=None, help="write retained configuration JSON here")
@@ -230,10 +246,6 @@ def _config_summary(config) -> dict:
 
 
 def _cmd_pack(args) -> int:
-    if args.n < 2:
-        raise _BadArguments("--n must be at least 2")
-    if args.trials < 1:
-        raise _BadArguments("--trials must be at least 1")
     best = None
     best_d = -math.inf
     for t in range(args.trials):
@@ -254,8 +266,6 @@ def _border_pins(config) -> PinSet:
 
 
 def _cmd_shake(args) -> int:
-    if args.trials < 1:
-        raise _BadArguments("--trials must be at least 1")
     config = read_config(args.input)
     pins = _border_pins(config) if args.pin == "border" else PinSet()
     params = OptimizerParams(seed=args.seed)

@@ -21,7 +21,19 @@ from .geometry import PolygonSpec
 
 SCHEMA_VERSION = "chp-pack/1"
 
-_PROVENANCE_KEYS = ("mode", "seed", "trial", "params", "theta", "scale", "refine_drift", "refine_stability")
+# the provenance keys in the order they are written, each with the types
+# loads_config accepts for it; null means absent, and a bool is neither an
+# integer nor a number here
+_PROVENANCE_KEYS = {
+    "mode": (str, "a string"),
+    "seed": (int, "an integer"),
+    "trial": (int, "an integer"),
+    "params": ((dict, str), "an object or a string"),
+    "theta": ((int, float), "a finite number"),
+    "scale": ((int, float), "a finite number"),
+    "refine_drift": ((int, float), "a finite number"),
+    "refine_stability": ((int, float), "a finite number"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -137,13 +149,18 @@ def loads_config(text: str) -> PackingConfiguration:
             raise ParseError(f"field 'k': expected a positive integer, got {k!r}")
         meta["k"] = k
     if "dna" in doc and doc["dna"] is not None:
+        if not isinstance(doc["dna"], str):
+            raise ParseError(f"field 'dna': expected a string of letters, got {doc['dna']!r}")
         meta["dna"] = doc["dna"]
     prov = doc.get("provenance", {})
     if not isinstance(prov, dict):
         raise ParseError(f"field 'provenance': expected an object, got {prov!r}")
-    params = prov.get("params")
-    if params is not None and not isinstance(params, (dict, str)):
-        raise ParseError(f"field 'provenance.params': expected an object or a string, got {params!r}")
+    for key, val in prov.items():
+        if val is None or key not in _PROVENANCE_KEYS:
+            continue
+        kinds, what = _PROVENANCE_KEYS[key]
+        if isinstance(val, bool) or not isinstance(val, kinds) or (isinstance(val, float) and not math.isfinite(val)):
+            raise ParseError(f"field 'provenance.{key}': expected {what}, got {val!r}")
     meta.update(prov)
     return PackingConfiguration(spec=spec, centers=centers, diameter=float(diameter), meta=meta)
 

@@ -149,9 +149,23 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(err)["error"] == "bad_arguments"
 
-    for bad_list in ("12,x", "circle"):
+    for bad_list in ("12,x", "circle", ""):
         code, _, err = run_cli(["tables", "--sigma-list", bad_list], capsys)
         assert code == 2
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    for args in (
+        ["tables", "--k-max", "0"],
+        ["tables", "--k-max", "-1"],
+        ["tables", "--enumerate-limit", "-1"],
+        ["enumerate", "--sigma", "12", "--k", "3", "--limit", "0"],
+        ["enumerate", "--sigma", "12", "--k", "3", "--limit", "-1"],
+        ["pack", "--sigma", "12", "--n", "1"],
+        ["pack", "--sigma", "12", "--n", "3", "--trials", "0"],
+        ["shake", "-i", str(tmp_path / "nope.json"), "--trials", "0"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
         assert json.loads(err)["error"] == "bad_arguments"
 
     with monkeypatch.context() as env:
@@ -174,13 +188,18 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(err)["error"] == "ParseError"
 
-    doc = json.loads(dumps_config(build_chp(12, 1)))
-    doc["provenance"] = {"params": 5}
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(["shake", "-i", str(bad), "-o", str(tmp_path / "out.json")], capsys)
-    assert code == 3
-    assert out == ""
-    assert json.loads(err)["error"] == "ParseError"
+    built = json.loads(dumps_config(build_chp(12, 1)))
+    for doc in (
+        dict(built, provenance={"params": 5}),
+        dict(built, dna=5),
+        dict(built, provenance={"seed": [1, 2]}),
+    ):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["shake", "-i", str(bad), "-o", str(tmp_path / "out.json")], capsys)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "ParseError"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_pack_deterministic(tmp_path, capsys):
@@ -263,11 +282,30 @@ def test_config_field_errors():
         ("k", 0),
         ("provenance", {"params": 5}),
         ("provenance", []),
+        ("dna", 5),
+        ("dna", ["a", "b"]),
     ):
         bad = dict(doc, **{field: value})
         with pytest.raises(ParseError) as info:
             loads_config(json.dumps(bad))
         assert field in str(info.value)
+    for key, value in (
+        ("mode", 3),
+        ("seed", [1, 2]),
+        ("seed", True),
+        ("seed", 1.5),
+        ("trial", "0"),
+        ("theta", "x"),
+        ("scale", False),
+        ("refine_drift", [0.1]),
+        ("refine_stability", {}),
+    ):
+        bad = dict(doc, provenance={key: value})
+        with pytest.raises(ParseError) as info:
+            loads_config(json.dumps(bad))
+        assert f"provenance.{key}" in str(info.value)
+    good = dict(doc, provenance={"mode": "algorithm2", "seed": 3, "trial": 0, "theta": 0, "scale": 1.5, "refine_stability": None})
+    assert loads_config(json.dumps(good)).meta["scale"] == 1.5
 
 
 def test_circle_config_round_trip():

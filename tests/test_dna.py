@@ -1,7 +1,11 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chp_pack import (
     CIRCLE,
@@ -16,6 +20,7 @@ from chp_pack import (
     reflect_dna,
     solve_border,
 )
+from chp_pack import chp
 from chp_pack.chp import reflection_is_rotation
 from chp_pack.errors import PreconditionViolated
 
@@ -145,3 +150,118 @@ def test_reflection_is_rotation_flags():
     assert reflection_is_rotation("ab", solve_border(12, 2, ))
     assert not reflection_is_rotation("abc", solve_border(12, 3))
     assert reflection_is_rotation("aabb", solve_border(12, 4))
+
+
+def _reference_trace(k, counts, blocks, seq, c, alpha):
+    """The float walk: every step's direction is matched to a block at the leaf."""
+    results = set()
+
+    def walk(i, j, t, remaining, out):
+        if i == k:
+            mapped = []
+            for v in out:
+                b = chp._nearest_block(v - alpha, blocks)
+                if b is None:
+                    raise InconsistentDna(f"re-traced direction {v - alpha!r} matches no block")
+                mapped.append(b)
+            results.add(tuple(mapped))
+            return
+        m = k - i
+        while j > m:
+            j -= m
+            t += 1
+        b = seq[i]
+        before = sum(remaining[:b])
+        lo = 1 + before
+        hi = before + remaining[b]
+        remaining[b] -= 1
+        if j <= hi:
+            out.append(blocks[b] + t * chp.PI_3)
+            walk(i + 1, j, t, remaining, out)
+            out.pop()
+        if j - 1 >= lo:
+            out.append(blocks[b] + chp.PI_3 + t * chp.PI_3)
+            walk(i + 1, j - 1, t, remaining, out)
+            out.pop()
+        remaining[b] += 1
+
+    walk(0, c + 1, 0, list(counts), [])
+    if not results:
+        raise InconsistentDna(f"no contact path from vertex {c}")
+    return results
+
+
+def _reference_orbit(border, seq):
+    """Rotation images of the sequence and, by a second walk, of its mirror."""
+    counts = border.degeneracies
+    blocks = border.blocks()
+    orbit = set()
+    for s in (seq, chp._reflect_seq(seq, len(counts))):
+        for c, alpha in zip(border.vertex_hits, border.vertex_angles):
+            orbit |= _reference_trace(border.k, counts, blocks, s, c, alpha)
+    return orbit
+
+
+def _all_arrangements(border):
+    return sorted(set(itertools.permutations(chp._sorted_seq(border.degeneracies))))
+
+
+@pytest.mark.parametrize("counts", [(1,), (3,), (1, 1, 1, 1), (2, 1, 2), (3, 3), (2, 1, 1, 1, 2)])
+def test_multiset_permutations_ascend_through_every_arrangement(counts):
+    want = sorted(set(itertools.permutations(chp._sorted_seq(counts))))
+    assert list(chp._multiset_permutations(counts)) == want
+
+
+@pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])
+def test_orbit_walk_matches_float_reference(sigma):
+    # the catalog cells (sigma 12..60, circle) plus sigma 6, 66 and 72
+    rng = random.Random(5)
+    for k in range(1, 9):
+        border = solve_border(sigma, k)
+        if count_configurations(CountInput.from_border(border)) > 2520:
+            continue
+        perms = _all_arrangements(border)
+        if len(perms) > 3000:
+            perms = rng.sample(perms, 3000)
+        memo = chp._letter_memo(border)
+        for perm in perms:
+            assert chp._orbit(border, perm, memo) == _reference_orbit(border, perm), (sigma, k, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, 78, 96, CIRCLE]),
+    st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
+def test_orbit_walk_property(sigma, k, rnd):
+    border = solve_border(sigma, k)
+    perm = list(chp._sorted_seq(border.degeneracies))
+    rnd.shuffle(perm)
+    perm = tuple(perm)
+    assert chp._orbit(border, perm, chp._letter_memo(border)) == _reference_orbit(border, perm)
+
+
+def _outcome(trace, *args):
+    try:
+        return trace(*args)
+    except InconsistentDna:
+        return InconsistentDna
+
+
+@pytest.mark.parametrize("sigma", [6, 12, 18, 24])
+def test_letter_memo_matches_float_walk_from_any_start(sigma):
+    # one memo serves every sequence walked from the same start, as in
+    # enumerate_dnas; starts that are not occupied vertices reach branch
+    # and turn combinations that the orbits never do, and mostly raise
+    for k in range(2, 8):
+        border = solve_border(sigma, k)
+        perms = _all_arrangements(border)
+        for c in range(k):
+            for alpha in sorted({0.0, *border.vertex_angles}):
+                memo = {}
+                for perm in perms:
+                    args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
+                    assert _outcome(chp._trace_from_vertex, *args, memo) == _outcome(_reference_trace, *args), (
+                        sigma, k, c, alpha, perm,
+                    )
