@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, Union
 
+from scipy import optimize
+
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
 from .geometry import Point2
@@ -93,35 +95,52 @@ def _group_degeneracies(phi: Sequence[float]) -> Tuple[int, ...]:
 
 
 def _perimeter(sigma: int):
-    """``point_at(s)``: the delta=0 polygon boundary point at arclength s from P1.
+    """``(point_at, corner)`` for the delta=0 polygon boundary.
 
-    A closure, so that the edge length and angles are worked out once per
-    sigma and not on every call inside the bisections, and the cosines and
-    sines of the two corners of edge i once per edge the march visits.
+    ``point_at(s)`` is the boundary point at arclength s from P1, and
+    ``corner(i)`` the ``(cos a, cos b, sin a, sin b)`` of the two corners
+    a, b of edge i.  Closures, so that the edge length and angles are
+    worked out once per sigma and not on every call inside the bisections,
+    and the trig of each edge once per edge the march visits.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     u0 = geometry.vertex_angle(sigma)
     step = TWO_PI / sigma
     corners: Dict[float, Tuple[float, float, float, float]] = {}
 
-    def point_at(s: float) -> Point2:
-        i, t = divmod(s, edge)
+    def corner(i: float) -> Tuple[float, float, float, float]:
         trig = corners.get(i)
         if trig is None:
             a = u0 + step * i
             b = a + step
             trig = corners[i] = (math.cos(a), math.cos(b), math.sin(a), math.sin(b))
-        cos_a, cos_b, sin_a, sin_b = trig
+        return trig
+
+    def point_at(s: float) -> Point2:
+        i, t = divmod(s, edge)
+        cos_a, cos_b, sin_a, sin_b = corner(i)
         f = t / edge
         return (
             (1.0 - f) * cos_a + f * cos_b,
             (1.0 - f) * sin_a + f * sin_b,
         )
 
-    return point_at
+    return point_at, corner
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0) -> float:
+def _vertex_index(s: float, edge: float) -> Union[int, None]:
+    """m when arclength s lies on polygon vertex m (within GROUP_TOL), else None."""
+    m = round(s / edge)
+    return m if abs(s - m * edge) <= GROUP_TOL else None
+
+
+def _bisect(
+    below: Callable[[float], bool],
+    lo: float,
+    hi: float,
+    tol: float = 0.0,
+    estimate: Union[float, None] = None,
+) -> float:
     """Where ``below`` turns false in the bracket ``[lo, hi]``.
 
     ``below(lo)`` must hold and ``below(hi)`` must not.  The bracket is
@@ -130,17 +149,90 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float = 0
     the last midpoint is returned.  Every step leaves a strictly smaller
     bracket of floats, so the loop ends for any finite bracket without an
     iteration cap.
+
+    The result depends only on the bracket and on the answers of ``below``
+    at the midpoints the loop visits.  An ``estimate`` strictly inside
+    the bracket is used to learn those answers cheaply: stepping out from
+    it by 1, 2, 4, ... ulps until ``below`` changes (or the step reaches
+    an end, taken as true at lo and false at hi), then halving that small
+    bracket, pins a flip ``x`` to adjacent floats.  The loop above is then
+    replayed from the original bracket and ``tol``, answering true below
+    and false above a window of 16 floats on each side of ``x``, and
+    calling ``below`` inside it.  The precondition: ``below`` is true
+    below and false above some run of at most 16 consecutive floats,
+    within which it may answer anything.  Every flip then lies in or
+    next to that run, so the window holds all of it, every answer of the
+    replay is ``below``'s own, and the result is bit for bit the one
+    without an estimate, for a few predicate calls instead of about
+    fifty.  Without an estimate, or with one outside the open bracket,
+    the plain loop runs.
     """
+    lo_edge, hi_edge = -math.inf, math.inf
+    if estimate is not None and lo < estimate < hi:
+        x, step = estimate, math.ulp(estimate)
+        inside = below(x)
+        while True:
+            y = x + step if inside else x - step
+            if not lo < y < hi:
+                y = hi if inside else lo
+                break
+            if below(y) != inside:
+                break
+            x, step = y, 2.0 * step
+        lo_edge = hi_edge = _bisect(below, x, y) if inside else _bisect(below, y, x)
+        for _ in range(16):
+            lo_edge = math.nextafter(lo_edge, -math.inf)
+            hi_edge = math.nextafter(hi_edge, math.inf)
+
     # halving each end first cannot overflow, and for normal floats it
-    # rounds exactly as 0.5 * (lo + hi) does
+    # rounds exactly as 0.5 * (lo + hi) does; the width test spells out
+    # max(1.0, hi), which costs a quarter of the border solve as a call
     mid = 0.5 * lo + 0.5 * hi
-    while lo < mid < hi and hi - lo > tol * max(1.0, hi):
-        if below(mid):
+    while lo < mid < hi and hi - lo > tol * (hi if hi > 1.0 else 1.0):
+        if mid < lo_edge or (mid <= hi_edge and below(mid)):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * lo + 0.5 * hi
     return mid
+
+
+def _chord_end(
+    corner: Callable[[float], Tuple[float, float, float, float]],
+    edge: float,
+    px: float,
+    py: float,
+    d: float,
+    lo: float,
+    hi: float,
+) -> Union[float, None]:
+    """Closed-form arclength where the chord of length d from (px, py) ends.
+
+    The end lies in the arclength bracket ``[lo, hi]``; the walk goes
+    forward over the edges from the one holding lo.  On edge i from
+    corner A to corner B the boundary leaves the circle of radius d about
+    p at the larger root f of |A + f(B - A) - p|^2 = d^2, and the first
+    edge with that root in [0, 1] gives (i + f) * edge.  None when the
+    walk passes hi.  Starting at lo rather than at the chord's start keeps
+    the walk to a few edges however many the chord spans.
+    """
+    i = lo // edge
+    while i * edge <= hi:
+        cos_a, cos_b, sin_a, sin_b = corner(i)
+        dx, dy = cos_b - cos_a, sin_b - sin_a
+        wx, wy = cos_a - px, sin_a - py
+        a = dx * dx + dy * dy
+        b = wx * dx + wy * dy
+        c = wx * wx + wy * wy - d * d
+        disc = b * b - a * c
+        if disc >= 0.0:
+            # the larger root, in the form that does not cancel
+            root = math.sqrt(disc)
+            f = -c / (b + root) if b > 0.0 else (root - b) / a
+            if 0.0 <= f <= 1.0:
+                return (i + f) * edge
+        i += 1.0
+    return None
 
 
 def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
@@ -156,8 +248,16 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
     2/sqrt(3) times its chord, so the chord at arc 2d is longer than d.
     The bisection ends without a cap: at the float fixed point, or first
     at a width of 1e-16 on arcs below about 0.25.
+
+    The bisection starts from the closed-form chord end of _chord_end,
+    which leaves its result unchanged (see _bisect) and costs a handful
+    of ``point_at`` calls instead of about fifty.  An end on a polygon
+    vertex (an occupied vertex of the packing) gets no estimate: there
+    ``point_at`` switches edge and the chord length is ragged over more
+    than _bisect's window, so a replay could land a few ulps away.
     """
-    point_at = _perimeter(sigma)
+    point_at, corner = _perimeter(sigma)
+    edge = 2.0 * math.sin(math.pi / sigma)
     arcs = [0.0]
     s = 0.0
     px, py = point_at(0.0)
@@ -166,23 +266,61 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
             qx, qy = point_at(t)
             return math.hypot(qx - px, qy - py) < d
 
-        s = _bisect(short, s + d * (1.0 - 1e-12), s + 2.0 * d, 1e-16)
+        lo, hi = s + d * (1.0 - 1e-12), s + 2.0 * d
+        end = _chord_end(corner, edge, px, py, d, lo, hi)
+        if end is not None and _vertex_index(end, edge) is not None:
+            end = None
+        s = _bisect(short, lo, hi, 1e-16, end)
         arcs.append(s)
         px, py = point_at(s)
     return arcs
 
 
+def _diameter_estimate(
+    sigma: int, k: int, excess: Callable[[float], float], lo: float, hi: float
+) -> Union[float, None]:
+    """Where the residual ``excess`` of the chord length crosses zero in ``[lo, hi]``.
+
+    When 6k/sigma is an integer the chords ride the edges, every arc
+    equals its chord and d = target/k = hi up to rounding, so the residual
+    has no sign change to search (this holds for every k on sigma 6); the
+    estimate is then the float just below hi.  Otherwise brentq finds the
+    root of the continuous residual to scipy's floor of relative
+    tolerance.  None when the ends do not differ in sign, which brentq
+    refuses with a ValueError; the plain bisection then runs and the chain
+    residual check reports the bad bracket.
+    """
+    if (6 * k) % sigma == 0:
+        return math.nextafter(hi, lo)
+    try:
+        return optimize.brentq(excess, lo, hi, xtol=1e-300, rtol=8.9e-16, disp=False)
+    except ValueError:
+        return None
+
+
 def _solve_polygon_border(sigma: int, k: int) -> dict:
+    """The raw border chain of a polygon of any side count sigma >= 6.
+
+    The chord length d is where the arc that k chords cover reaches one
+    sixth of the perimeter.  _diameter_estimate (brentq on that residual,
+    or the top of the bracket when the chords ride the edges, as on sigma
+    6) gives the estimate from which _bisect finds the same d as a plain
+    bisection would.
+    """
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge
     step = TWO_PI / sigma
-    point_at = _perimeter(sigma)
+    point_at, _ = _perimeter(sigma)
+
+    def excess(t: float) -> float:
+        return _chain_arcs(sigma, k, t)[-1] - target
 
     # arclength >= chord length, so d = target/k overshoots (or matches on
     # sigma=6); k chords cover at most 2/sqrt(3) times their length in arc,
     # so half of it falls short.  A bad bracket shows in the residual below.
     hi = target / k
-    d = _bisect(lambda t: _chain_arcs(sigma, k, t)[-1] < target, 0.5 * hi, hi)
+    lo = 0.5 * hi
+    d = _bisect(lambda t: excess(t) < 0.0, lo, hi, estimate=_diameter_estimate(sigma, k, excess, lo, hi))
 
     arcs = _chain_arcs(sigma, k, d)
     chain = [point_at(s) for s in arcs]
@@ -207,8 +345,8 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     hits: List[int] = []
     alphas: List[float] = []
     for c, s in enumerate(arcs[:-1]):
-        m = round(s / edge)
-        if abs(s - m * edge) <= GROUP_TOL:
+        m = _vertex_index(s, edge)
+        if m is not None:
             hits.append(c)
             alphas.append(m * step)
     return {

@@ -62,7 +62,8 @@ def _sigma_list_arg(text: str) -> List[int]:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}")
-    return values
+    # a side count named twice is tabled once, where it first appears
+    return list(dict.fromkeys(values))
 
 
 def _int_at_least(low: int):

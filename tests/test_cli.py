@@ -90,6 +90,15 @@ def test_render_options_are_additive():
     assert plain.count('class="contact"') == 0
 
 
+def test_tables_repeated_sigma_is_tabled_once(capsys):
+    code, once, _ = run_cli(["tables", "--sigma-list", "12", "--k-max", "2"], capsys)
+    assert code == 0
+    for repeated in ("12,12", "12,,12,12"):
+        code, out, _ = run_cli(["tables", "--sigma-list", repeated, "--k-max", "2"], capsys)
+        assert code == 0
+        assert out == once
+
+
 def test_tables_thread_count_invariance(tmp_path, capsys):
     args = ["tables", "--sigma-list", "12,18", "--k-max", "4"]
     old = os.environ.get("CHP_PACK_THREADS")
