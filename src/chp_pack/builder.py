@@ -66,43 +66,77 @@ def circle_pair_intersection(c1: Point2, c2: Point2, d: float) -> Tuple[Point2, 
 
 
 class _Workspace:
-    """Placed disks with their shell indices, for partner and overlap scans."""
+    """Placed disks with their shell indices, for partner and overlap scans.
+
+    Each disk is bucketed in the grid cell ``(floor(x/d), floor(y/d))``.
+    A scan visits the cells its reach covers plus one more ring, which
+    absorbs the rounding of x/d, so it costs O(1) disks whatever the
+    disk count.
+    """
 
     def __init__(self, d: float):
         self.d = d
-        self.points: List[Point2] = []
-        self.shells: List[int] = []
+        self.cells: Dict[Tuple[int, int], List[Tuple[int, int, Point2]]] = {}
+        self.count = 0
+
+    def _cell(self, p: Point2) -> Tuple[int, int]:
+        return math.floor(p[0] / self.d), math.floor(p[1] / self.d)
+
+    def _near(self, p: Point2, rings: int) -> List[Tuple[int, int, Point2]]:
+        """(insertion index, shell, point) of every disk within ``rings`` cells of p."""
+        cx, cy = self._cell(p)
+        cells = self.cells
+        near: List[Tuple[int, int, Point2]] = []
+        for i in range(cx - rings, cx + rings + 1):
+            for j in range(cy - rings, cy + rings + 1):
+                bucket = cells.get((i, j))
+                if bucket:
+                    near.extend(bucket)
+        return near
 
     def add(self, points: Sequence[Point2], shell: int) -> None:
-        self.points.extend(points)
-        self.shells.extend([shell] * len(points))
+        for p in points:
+            self.cells.setdefault(self._cell(p), []).append((self.count, shell, p))
+            self.count += 1
 
     def too_close(self, p: Point2) -> bool:
         limit = self.d * (1.0 - 1e-9)
-        for q in self.points:
+        for _, _, q in self._near(p, 2):
             if math.hypot(p[0] - q[0], p[1] - q[1]) < limit:
                 return True
         return False
 
     def partners(self, prev: Point2, shell: int) -> List[Point2]:
-        """Disks of ``shell`` ahead of ``prev`` in polar angle, nearest first."""
+        """Disks of ``shell`` ahead of ``prev`` in polar angle, nearest first.
+
+        Ties in distance go to the smaller polar angle, then to the disk
+        placed first.
+        """
         prev_angle = math.atan2(prev[1], prev[0])
         reach = 2.0 * self.d * (1.0 + 1e-9)
-        found: List[Tuple[float, float, Point2]] = []
-        for q, s in zip(self.points, self.shells):
+        found: List[Tuple[float, float, int, Point2]] = []
+        for index, s, q in self._near(prev, 4):
             if s != shell:
                 continue
-            if math.atan2(q[1], q[0]) <= prev_angle - 1e-12:
+            angle = math.atan2(q[1], q[0])
+            if angle <= prev_angle - 1e-12:
                 continue
             gap = math.hypot(prev[0] - q[0], prev[1] - q[1])
             if 0.0 < gap <= reach:
-                found.append((gap, math.atan2(q[1], q[0]), q))
-        found.sort(key=lambda item: (item[0], item[1]))
-        return [q for _, _, q in found]
+                found.append((gap, angle, index, q))
+        found.sort()
+        return [q for _, _, _, q in found]
 
 
 def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> PackingConfiguration:
     """Construct the packing selected by ``dna`` (lowest-letter order when None).
+
+    Each disk of a shell is placed tangent to the previous one and to a
+    partner of the shell outside it, on the outer of the candidate points
+    that stay inside the container and clear every placed disk.  The
+    partner and clearance scans look only at the grid cells around the
+    point, so a build costs O(N) for N = disk_count(k) disks, plus one
+    O(N log N) overlap check of the result.
 
     Raises ConstructionFailed when a shell cannot be completed or fails
     its closure check, which signals an unrealizable direction sequence.
@@ -141,14 +175,9 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     for j, p in enumerate(seeds[:-1]):
         ws.add(geometry.sixfold([p]), k - 1 - j)
 
-    chain_radius = [math.hypot(*p) for p in seeds[::-1]]  # index = shell, [0]=center
-    chain_radius.append(math.hypot(*border.chain[0]))
-
     sector_rows: List[List[Point2]] = [sector_border]
     for m in range(k - 1, 0, -1):
         row = [seeds[k - 1 - m]]
-        r_lo = chain_radius[m - 1] - 1e-9
-        r_hi = chain_radius[m + 1] + 1e-9
         for i in range(2, m + 1):
             prev = row[-1]
             placed = None
@@ -160,9 +189,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
                 ok = [
                     p
                     for p in branches
-                    if geometry.contains(spec, p, 1e-9)
-                    and r_lo <= math.hypot(p[0], p[1]) <= r_hi
-                    and not ws.too_close(p)
+                    if geometry.contains(spec, p, 1e-9) and not ws.too_close(p)
                 ]
                 if not ok:
                     continue

@@ -247,4 +247,4 @@ def contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, 
     gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
     pairs = pairs[gap >= d * (1.0 - tol)]
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return [(int(i), int(j)) for i, j in pairs]
+    return [(i, j) for i, j in pairs.tolist()]

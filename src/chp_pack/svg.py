@@ -74,15 +74,18 @@ def render_svg(
                 f'fill="#f5d76e" fill-opacity="0.45" stroke="none"/>'
             )
 
+    # Python floats format about three times faster than numpy scalars, to the same text
+    points = centers.tolist()
     if contacts:
         for i, j in geometry.contact_pairs(centers, config.diameter, 1e-6):
+            (x1, y1), (x2, y2) = points[i], points[j]
             parts.append(
-                f'<line class="contact" x1="{_f(centers[i, 0])}" y1="{_f(centers[i, 1])}" '
-                f'x2="{_f(centers[j, 0])}" y2="{_f(centers[j, 1])}" '
+                f'<line class="contact" x1="{_f(x1)}" y1="{_f(y1)}" '
+                f'x2="{_f(x2)}" y2="{_f(y2)}" '
                 f'stroke="#b03a2e" stroke-width="{_f(stroke)}"/>'
             )
 
-    for x, y in centers:
+    for x, y in points:
         parts.append(
             f'<circle class="disk" cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
             f'fill="#5b8db8" fill-opacity="0.75" stroke="#1f4060" stroke-width="{_f(stroke)}"/>'

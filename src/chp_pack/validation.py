@@ -38,22 +38,30 @@ def density(config: PackingConfiguration) -> float:
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
     """Max nearest-match distance of the bijection a -> b, or None past tol.
 
-    Greedy matching in sorted (radius, angle) order; falls back to an
-    optimal assignment when any greedy match lands above tol/10.
+    Greedy matching in sorted (radius, angle) order over each point's six
+    nearest targets, found in one batched query; falls back to an optimal
+    assignment when any greedy match lands above tol/10.  When the
+    nearest targets already form a bijection within tol/10, greedy would
+    take exactly those, so they are returned without the loop.
     """
     if len(a) != len(b):
         return None
+    if len(a) == 0:
+        return 0.0
+    dist, idx = cKDTree(b).query(a, k=min(6, len(b)))
+    dist, idx = dist.reshape(len(a), -1), idx.reshape(len(a), -1)
+    nearest = dist[:, 0].max()
+    if nearest <= tol / 10.0 and len(np.unique(idx[:, 0])) == len(b):
+        return float(nearest)
     order = np.lexsort((np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])))
-    tree = cKDTree(b)
-    used = np.zeros(len(b), dtype=bool)
+    dist, idx = dist.tolist(), idx.tolist()
+    used = [False] * len(b)
     worst = 0.0
-    for i in order:
-        dist, idx = tree.query(a[i], k=min(6, len(b)))
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+    for i in order.tolist():
         picked = None
-        for dd, jj in zip(dist, idx):
+        for dd, jj in zip(dist[i], idx[i]):
             if not used[jj]:
-                picked = (float(dd), int(jj))
+                picked = (dd, jj)
                 break
         if picked is None or picked[0] > tol / 10.0:
             return _assignment_residual(a, b, tol)

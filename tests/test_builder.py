@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chp_pack import (
     CIRCLE,
     InconsistentDna,
     build_chp,
+    builder,
+    canonicalize_dna,
+    chp_density,
     disk_count,
     enumerate_dnas,
     solve_border,
+    validate_config,
 )
 from chp_pack.builder import circle_pair_intersection, extract_dna
 from chp_pack.errors import AmbiguousStart, Coincident, ConstructionFailed, NoIntersection
@@ -167,3 +173,95 @@ def test_extract_dna_requires_start_disk():
     )
     with pytest.raises(AmbiguousStart):
         extract_dna(shifted, 12, 3, tol=1e-7)
+
+
+class _ReferenceWorkspace:
+    """The builder's scans over every placed disk, without the grid."""
+
+    def __init__(self, d):
+        self.d = d
+        self.points = []
+        self.shells = []
+
+    def add(self, points, shell):
+        self.points.extend(points)
+        self.shells.extend([shell] * len(points))
+
+    def too_close(self, p):
+        limit = self.d * (1.0 - 1e-9)
+        for q in self.points:
+            if math.hypot(p[0] - q[0], p[1] - q[1]) < limit:
+                return True
+        return False
+
+    def partners(self, prev, shell):
+        prev_angle = math.atan2(prev[1], prev[0])
+        reach = 2.0 * self.d * (1.0 + 1e-9)
+        found = []
+        for q, s in zip(self.points, self.shells):
+            if s != shell:
+                continue
+            if math.atan2(q[1], q[0]) <= prev_angle - 1e-12:
+                continue
+            gap = math.hypot(prev[0] - q[0], prev[1] - q[1])
+            if 0.0 < gap <= reach:
+                found.append((gap, math.atan2(q[1], q[0]), q))
+        found.sort(key=lambda item: (item[0], item[1]))
+        return [q for _, _, q in found]
+
+
+# cells where long runs of one letter bend a shell inside the corner of the
+# shell within it; the builder once rejected their tangent placements
+_LONG_RUN_CELLS = [
+    (6, 12), (6, 21), (6, 24), (6, 28),
+    (12, 16), (12, 17), (12, 18), (12, 19), (12, 20), (12, 21), (12, 24), (12, 28),
+    (18, 24), (18, 28), (60, 28),
+]
+
+
+def _default_letters(sigma, k):
+    return "".join(chr(ord("a") + b) * n for b, n in enumerate(solve_border(sigma, k).degeneracies))
+
+
+def _default_and_reversal(sigma, k):
+    letters = _default_letters(sigma, k)
+    return sorted({letters, letters[::-1]})
+
+
+def _assert_realizes(sigma, k, letters):
+    border = solve_border(sigma, k)
+    config = build_chp(sigma, k, letters)
+    report = validate_config(config)
+    assert report.is_valid, (sigma, k, letters)
+    assert extract_dna(config, sigma, k).letters == canonicalize_dna(letters, border).letters
+    assert abs(report.density - chp_density(sigma, k)) <= 1e-12, (sigma, k, letters)
+
+
+@pytest.mark.parametrize("sigma,k", _LONG_RUN_CELLS)
+def test_long_runs_build(sigma, k):
+    for letters in _default_and_reversal(sigma, k):
+        _assert_realizes(sigma, k, letters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([6 * i for i in range(1, 11)] + [CIRCLE]),
+    st.integers(1, 24),
+    st.randoms(use_true_random=False),
+)
+def test_every_arrangement_builds(sigma, k, rnd):
+    # every arrangement of the degeneracies is a CHP, all at one density
+    letters = list(_default_letters(sigma, k))
+    rnd.shuffle(letters)
+    _assert_realizes(sigma, k, "".join(letters))
+
+
+def test_grid_scans_match_reference(monkeypatch):
+    builds = [(sigma, k, letters) for sigma, k in _LONG_RUN_CELLS for letters in _default_and_reversal(sigma, k)]
+    builds += [(12, 8, dna.letters) for dna in enumerate_dnas(12, 8)]
+    for sigma, k, letters in builds:
+        got = build_chp(sigma, k, letters).centers
+        with monkeypatch.context() as m:
+            m.setattr(builder, "_Workspace", _ReferenceWorkspace)
+            want = build_chp(sigma, k, letters).centers
+        assert got.tobytes() == want.tobytes(), (sigma, k, letters)

@@ -10,6 +10,7 @@ from chp_pack import (
     enumerate_dnas,
     solve_border,
 )
+from chp_pack import validation
 from chp_pack.builder import PackingConfiguration
 from chp_pack.errors import ShellCountMismatch
 from chp_pack.geometry import PolygonSpec, polygon_area
@@ -169,3 +170,72 @@ def test_validate_config_single_disk():
     assert outside.min_distance is None
     assert not outside.is_valid
     assert outside.worst_containment_violation > 0.0
+
+
+def _reference_matching_residual(a, b, tol):
+    """The greedy match with one k-d query per point, as first written."""
+    from scipy.spatial import cKDTree
+
+    if len(a) != len(b):
+        return None
+    order = np.lexsort((np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])))
+    tree = cKDTree(b)
+    used = np.zeros(len(b), dtype=bool)
+    worst = 0.0
+    for i in order:
+        dist, idx = tree.query(a[i], k=min(6, len(b)))
+        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+        picked = None
+        for dd, jj in zip(dist, idx):
+            if not used[jj]:
+                picked = (float(dd), int(jj))
+                break
+        if picked is None or picked[0] > tol / 10.0:
+            return validation._assignment_residual(a, b, tol)
+        used[picked[1]] = True
+        worst = max(worst, picked[0])
+    return worst if worst <= tol else None
+
+
+def _matching_cases():
+    rng = np.random.default_rng(7)
+    built = build_chp(12, 8).centers
+    c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    rotated = built @ np.array([[c, s], [-s, c]])
+    shared_a = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
+    shared_b = np.array([[0.04, 0.0], [0.3, 0.0], [5.0, 5.0]])
+    return {
+        # exact symmetry: the nearest targets form a bijection
+        "built": (rotated, built, 1e-6),
+        # noise above tol/10 sends greedy to the optimal assignment
+        "perturbed": (rotated + rng.uniform(-5e-7, 5e-7, rotated.shape), built, 1e-6),
+        # two points share their nearest target; greedy hands the second its next
+        "shared": (shared_a, shared_b, 5.0),
+    }
+
+
+@pytest.mark.parametrize("name,assignments", [("built", 0), ("perturbed", 1), ("shared", 0)])
+def test_matching_residual_matches_per_point_loop(name, assignments, monkeypatch):
+    a, b, tol = _matching_cases()[name]
+    calls = []
+    assignment = validation._assignment_residual
+
+    def counted(*args):
+        calls.append(1)
+        return assignment(*args)
+
+    monkeypatch.setattr(validation, "_assignment_residual", counted)
+    got = validation._matching_residual(a, b, tol)
+    assert len(calls) == assignments
+    assert got == _reference_matching_residual(a, b, tol)
+
+
+def test_matching_residual_matches_per_point_loop_on_random_clouds():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 40):
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        for scale in (0.0, 1e-9, 1e-3, 0.3):
+            moved = rng.permutation(pts) + rng.uniform(-scale, scale, pts.shape)
+            for tol in (1e-6, 1e-2, 1.0):
+                got = validation._matching_residual(moved, pts, tol)
+                assert got == _reference_matching_residual(moved, pts, tol), (n, scale, tol)
