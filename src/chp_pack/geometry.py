@@ -225,13 +225,25 @@ def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+def _pair_offsets(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets ``(dx, dy)`` from each row of ``a`` to each row of ``b``.
+
+    ``dx[i, j] = b[j, 0] - a[i, 0]``, and ``dy`` likewise.  Each is a
+    contiguous (len(a), len(b)) array built from contiguous copies of the
+    coordinate columns, which is far cheaper than an (n, m, 2) difference
+    tensor and its length-2 inner loop.
+    """
+    ax, ay = a.T.copy()
+    bx, by = b.T.copy()
+    return bx[None, :] - ax[:, None], by[None, :] - ay[:, None]
+
+
 def min_distance(centers: np.ndarray) -> float:
     """Minimum pairwise distance of at least two points."""
     n = len(centers)
     if n <= _DENSE_MAX:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        dist[np.arange(n), np.arange(n)] = np.inf
+        dist = np.hypot(*_pair_offsets(centers, centers))
+        dist.flat[:: n + 1] = np.inf
         return float(dist.min())
     from scipy.spatial import cKDTree
 

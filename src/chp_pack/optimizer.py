@@ -75,16 +75,24 @@ def _centers_of(config) -> np.ndarray:
     return np.asarray(config, dtype=float)
 
 
-def _log_terms(centers: np.ndarray, s: float, lam: float) -> np.ndarray:
-    """Ordered-pair matrix of s*(log lam - log r^2), -inf on the diagonal."""
-    diff = centers[:, None, :] - centers[None, :, :]
-    r2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    n = len(centers)
-    idx = np.arange(n)
-    r2[idx, idx] = np.inf
-    if np.any(r2 <= 0.0):
+def _log_terms(
+    centers: np.ndarray, s: float, lam: float
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """Ordered-pair matrix of s*(log lam - log r^2), -inf on the diagonal.
+
+    Also returns r^2 and the offsets ``(dx, dy)``, ``dx[i, j] = x_j - x_i``,
+    all three contiguous n×n arrays.
+    """
+    dx, dy = geometry._pair_offsets(centers, centers)
+    r2 = dx * dx
+    r2 += dy * dy
+    r2.flat[:: len(centers) + 1] = np.inf
+    if float(r2.min()) <= 0.0:
         raise CoincidentPoints("two centers coincide")
-    return s * (math.log(lam) - np.log(r2)), r2, diff
+    logterms = np.log(r2)
+    np.subtract(math.log(lam), logterms, out=logterms)
+    logterms *= s
+    return logterms, r2, (dx, dy)
 
 
 def _free_mask(n: int, pins: Optional[PinSet]) -> np.ndarray:
@@ -107,29 +115,48 @@ def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None)
     """Analytic gradient of ``energy`` per center; pinned rows are zeroed.
 
     Computed as ``energy * grad(log energy)``, the gradient ``minimize``
-    follows; raises OverflowError where the energy itself overflows.
+    follows; raises OverflowError where the energy or a gradient entry
+    overflows.
     """
     centers = _centers_of(config)
     if len(centers) < 2:
         return np.zeros_like(centers)
     value, grad = _objective(centers, s, lam, _free_mask(len(centers), pins))
-    return math.exp(value) * grad
+    with np.errstate(over="ignore"):
+        out = math.exp(value) * grad
+    if np.isinf(out).any():
+        raise OverflowError(f"energy gradient overflows (log energy {value})")
+    return out
 
 
 def _evaluate(centers: np.ndarray, s: float, lam: float):
-    """log-energy, and the ``(w, total, r2, diff)`` its gradient is built from."""
-    logterms, r2, diff = _log_terms(centers, s, lam)
+    """log-energy, and the ``(w, total, r2, (dx, dy))`` its gradient is built from."""
+    logterms, r2, offsets = _log_terms(centers, s, lam)
     m = float(logterms.max())
-    w = np.exp(logterms - m)
+    logterms -= m
+    w = np.exp(logterms, out=logterms)
     total = 0.5 * float(w.sum())
-    return m + math.log(total), (w, total, r2, diff)
+    return m + math.log(total), (w, total, r2, offsets)
 
 
 def _gradient(state, s: float, free: np.ndarray) -> np.ndarray:
-    """Gradient of the log-energy from ``_evaluate``'s state; pinned rows are zero."""
-    w, total, r2, diff = state
-    coef = (-2.0 * s) * (w / total) / r2
-    grad = np.einsum("ij,ijk->ik", coef, diff)
+    """Gradient of the log-energy from ``_evaluate``'s state; pinned rows are zero.
+
+    Consumes ``state``: its pair arrays are overwritten in place.  Row i
+    is coef[i, j] (x_i - x_j) summed over j in sequence onto +0.0, the
+    order of ``einsum("ij,ijk->ik")`` on an (n, n, 2) difference tensor,
+    the reference formula the tests keep; holding to it keeps optimizer
+    trajectories bit-identical to that formula.  coef is exactly symmetric
+    and ``dx[j, i] = x_i - x_j``, so each row is a column sum of coef * dx.
+    """
+    w, total, r2, (dx, dy) = state
+    coef = w
+    coef /= total
+    coef *= -2.0 * s
+    coef /= r2
+    grad = np.empty((len(coef), 2))
+    grad[:, 0] = np.multiply(coef, dx, out=dx).sum(axis=0, initial=0.0)
+    grad[:, 1] = np.multiply(coef, dy, out=dy).sum(axis=0, initial=0.0)
     grad[~free] = 0.0
     return grad
 

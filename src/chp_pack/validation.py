@@ -71,8 +71,7 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
 
 
 def _assignment_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
-    diff = a[:, None, :] - b[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
+    cost = np.hypot(*geometry._pair_offsets(a, b))
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())
     return worst if worst <= tol else None

@@ -163,3 +163,13 @@ def test_array_projection_matches_scalar_scan(sigma):
     moved = np.any(want != pts, axis=1)
     assert 0 < moved.sum() < len(pts)
     assert np.array_equal(got[~moved], pts[~moved])
+
+
+def test_min_distance_matches_difference_tensor():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 19, 91, 200):
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        dist[np.arange(n), np.arange(n)] = np.inf
+        assert geometry.min_distance(pts) == float(dist.min())

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
@@ -71,6 +74,100 @@ def test_energy_overflow_guard():
     assert math.isinf(val)
     with pytest.raises(CoincidentPoints):
         energy(np.zeros((2, 2)), 2.0, 1.0)
+
+
+def test_energy_gradient_overflow_raises():
+    # the energy is about 1e306, its gradient about 6e309
+    pts = np.array([[0.0, 0.0], [0.1, 0.0]])
+    lam = 0.01 * 10.0 ** (306.0 / 300.0)
+    assert math.isfinite(energy(pts, 300.0, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            energy_gradient(pts, 300.0, lam)
+
+
+def _reference_evaluate(centers, s, lam):
+    """The pair kernel on an (n, n, 2) difference tensor, as first written."""
+    diff = centers[:, None, :] - centers[None, :, :]
+    r2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    n = len(centers)
+    idx = np.arange(n)
+    r2[idx, idx] = np.inf
+    if np.any(r2 <= 0.0):
+        raise CoincidentPoints("two centers coincide")
+    logterms = s * (math.log(lam) - np.log(r2))
+    m = float(logterms.max())
+    w = np.exp(logterms - m)
+    total = 0.5 * float(w.sum())
+    return m + math.log(total), (w, total, r2, diff)
+
+
+def _reference_gradient(state, s, free):
+    w, total, r2, diff = state
+    coef = (-2.0 * s) * (w / total) / r2
+    grad = np.einsum("ij,ijk->ik", coef, diff)
+    grad[~free] = 0.0
+    return grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 140),
+    s=st.sampled_from([1.5, 10.0, 1e4, 1e8]) | st.floats(1.0, 1e8),
+    seed=st.integers(0, 2**32 - 1),
+    lam_scale=st.floats(0.25, 4.0),
+    pin_share=st.floats(0.0, 1.0),
+)
+def test_pair_kernel_matches_difference_tensor(n, s, seed, lam_scale, pin_share):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1.0, 1.0, (n, 2))
+    lam = lam_scale * packing_radius(centers) ** 2
+    pinned = np.flatnonzero(rng.uniform(size=n) < pin_share)
+    free = np.ones(n, dtype=bool)
+    free[pinned] = False
+    before = centers.copy()
+
+    value, state = _reference_evaluate(centers, s, lam)
+    want = math.exp(value) if value <= 709.0 else math.inf
+    assert energy(centers, s, lam) == want
+    grad = _reference_gradient(state, s, free)
+    # bit for bit, signed zeros included
+    assert optimizer._objective(centers, s, lam, free)[1].tobytes() == grad.tobytes()
+    if value > 709.0:
+        return
+    with np.errstate(over="ignore"):
+        want_grad = math.exp(value) * grad
+    if np.isinf(want_grad).any():
+        with pytest.raises(OverflowError):
+            energy_gradient(centers, s, lam, PinSet.of(pinned))
+        return
+    first = energy_gradient(centers, s, lam, PinSet.of(pinned))
+    assert np.array_equal(first, want_grad)
+    # the in-place gradient consumes only its own state
+    assert energy_gradient(centers, s, lam, PinSet.of(pinned)).tobytes() == first.tobytes()
+    assert centers.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_pair_kernel_rejects_coincident_centers(n):
+    centers = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+    centers[-1] = centers[0]
+    with pytest.raises(CoincidentPoints):
+        energy(centers, 10.0, 0.01)
+    with pytest.raises(CoincidentPoints):
+        energy_gradient(centers, 10.0, 0.01)
+
+
+def test_ladder_matches_difference_tensor_kernel(monkeypatch):
+    params = OptimizerParams(s_final=1e3, seed=1)
+    got = algorithm1(12, 7, params)
+    guided, pins = seed_guided(12, 2, theta=0.1, scale=0.97)
+    got_guided = algorithm2(guided, params, pins)
+    monkeypatch.setattr(optimizer, "_evaluate", _reference_evaluate)
+    monkeypatch.setattr(optimizer, "_gradient", _reference_gradient)
+    assert got.centers.tobytes() == algorithm1(12, 7, params).centers.tobytes()
+    assert got_guided.centers.tobytes() == algorithm2(guided, params, pins).centers.tobytes()
 
 
 def test_pinned_rows_zeroed():

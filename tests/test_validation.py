@@ -239,3 +239,15 @@ def test_matching_residual_matches_per_point_loop_on_random_clouds():
             for tol in (1e-6, 1e-2, 1.0):
                 got = validation._matching_residual(moved, pts, tol)
                 assert got == _reference_matching_residual(moved, pts, tol), (n, scale, tol)
+
+
+def test_assignment_residual_matches_difference_tensor():
+    from scipy.optimize import linear_sum_assignment
+
+    for a, b, _ in _matching_cases().values():
+        for tol in (1e-9, 1e-6, 10.0):
+            diff = a[:, None, :] - b[None, :, :]
+            cost = np.hypot(diff[..., 0], diff[..., 1])
+            rows, cols = linear_sum_assignment(cost)
+            worst = float(cost[rows, cols].max())
+            assert validation._assignment_residual(a, b, tol) == (worst if worst <= tol else None)
