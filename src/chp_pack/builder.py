@@ -186,11 +186,8 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
                     branches = circle_pair_intersection(prev, partner, d)
                 except (NoIntersection, Coincident):
                     continue
-                ok = [
-                    p
-                    for p in branches
-                    if geometry.contains(spec, p, 1e-9) and not ws.too_close(p)
-                ]
+                inside = geometry.outside_by(spec, np.array(branches)) <= 1e-9
+                ok = [p for p, keep in zip(branches, inside) if keep and not ws.too_close(p)]
                 if not ok:
                     continue
                 if len(ok) == 2 and math.hypot(*ok[0]) != math.hypot(*ok[1]):

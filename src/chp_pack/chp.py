@@ -485,19 +485,6 @@ def _wrap_pi(a: float) -> float:
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def reflect_dna(dna: Dna, sigma: Sigma) -> Dna:
-    """Mirror image of a DNA: xi -> pi - xi - 2*pi/sigma.
-
-    The map reverses the order of the letter values, so the string maps
-    to its letter-wise complement (a <-> highest letter in use).
-    """
-    _require_sigma(sigma)
-    shift = 0.0 if sigma == CIRCLE else TWO_PI / sigma
-    values = tuple(math.pi - v - shift for v in dna.values)
-    seq = _seq_of(dna.letters)
-    return Dna(values=values, letters=_letters_of(_reflect_seq(seq, max(seq) + 1)))
-
-
 def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
     return tuple(ell - 1 - b for b in seq)
 
@@ -622,18 +609,6 @@ def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
     seq = _seq_of(dna.letters)
     best = min(_orbit(border, seq, _letter_memo(border)))
     return dna_from_letters(_letters_of(best), border)
-
-
-def reflection_is_rotation(dna: Union[Dna, str], border: BorderSolution) -> bool:
-    """True when the mirrored DNA already appears among the vertex rotations."""
-    if isinstance(dna, str):
-        dna = dna_from_letters(dna, border)
-    seq = _seq_of(dna.letters)
-    images = _rotation_images(
-        border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq,
-        _letter_memo(border),
-    )
-    return _reflect_seq(seq, len(border.degeneracies)) in images
 
 
 def _multiset_permutations(counts: Sequence[int]) -> Iterator[Tuple[int, ...]]:

@@ -31,8 +31,6 @@ _PROVENANCE_KEYS = {
     "params": ((dict, str), "an object or a string"),
     "theta": ((int, float), "a finite number"),
     "scale": ((int, float), "a finite number"),
-    "refine_drift": ((int, float), "a finite number"),
-    "refine_stability": ((int, float), "a finite number"),
 }
 
 
@@ -85,15 +83,6 @@ def dumps_config(config: PackingConfiguration) -> str:
     lines.append('  "provenance": {' + ", ".join(prov) + "}")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_config(config: PackingConfiguration, dest: Union[str, os.PathLike, IO[str]]) -> None:
-    text = dumps_config(config)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def _require(doc: dict, field: str):

@@ -80,35 +80,23 @@ def polygon_area(sigma: int, delta: float = 0.0) -> float:
     return sigma * h * h * math.tan(math.pi / sigma)
 
 
-def gamma(u: float, delta: float, sigma: int) -> float:
-    """Radial support of the polygon boundary at polar angle ``u``.
+def interior_point(t: float, u: float, spec: Optional[PolygonSpec]) -> Point2:
+    """Chart mapping ``(t, u)`` onto the closed polygon (unit disk for None).
 
-    The boundary point at angle ``u`` lies at distance ``gamma(u)`` from
-    the origin.  The function has period ``2*pi/sigma`` and attains its
-    maximum (the circumradius) at vertex angles and its minimum (the
-    apothem) halfway between them.
-    """
-    w = math.fmod(u - vertex_angle(sigma), TWO_PI / sigma)
-    if w < 0.0:
-        w += TWO_PI / sigma
-    return apothem(sigma, delta) / math.cos(math.pi / sigma - w)
-
-
-def boundary_point(u: float, delta: float, sigma: int) -> Point2:
-    """Point of the polygon boundary at polar angle ``u``."""
-    r = gamma(u, delta, sigma)
-    return (r * math.cos(u), r * math.sin(u))
-
-
-def interior_point(t: float, u: float, sigma: int) -> Point2:
-    """Chart mapping ``(t, u)`` onto the closed polygon with ``delta = 0``.
-
-    The radial coordinate is squashed through ``sin(t)**2`` so that any
-    real pair lands inside the polygon; used for random starts.
+    The point lies at polar angle ``u``, at ``sin(t)**2`` times the
+    distance from the origin to the boundary along that ray, so any real
+    pair lands inside; used for random starts.  That distance has period
+    ``2*pi/sigma``: the circumradius at vertex angles and the apothem
+    halfway between them.
     """
     s = math.sin(t) ** 2
-    bx, by = boundary_point(u, 0.0, sigma)
-    return (s * bx, s * by)
+    r = 1.0
+    if spec is not None:
+        w = math.fmod(u - vertex_angle(spec.sigma), TWO_PI / spec.sigma)
+        if w < 0.0:
+            w += TWO_PI / spec.sigma
+        r = apothem(spec.sigma, spec.delta) / math.cos(math.pi / spec.sigma - w)
+    return (s * (r * math.cos(u)), s * (r * math.sin(u)))
 
 
 def polygon_vertices(sigma: int, delta: float = 0.0) -> List[Point2]:
@@ -122,28 +110,10 @@ def polygon_vertices(sigma: int, delta: float = 0.0) -> List[Point2]:
     return out
 
 
-def edge_normal_angles(sigma: int) -> List[float]:
-    """Outward unit-normal angles of the ``sigma`` edges, counterclockwise."""
-    base = vertex_angle(sigma) + math.pi / sigma
-    return [base + TWO_PI * i / sigma for i in range(sigma)]
-
-
-def contains(spec: Optional[PolygonSpec], point: Point2, tol: float = 0.0) -> bool:
-    """True when ``point`` lies in the polygon (unit circle for None), fattened outward by ``tol``."""
-    x, y = point
-    if spec is None:
-        return math.hypot(x, y) <= 1.0 + tol
-    h = apothem(spec.sigma, spec.delta) + tol
-    for a in edge_normal_angles(spec.sigma):
-        if x * math.cos(a) + y * math.sin(a) > h:
-            return False
-    return True
-
-
 class _Frame(NamedTuple):
     """Read-only constants of one polygon, arrays indexed by edge."""
 
-    normals: np.ndarray  # (2, sigma): outward normals, cosines over sines, as ``contains`` computes them
+    normals: np.ndarray  # (2, sigma): outward edge normals, cosines over sines, counterclockwise
     vertices: np.ndarray  # (sigma, 2), counterclockwise from P1
     edges: np.ndarray  # (sigma, 2): vertex i + 1 minus vertex i
     edge_len2: np.ndarray  # (sigma,): squared edge lengths
@@ -152,7 +122,8 @@ class _Frame(NamedTuple):
 
 @functools.lru_cache(maxsize=128)
 def _frame(sigma: int, delta: float) -> _Frame:
-    angles = edge_normal_angles(sigma)
+    base = vertex_angle(sigma) + math.pi / sigma
+    angles = [base + TWO_PI * i / sigma for i in range(sigma)]
     normals = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
     verts = np.array(polygon_vertices(sigma, delta))
     edges = np.roll(verts, -1, axis=0) - verts
@@ -179,14 +150,15 @@ def project_into(spec: PolygonSpec, points: np.ndarray) -> np.ndarray:
     """Closest points of the closed polygon to the rows of ``points``.
 
     Takes an ``(m, 2)`` array and returns a new ``(m, 2)`` array.  Rows
-    that pass ``contains``' edge test come back unchanged; every other
-    row goes to the nearest point of the nearest edge segment (the first
-    edge on a tie), with the same floating-point operations as a scalar
-    scan over the edges, so results match it to the last bit.
+    with ``n . x <= apothem`` for every outward edge normal ``n`` come
+    back unchanged; every other row goes to the nearest point of the
+    nearest edge segment (the first edge on a tie), with the same
+    floating-point operations as a scalar scan over the edges, so results
+    match it to the last bit.
     """
     frame = _frame(spec.sigma, spec.delta)
     out = np.array(points, dtype=float)
-    # elementwise like ``contains``; a matmul may round differently
+    # elementwise like a scalar edge scan; a matmul may round differently
     reach = out[:, :1] * frame.normals[0] + out[:, 1:] * frame.normals[1]
     outside = (reach > frame.apothem).any(axis=1)
     if not outside.any():

@@ -9,18 +9,17 @@ has the same minimizers and stays finite at any s.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import geometry
-from .builder import PackingConfiguration, extract_dna
+from .builder import PackingConfiguration
 from .chp import CIRCLE, Sigma, disk_count, solve_border
 from .errors import CoincidentPoints, NonFinite, PreconditionViolated
 from .geometry import PolygonSpec
-from .validation import is_chp, packing_radius
+from .validation import packing_radius
 
 MIN_DIST_SQ = "min_dist_sq"
 
@@ -103,12 +102,15 @@ def _free_mask(n: int, pins: Optional[PinSet]) -> np.ndarray:
 
 
 def energy(config, s: float, lam: float) -> float:
-    """Sum over pairs of (lambda/r^2)^s, accumulated in the log domain."""
+    """Sum over pairs of (lambda/r^2)^s, accumulated in the log domain; inf where it overflows."""
     centers = _centers_of(config)
     if len(centers) < 2:
         return 0.0
     value, _ = _evaluate(centers, s, lam)
-    return math.exp(value) if value <= 709.0 else math.inf
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None) -> np.ndarray:
@@ -285,11 +287,7 @@ def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -
     for i in range(n):
         t = rng.uniform(0.0, 0.5 * math.pi)
         u = rng.uniform(0.0, 2.0 * math.pi)
-        if spec is None:
-            r = math.sin(t) ** 2
-            pts[i] = (r * math.cos(u), r * math.sin(u))
-        else:
-            pts[i] = geometry.interior_point(t, u, spec.sigma)
+        pts[i] = geometry.interior_point(t, u, spec)
     start = PackingConfiguration(
         spec=spec,
         centers=pts,
@@ -372,113 +370,3 @@ def algorithm2(
         result = config
     assert packing_radius(result.centers) >= base
     return result
-
-
-def refine(config: PackingConfiguration, max_iters: int = 2000) -> PackingConfiguration:
-    """Polish at the final exponent; never returns a worse packing.
-
-    Re-runs the last ladder rung in short bursts with a tightened
-    stopping tolerance and keeps the iterate with the largest minimum
-    pairwise distance.  A configuration whose tangency structure is
-    already optimal therefore comes back unchanged.
-
-    This is a deliberately simple greedy polish, not a dedicated
-    high-precision refinement scheme: it trades the last digits for a
-    hard no-regression guarantee.
-    """
-    chunk = 50
-    params = OptimizerParams(inner_tol=1e-15, max_inner_iters=chunk)
-    best = config
-    best_d = packing_radius(config.centers)
-    cur = config
-    cur_d = best_d
-    stability = math.inf
-    done = 0
-    while done < max_iters:
-        lam = cur_d * cur_d
-        nxt = minimize(cur, params.s_final, lam, None, params)
-        done += chunk
-        nxt_d = packing_radius(nxt.centers)
-        stability = abs(nxt_d - cur_d) / cur_d
-        moved = float(np.abs(nxt.centers - cur.centers).max())
-        if nxt_d > best_d:
-            best, best_d = nxt, nxt_d
-        cur, cur_d = nxt, nxt_d
-        if stability <= 1e-15 and moved <= 1e-15:
-            break
-        if nxt_d < best_d * (1.0 - 1e-6):
-            break
-    out = PackingConfiguration(
-        spec=best.spec, centers=best.centers, diameter=best_d, meta=dict(config.meta)
-    )
-    out.meta["refine_drift"] = abs(best_d - packing_radius(config.centers)) / packing_radius(config.centers)
-    out.meta["refine_stability"] = stability
-    return out
-
-
-def shell_rotation_search(
-    config: PackingConfiguration,
-    sigma: Sigma,
-    k: int,
-    trials: int,
-    params: Optional[OptimizerParams] = None,
-) -> List[PackingConfiguration]:
-    """Rotate random shells, re-pack, and keep the inequivalent outcomes."""
-    params = params or OptimizerParams()
-    if not is_chp(config, sigma, k, 1e-6):
-        raise PreconditionViolated("input configuration is not shell-structured")
-    if k < 2:
-        return []
-    centers = _centers_of(config)
-    shells = _shell_indices(centers, config.diameter)
-    border = solve_border(sigma, k)
-    pinned = [i for i, m in enumerate(shells) if m == k or m == 0]
-    pins = PinSet.of(pinned)
-
-    kept: List[PackingConfiguration] = []
-    seen_dnas: set = set()
-    for t in range(trials):
-        gen = _rng(params.seed, (t << 32) | 0x5E11)
-        m = 1 + int(gen.integers(k - 1))
-        ang = gen.uniform(math.pi / 18.0, math.pi / 6.0)
-        x = centers.copy()
-        rows = [i for i, sh in enumerate(shells) if sh == m]
-        ca, sa = math.cos(ang), math.sin(ang)
-        rot = np.array([[ca, sa], [-sa, ca]])
-        x[rows] = x[rows] @ rot
-        cand = PackingConfiguration(spec=config.spec, centers=x, diameter=border.d, meta=dict(config.meta))
-        out = algorithm2(cand, params, pins, trial=t)
-        out = refine(out, max_iters=500)
-        try:
-            if not is_chp(out, sigma, k, 1e-6):
-                continue
-            dna = extract_dna(out, sigma, k, tol=1e-5)
-        except Exception:
-            continue
-        if dna.letters in seen_dnas:
-            continue
-        seen_dnas.add(dna.letters)
-        out.meta["dna"] = dna.letters
-        out.meta["trial"] = t
-        kept.append(out)
-    return kept
-
-
-def _shell_indices(centers: np.ndarray, d: float) -> np.ndarray:
-    """Shell index per disk: contact-graph distance from the center disk."""
-    n = len(centers)
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i, j in geometry.contact_pairs(centers, d, 1e-4):
-        adj[i].append(j)
-        adj[j].append(i)
-    start = int(np.argmin(np.hypot(centers[:, 0], centers[:, 1])))
-    depth = np.full(n, -1, dtype=int)
-    depth[start] = 0
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if depth[nxt] < 0:
-                depth[nxt] = depth[node] + 1
-                queue.append(nxt)
-    return depth

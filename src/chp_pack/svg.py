@@ -39,17 +39,17 @@ def render_svg(
     )
     parts.append('<g transform="scale(1,-1)">')
 
-    stroke = config.diameter * 0.02
+    sw = _f(config.diameter * 0.02)
     if config.spec is None:
         parts.append(
             f'<circle class="container" cx="0" cy="0" r="{_f(1.0 + r)}" '
-            f'fill="none" stroke="#222222" stroke-width="{_f(stroke)}"/>'
+            f'fill="none" stroke="#222222" stroke-width="{sw}"/>'
         )
     else:
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in geometry.polygon_vertices(config.spec.sigma, r))
         parts.append(
             f'<polygon class="container" points="{pts}" '
-            f'fill="none" stroke="#222222" stroke-width="{_f(stroke)}"/>'
+            f'fill="none" stroke="#222222" stroke-width="{sw}"/>'
         )
 
     if fundamental:
@@ -74,21 +74,23 @@ def render_svg(
                 f'fill="#f5d76e" fill-opacity="0.45" stroke="none"/>'
             )
 
-    # Python floats format about three times faster than numpy scalars, to the same text
-    points = centers.tolist()
+    # each center formatted once; Python floats format about three times
+    # faster than numpy scalars, to the same text
+    points = [(_f(x), _f(y)) for x, y in centers.tolist()]
     if contacts:
         for i, j in geometry.contact_pairs(centers, config.diameter, 1e-6):
             (x1, y1), (x2, y2) = points[i], points[j]
             parts.append(
-                f'<line class="contact" x1="{_f(x1)}" y1="{_f(y1)}" '
-                f'x2="{_f(x2)}" y2="{_f(y2)}" '
-                f'stroke="#b03a2e" stroke-width="{_f(stroke)}"/>'
+                f'<line class="contact" x1="{x1}" y1="{y1}" '
+                f'x2="{x2}" y2="{y2}" '
+                f'stroke="#b03a2e" stroke-width="{sw}"/>'
             )
 
+    sr = _f(r)
     for x, y in points:
         parts.append(
-            f'<circle class="disk" cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
-            f'fill="#5b8db8" fill-opacity="0.75" stroke="#1f4060" stroke-width="{_f(stroke)}"/>'
+            f'<circle class="disk" cx="{x}" cy="{y}" r="{sr}" '
+            f'fill="#5b8db8" fill-opacity="0.75" stroke="#1f4060" stroke-width="{sw}"/>'
         )
 
     parts.append("</g>")

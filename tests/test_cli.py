@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from chp_pack import build_chp
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
-from chp_pack.configio import dumps_config, loads_config, read_config, write_config
+from chp_pack.configio import dumps_config, loads_config, read_config
 from chp_pack.errors import ParseError, SchemaMismatch
 from chp_pack.svg import render_svg
 
@@ -88,6 +89,13 @@ def test_render_options_are_additive():
     assert both.count('class="contact"') > 0
     assert both.count('class="fundamental"') == 1
     assert plain.count('class="contact"') == 0
+
+
+def test_render_with_contacts_is_byte_stable():
+    # the render_12_2.svg golden has no contact lines or sector wedge
+    svg = render_svg(build_chp(12, 4), contacts=True, fundamental=True)
+    digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+    assert digest == "681d6cd8ffeb235bcaff807ebe1bc24885853b1461f1b4d2de613cb28fb796ee"
 
 
 def test_tables_repeated_sigma_is_tabled_once(capsys):
@@ -251,7 +259,7 @@ def test_config_round_trip_bitwise(tmp_path):
 def test_config_file_round_trip(tmp_path):
     config = build_chp(12, 2)
     p = tmp_path / "c.json"
-    write_config(config, p)
+    p.write_text(dumps_config(config), encoding="utf-8")
     again = read_config(p)
     assert np.array_equal(again.centers, config.centers)
 
@@ -306,14 +314,12 @@ def test_config_field_errors():
         ("trial", "0"),
         ("theta", "x"),
         ("scale", False),
-        ("refine_drift", [0.1]),
-        ("refine_stability", {}),
     ):
         bad = dict(doc, provenance={key: value})
         with pytest.raises(ParseError) as info:
             loads_config(json.dumps(bad))
         assert f"provenance.{key}" in str(info.value)
-    good = dict(doc, provenance={"mode": "algorithm2", "seed": 3, "trial": 0, "theta": 0, "scale": 1.5, "refine_stability": None})
+    good = dict(doc, provenance={"mode": "algorithm2", "seed": 3, "trial": 0, "theta": 0, "scale": 1.5, "params": None})
     assert loads_config(json.dumps(good)).meta["scale"] == 1.5
 
 

@@ -17,11 +17,9 @@ from chp_pack import (
     dna_from_letters,
     dna_from_values,
     enumerate_dnas,
-    reflect_dna,
     solve_border,
 )
 from chp_pack import chp
-from chp_pack.chp import reflection_is_rotation
 from chp_pack.errors import PreconditionViolated
 
 
@@ -51,11 +49,20 @@ def test_values_snap_to_blocks():
         dna_from_values([blocks[0] + 0.01] * 4, border)
 
 
+def _mirror_values(values, sigma):
+    """The mirror's angle map xi -> pi - xi - 2*pi/sigma (no shift for the circle)."""
+    shift = 0.0 if sigma == CIRCLE else 2 * math.pi / sigma
+    return [math.pi - v - shift for v in values]
+
+
+def _reflect_letters(letters, border):
+    return chp._letters_of(chp._reflect_seq(chp._seq_of(letters), len(border.degeneracies)))
+
+
 def test_reflect_letters_complement():
     border = solve_border(12, 4)
-    dna = dna_from_letters("aabb", border)
-    assert reflect_dna(dna, 12).letters == "bbaa"
-    assert reflect_dna(reflect_dna(dna, 12), 12).letters == "aabb"
+    assert _reflect_letters("aabb", border) == "bbaa"
+    assert _reflect_letters(_reflect_letters("aabb", border), border) == "aabb"
 
 
 def test_reflect_values_dodecagon():
@@ -64,16 +71,22 @@ def test_reflect_values_dodecagon():
     dna = dna_from_letters("aabb", border)
     assert dna.values[0] == pytest.approx(math.pi / 3, abs=1e-12)
     assert dna.values[2] == pytest.approx(math.pi / 2, abs=1e-12)
-    ref = reflect_dna(dna, 12)
+    ref = dna_from_letters(_reflect_letters(dna.letters, border), border)
     assert ref.values[0] == pytest.approx(math.pi / 2, abs=1e-12)
     assert ref.values[3] == pytest.approx(math.pi / 3, abs=1e-12)
+    # letter b <-> ell - 1 - b is the angle map on the building blocks
+    for sigma, k in ((12, 5), (18, 4), (24, 6), (CIRCLE, 5)):
+        blocks = solve_border(sigma, k).blocks()
+        mirrored = [blocks[b] for b in chp._reflect_seq(range(len(blocks)), len(blocks))]
+        assert _mirror_values(blocks, sigma) == pytest.approx(mirrored, abs=1e-12)
 
 
 def test_reflect_preserves_angle_sum():
     for sigma, k in ((12, 5), (18, 4), (24, 6)):
         border = solve_border(sigma, k)
         for dna in enumerate_dnas(sigma, k):
-            ref = reflect_dna(dna, sigma)
+            ref = dna_from_letters(_reflect_letters(dna.letters, border), border)
+            assert ref.values == pytest.approx(tuple(_mirror_values(dna.values, sigma)), abs=1e-12)
             assert sum(ref.values) == pytest.approx(sum(dna.values), abs=1e-9)
             assert sorted(ref.values) == pytest.approx(sorted(dna.values), abs=1e-9)
 
@@ -147,7 +160,15 @@ def test_circle_counts():
 
 def test_reflection_is_rotation_flags():
     # eta = 1 rows have the reflected string inside the rotation orbit
-    assert reflection_is_rotation("ab", solve_border(12, 2, ))
+    def reflection_is_rotation(letters, border):
+        seq = chp._seq_of(letters)
+        images = chp._rotation_images(
+            border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq,
+            chp._letter_memo(border),
+        )
+        return chp._reflect_seq(seq, len(border.degeneracies)) in images
+
+    assert reflection_is_rotation("ab", solve_border(12, 2))
     assert not reflection_is_rotation("abc", solve_border(12, 3))
     assert reflection_is_rotation("aabb", solve_border(12, 4))
 

@@ -22,26 +22,34 @@ def test_fundamental_vertex_components():
     assert y == pytest.approx(-math.cos(math.pi / sigma), abs=1e-16)
 
 
+def _gamma(u, sigma):
+    """Radial support of the boundary: the chart's radius at t = pi/2, where sin(t)**2 is 1."""
+    return math.hypot(*geometry.interior_point(math.pi / 2, u, PolygonSpec(sigma, 0.0)))
+
+
 def test_gamma_periodic_and_extremal():
     # support function of the boundary: cos(pi/sigma) at edge midlines,
     # 1 at vertices, periodic with 2*pi/sigma.
     sigma = 12
     u0 = geometry.vertex_angle(sigma)
-    assert geometry.gamma(u0, 0.0, sigma) == pytest.approx(1.0, abs=1e-15)
+    assert _gamma(u0, sigma) == pytest.approx(1.0, abs=1e-15)
     mid = u0 + math.pi / sigma
-    assert geometry.gamma(mid, 0.0, sigma) == pytest.approx(math.cos(math.pi / sigma), abs=1e-15)
+    assert _gamma(mid, sigma) == pytest.approx(math.cos(math.pi / sigma), abs=1e-15)
     for t in (0.0, 0.3, 2.0, 5.1):
-        a = geometry.gamma(t, 0.0, sigma)
-        b = geometry.gamma(t + 2 * math.pi / sigma, 0.0, sigma)
+        a = _gamma(t, sigma)
+        b = _gamma(t + 2 * math.pi / sigma, sigma)
         assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_gamma_matches_boundary_radius():
+    # at t = pi/2 the chart lands on the boundary, at polar angle u
     sigma = 18
+    spec = PolygonSpec(sigma, 0.0)
     for t in (0.1, 1.0, 4.4):
-        p = geometry.boundary_point(t, 0.0, sigma)
-        assert math.hypot(*p) == pytest.approx(geometry.gamma(t, 0.0, sigma), abs=1e-14)
+        p = geometry.interior_point(math.pi / 2, t, spec)
+        assert abs(float(geometry.outside_by(spec, np.array([p]))[0])) < 1e-14
         assert abs(math.atan2(p[1], p[0]) % (2 * math.pi) - t % (2 * math.pi)) < 1e-12
+    assert geometry.interior_point(math.pi / 2, 0.7, None) == (math.cos(0.7), math.sin(0.7))
 
 
 def test_apothem():
@@ -51,12 +59,12 @@ def test_apothem():
 
 def test_contains_and_project():
     spec = PolygonSpec(12, 0.0)
-    assert geometry.contains(spec, (0.0, 0.0), 0.0)
-    assert geometry.contains(spec, geometry.fundamental_vertex(12), 1e-12)
+    assert geometry.outside_by(spec, np.array([(0.0, 0.0)]))[0] <= 0.0
+    assert geometry.outside_by(spec, np.array([geometry.fundamental_vertex(12)]))[0] <= 1e-12
     outside = (2.0, 0.3)
-    assert not geometry.contains(spec, outside, 1e-9)
-    proj = geometry.project_into(spec, np.array([outside]))[0]
-    assert geometry.contains(spec, tuple(proj), 1e-9)
+    assert geometry.outside_by(spec, np.array([outside]))[0] > 1e-9
+    proj = geometry.project_into(spec, np.array([outside]))
+    assert geometry.outside_by(spec, proj)[0] <= 1e-9
     # projection is the identity on interior points
     inside = (0.1, -0.2)
     assert tuple(geometry.project_into(spec, np.array([inside]))[0]) == inside
@@ -68,7 +76,7 @@ def test_projection_is_nearest_boundary_point():
     q = tuple(geometry.project_into(spec, np.array([p]))[0])
     # brute force over dense boundary samples
     best = min(
-        geometry.dist(p, geometry.boundary_point(t, 0.0, 6))
+        geometry.dist(p, geometry.interior_point(math.pi / 2, t, spec))
         for t in [i * 2 * math.pi / 20000 for i in range(20000)]
     )
     assert geometry.dist(p, q) <= best + 1e-6
@@ -78,8 +86,9 @@ def test_interior_point_lands_inside():
     spec = PolygonSpec(12, 0.0)
     for t in (0.0, 0.4, 1.2, 1.5707):
         for u in (0.0, 1.0, 3.3, 6.2):
-            p = geometry.interior_point(t, u, 12)
-            assert geometry.contains(spec, p, 1e-12)
+            p = geometry.interior_point(t, u, spec)
+            assert geometry.outside_by(spec, np.array([p]))[0] <= 1e-12
+            assert geometry.outside_by(None, np.array([geometry.interior_point(t, u, None)]))[0] <= 0.0
 
 
 def test_rotate_roundtrip():
@@ -115,17 +124,27 @@ def test_vectorized_primitives_match_scalar_scans(spec):
     assert geometry.contact_pairs(pts, d, tol) == brute
     excess = geometry.outside_by(spec, pts)
     for tol in (0.0, 1e-3):
-        inside = [geometry.contains(spec, (x, y), tol) for x, y in pts]
+        inside = [_scalar_inside(spec, (x, y), tol) for x, y in pts]
         assert (excess <= tol).tolist() == inside
     assert 0 < sum(inside) < len(pts)
 
 
-def _scalar_projection(spec, point):
-    """Per-point reference: the edge test of ``contains``, then a scan over the edge segments."""
+def _scalar_inside(spec, point, tol=0.0):
+    """Per-point reference containment: the unit circle for None, else each edge's half-plane fattened by tol."""
     x, y = point
-    h = geometry.apothem(spec.sigma, spec.delta)
-    if all(x * math.cos(a) + y * math.sin(a) <= h for a in geometry.edge_normal_angles(spec.sigma)):
+    if spec is None:
+        return math.hypot(x, y) <= 1.0 + tol
+    h = geometry.apothem(spec.sigma, spec.delta) + tol
+    base = geometry.vertex_angle(spec.sigma) + math.pi / spec.sigma
+    angles = [base + 2 * math.pi * i / spec.sigma for i in range(spec.sigma)]
+    return all(x * math.cos(a) + y * math.sin(a) <= h for a in angles)
+
+
+def _scalar_projection(spec, point):
+    """Per-point reference: the edge test of ``_scalar_inside``, then a scan over the edge segments."""
+    if _scalar_inside(spec, point):
         return point
+    x, y = point
     verts = geometry.polygon_vertices(spec.sigma, spec.delta)
     best, best_d2 = verts[0], math.inf
     for i in range(spec.sigma):
