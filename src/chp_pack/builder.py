@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .chp import CIRCLE, BorderSolution, Dna, Sigma, _letters_of, _nearest_block, canonicalize_dna, disk_count, dna_from_letters, dna_from_values, solve_border
-from .errors import AmbiguousStart, Coincident, ConstructionFailed, InconsistentDna, NoIntersection, NoPath
+from .errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, InconsistentDna, NoIntersection, NoPath
 from .geometry import Point2, PolygonSpec
 
 
@@ -53,7 +53,7 @@ def circle_pair_intersection(c1: Point2, c2: Point2, d: float) -> Tuple[Point2, 
     dx, dy = c2[0] - c1[0], c2[1] - c1[1]
     dist = math.hypot(dx, dy)
     if dist == 0.0:
-        raise Coincident("circle centers coincide")
+        raise CoincidentPoints("circle centers coincide")
     if dist > 2.0 * d * (1.0 + 1e-12):
         raise NoIntersection(f"centers {dist:.17g} apart exceed 2d = {2 * d:.17g}")
     half = 0.5 * dist
@@ -184,7 +184,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
             for partner in ws.partners(prev, m + 1):
                 try:
                     branches = circle_pair_intersection(prev, partner, d)
-                except (NoIntersection, Coincident):
+                except (NoIntersection, CoincidentPoints):
                     continue
                 inside = geometry.outside_by(spec, np.array(branches)) <= 1e-9
                 ok = [p for p, keep in zip(branches, inside) if keep and not ws.too_close(p)]

@@ -10,7 +10,8 @@ class NotMultipleOfSix(ChpError):
 
 
 class NoSolution(ChpError):
-    """Raised when the border chain solver fails to converge."""
+    """Raised when the border chain solver gets k < 1, asymmetric degeneracies,
+    chord directions out of order, or a chain that does not close."""
 
 
 class InconsistentDna(ChpError):
@@ -34,27 +35,21 @@ class CapExceeded(ChpError):
 
 
 class PreconditionViolated(ChpError):
-    """Raised when a closed-form shortcut is called outside its domain."""
+    """Raised when a closed-form shortcut is called outside its domain, a pin
+    index is out of range, or a search gets fewer than two disks."""
 
 
 class CoincidentPoints(ChpError):
-    """Raised when an energy evaluation meets two coincident centers."""
+    """Raised when two centers coincide, in an energy evaluation or a circle
+    pair whose intersection is then undefined."""
 
 
 class NonFinite(ChpError):
     """Raised when a minimization step produces a non-finite value."""
 
 
-class ShellCountMismatch(ChpError):
-    """Raised when a disk count is incompatible with the claimed shell count."""
-
-
 class NoIntersection(ChpError):
     """Raised when two equal-radius circles do not intersect."""
-
-
-class Coincident(ChpError):
-    """Raised when two circle centers coincide and intersection is undefined."""
 
 
 class ParseError(ChpError):

@@ -230,5 +230,5 @@ def contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, 
     pairs = cKDTree(centers).query_pairs(d * (1.0 + tol), output_type="ndarray")
     gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
     pairs = pairs[gap >= d * (1.0 - tol)]
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.argsort(pairs[:, 0] * len(centers) + pairs[:, 1])]
     return [(i, j) for i, j in pairs.tolist()]

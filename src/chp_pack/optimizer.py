@@ -21,8 +21,6 @@ from .errors import CoincidentPoints, NonFinite, PreconditionViolated
 from .geometry import PolygonSpec
 from .validation import packing_radius
 
-MIN_DIST_SQ = "min_dist_sq"
-
 _M64 = (1 << 64) - 1
 
 
@@ -33,7 +31,6 @@ class OptimizerParams:
     s_initial: float = 10.0
     s_factor: float = 1.5
     s_final: float = 1e8
-    lambda_rule: str = MIN_DIST_SQ
     inner_tol: float = 1e-12
     max_inner_iters: int = 5000
     perturb_amplitude: float = 0.01
@@ -48,8 +45,6 @@ class OptimizerParams:
             raise ValueError("s_final capped at 1e9")
         if not 0.0 <= self.perturb_amplitude < 0.5:
             raise ValueError("perturb_amplitude must lie in [0, 0.5)")
-        if self.lambda_rule != MIN_DIST_SQ:
-            raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
 
 
 @dataclass(frozen=True)

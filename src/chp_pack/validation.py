@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -12,10 +12,13 @@ from scipy.spatial import cKDTree
 
 from . import geometry
 from .builder import PackingConfiguration
-from .chp import CIRCLE, Sigma, disk_count, solve_border
-from .errors import ShellCountMismatch
+from .chp import CIRCLE
 
 PI_3 = math.pi / 3.0
+# Tolerance of separation, containment, contacts and equivalence.
+TOL = 1e-9
+# Largest symmetry residual reported as a number; past it the residual is inf.
+SYMMETRY_TOL = 1e-6
 
 
 def packing_radius(config: Union[PackingConfiguration, np.ndarray]) -> float:
@@ -36,37 +39,24 @@ def density(config: PackingConfiguration) -> float:
 
 
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
-    """Max nearest-match distance of the bijection a -> b, or None past tol.
+    """Max pair distance of the min-sum bijection a -> b, or None past tol.
 
-    Greedy matching in sorted (radius, angle) order over each point's six
-    nearest targets, found in one batched query; falls back to an optimal
-    assignment when any greedy match lands above tol/10.  When the
-    nearest targets already form a bijection within tol/10, greedy would
-    take exactly those, so they are returned without the loop.
+    One k-d query finds each point's nearest target.  Any bijection's max
+    is at least every row's nearest distance, so one above tol rules all
+    of them out.  When the nearest targets form a bijection, every row
+    sits at its own minimum, so that map is the min-sum assignment; only
+    a shared nearest target calls the optimal assignment.
     """
     if len(a) != len(b):
         return None
     if len(a) == 0:
         return 0.0
-    dist, idx = cKDTree(b).query(a, k=min(6, len(b)))
-    dist, idx = dist.reshape(len(a), -1), idx.reshape(len(a), -1)
-    nearest = dist[:, 0].max()
-    if nearest <= tol / 10.0 and len(np.unique(idx[:, 0])) == len(b):
-        return float(nearest)
-    order = np.lexsort((np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])))
-    dist, idx = dist.tolist(), idx.tolist()
-    used = [False] * len(b)
-    worst = 0.0
-    for i in order.tolist():
-        picked = None
-        for dd, jj in zip(dist[i], idx[i]):
-            if not used[jj]:
-                picked = (dd, jj)
-                break
-        if picked is None or picked[0] > tol / 10.0:
-            return _assignment_residual(a, b, tol)
-        used[picked[1]] = True
-        worst = max(worst, picked[0])
+    dist, idx = cKDTree(b).query(a)
+    if dist.max() > tol:
+        return None
+    if len(np.unique(idx)) < len(b):
+        return _assignment_residual(a, b, tol)
+    worst = float(np.hypot(b[idx, 0] - a[:, 0], b[idx, 1] - a[:, 1]).max())
     return worst if worst <= tol else None
 
 
@@ -77,38 +67,15 @@ def _assignment_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[f
     return worst if worst <= tol else None
 
 
-def symmetry_residual(config: PackingConfiguration, tol: float = 1e-6) -> float:
-    """Max matching distance between the centers and their pi/3 rotation."""
+def symmetry_residual(config: PackingConfiguration) -> float:
+    """Max matching distance between the centers and their pi/3 rotation; inf past SYMMETRY_TOL."""
     c, s = math.cos(PI_3), math.sin(PI_3)
     rot = config.centers @ np.array([[c, s], [-s, c]])
-    res = _matching_residual(rot, config.centers, tol)
+    res = _matching_residual(rot, config.centers, SYMMETRY_TOL)
     return math.inf if res is None else res
 
 
-def is_chp(config: PackingConfiguration, sigma: Sigma, k: int, tol: float = 1e-9) -> bool:
-    """Whether ``config`` is the (sigma, k) packing structure within tol."""
-    if config.n_disks != disk_count(k):
-        raise ShellCountMismatch(f"{config.n_disks} disks cannot form {k} shells")
-    border = solve_border(sigma, k)
-    centers = config.centers
-
-    if symmetry_residual(config, tol) > tol:
-        return False
-
-    expected = geometry.sixfold(border.chain[:-1])
-    tree = cKDTree(centers)
-    dist, idx = tree.query(np.asarray(expected))
-    if dist.max() > tol or len(set(idx.tolist())) != len(expected):
-        return False
-
-    radius = np.hypot(centers[:, 0], centers[:, 1])
-    if radius.min() > tol:
-        return False
-
-    return abs(packing_radius(config) - border.d) <= tol * border.d
-
-
-def equivalent(a: PackingConfiguration, b: PackingConfiguration, tol: float = 1e-9) -> bool:
+def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
     """Whether some polygon symmetry (rotation or reflection) maps a onto b."""
     if a.n_disks != b.n_disks or a.sigma != b.sigma:
         return False
@@ -126,15 +93,15 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration, tol: float = 1e
             ang = 2.0 * math.pi * i / sigma
             c, s = math.cos(ang), math.sin(ang)
             cand = base @ np.array([[c, s], [-s, c]])
-            if _matching_residual(cand, bc, tol) is not None:
+            if _matching_residual(cand, bc, TOL) is not None:
                 return True
     return False
 
 
-def contact_count_histogram(config: PackingConfiguration, tol: float = 1e-9) -> Dict[int, int]:
+def contact_count_histogram(config: PackingConfiguration) -> Dict[int, int]:
     """Histogram mapping contacts-per-disk to the number of such disks."""
     counts = np.zeros(config.n_disks, dtype=int)
-    for i, j in geometry.contact_pairs(config.centers, config.diameter, tol):
+    for i, j in geometry.contact_pairs(config.centers, config.diameter, TOL):
         counts[i] += 1
         counts[j] += 1
     hist: Dict[int, int] = {}
@@ -165,7 +132,7 @@ class ValidationReport:
         }
 
 
-def validate_config(config: PackingConfiguration, tol: float = 1e-9) -> ValidationReport:
+def validate_config(config: PackingConfiguration) -> ValidationReport:
     """Assemble the full certification report for ``config``.
 
     With fewer than two disks there is no pair to separate: ``min_distance``
@@ -173,12 +140,12 @@ def validate_config(config: PackingConfiguration, tol: float = 1e-9) -> Validati
     """
     min_dist = packing_radius(config) if config.n_disks > 1 else None
     violation = float(max(0.0, geometry.outside_by(config.spec, config.centers).max()))
-    valid = (min_dist is None or min_dist >= config.diameter * (1.0 - tol)) and violation <= tol
+    valid = (min_dist is None or min_dist >= config.diameter * (1.0 - TOL)) and violation <= TOL
     return ValidationReport(
         min_distance=min_dist,
         worst_containment_violation=violation,
         density=density(config),
         is_valid=valid,
-        symmetry_residual=symmetry_residual(config, max(tol, 1e-6)),
-        contact_count_histogram=contact_count_histogram(config, max(tol, 1e-9)),
+        symmetry_residual=symmetry_residual(config),
+        contact_count_histogram=contact_count_histogram(config),
     )

@@ -112,7 +112,7 @@ def test_a04_builder_soundness():
         group = []
         for dna in enumerate_dnas(sigma, k):
             cfg = build_chp(sigma, k, dna.letters)
-            report = validate_config(cfg, tol=1e-9)
+            report = validate_config(cfg)
             assert report.is_valid
             assert report.symmetry_residual < 1e-9
             assert abs(packing_radius(cfg.centers) - border.d) <= 1e-10
@@ -121,7 +121,7 @@ def test_a04_builder_soundness():
             group.append(cfg)
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                assert not equivalent(group[i], group[j], tol=1e-9)
+                assert not equivalent(group[i], group[j])
         built_total += len(group)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

@@ -18,7 +18,7 @@ from chp_pack import (
     validate_config,
 )
 from chp_pack.builder import circle_pair_intersection, extract_dna
-from chp_pack.errors import AmbiguousStart, Coincident, ConstructionFailed, NoIntersection
+from chp_pack.errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, NoIntersection
 from chp_pack.geometry import fundamental_vertex
 
 
@@ -133,7 +133,7 @@ def test_intersection_points():
     # left of the directed line from c1 to c2 comes first
     assert p == pytest.approx((0.0, math.sqrt(3) / 2), abs=1e-15)
     assert q == pytest.approx((0.0, -math.sqrt(3) / 2), abs=1e-15)
-    with pytest.raises(Coincident):
+    with pytest.raises(CoincidentPoints):
         circle_pair_intersection((0.1, 0.2), (0.1, 0.2), 1.0)
     with pytest.raises(NoIntersection):
         circle_pair_intersection((0.0, 0.0), (3.0, 0.0), 1.0)

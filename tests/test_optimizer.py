@@ -21,7 +21,7 @@ from chp_pack.optimizer import (
     minimize,
     seed_guided,
 )
-from chp_pack.validation import density, is_chp, packing_radius
+from chp_pack.validation import density, packing_radius, symmetry_residual, validate_config
 
 
 def random_instance(rng, n=10):
@@ -300,7 +300,10 @@ def test_algorithm2_never_degrades():
 def test_guided_shake_reaches_exact_packing():
     config, pins = seed_guided(12, 3, theta=0.1, scale=0.97)
     out = algorithm2(config, OptimizerParams(seed=5), pins, trial=0)
-    assert is_chp(out, 12, 3, 1e-6)
+    assert validate_config(out).is_valid
+    assert symmetry_residual(out) <= 1e-6
+    d = solve_border(12, 3).d
+    assert abs(packing_radius(out) - d) <= 1e-6 * d
     assert density(out) == pytest.approx(chp_density(12, 3), abs=1e-6)
 
 
