@@ -391,8 +391,9 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
     if tuple(reversed(degs)) != degs:
         raise NoSolution(f"degeneracies {degs} not symmetric for sigma={sigma}, k={k}")
     base = _sorted_seq(degs)
-    memo: List[_Letters] = [{} for _ in raw["hits"]]
-    images = _rotation_images(k, degs, _blocks(raw["phi"], degs), raw["hits"], raw["alphas"], base, memo)
+    blocks = _blocks(raw["phi"], degs)
+    walks = [_Transducer(degs, blocks, c, a) for c, a in zip(raw["hits"], raw["alphas"])]
+    images = set().union(*(w.rotate(base) for w in walks))
     eta = 1 if _reflect_seq(base, len(degs)) in images else 2
     return BorderSolution(
         sigma=sigma,
@@ -489,113 +490,122 @@ def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
     return tuple(ell - 1 - b for b in seq)
 
 
-# per occupied vertex: (block, branch, shell turns) -> block index, or None
-# when the direction matches no block; see _trace_from_vertex
-_Letters = Dict[Tuple[int, int, int], Union[int, None]]
+# a transducer step: the (next state, output letter) pairs, one per contact
+# branch; the letter is None when the direction matches no block
+_Step = Tuple[Tuple[int, Union[int, None]], ...]
 
 
-def _trace_from_vertex(
-    k: int,
-    counts: Sequence[int],
-    blocks: Sequence[float],
-    seq: Sequence[int],
-    c: int,
-    alpha: float,
-    letters: _Letters,
-) -> Set[Tuple[int, ...]]:
-    """Re-trace the path of ``seq`` starting from the occupied vertex c.
+class _Transducer:
+    """The contact walk from the occupied vertex c, as a lazily filled transducer.
 
-    Walks the shell interfaces of the packing encoded by ``seq``: at each
-    interface the disk at position j of the current shell ring touches
-    one (rarely two) disks of the next ring in, which fixes the chord
-    direction contributed to the rotated DNA.  Returns every completed
-    direction sequence, already mapped back through the rotation alpha.
+    Re-tracing a DNA from vertex c walks the shell interfaces of the
+    packing it encodes: at each interface the disk at position j of the
+    current shell ring touches one (rarely two) disks of the next ring
+    in, which fixes the chord direction contributed to the rotated DNA.
+    A step depends only on its state, the position j, the number t of
+    shell turns so far and the letter counts still unread, and on the
+    letter b it reads.  Its output is the block nearest to ``blocks[b] +
+    e*pi/3 + t*pi/3 - alpha`` for the branch e (0: the disk at j, 1: the
+    one at j - 1), which maps the direction back through the rotation
+    alpha that carries vertex c to P1.
 
-    The letter a step contributes depends only on the block b, the branch
-    e (0: the disk at j, 1: the one at j - 1) and the number t of shell
-    turns so far: it is the block nearest to ``blocks[b] + e*pi/3 +
-    t*pi/3 - alpha``.  ``letters`` memoizes that lookup per (b, e, t) for
-    this vertex, so a caller that traces many sequences from the same
-    vertex passes the same dict every time; a direction that matches no
-    block is stored as None and raises InconsistentDna only when a
-    completed path holds it.
+    States are numbered as they are first reached, and each (state,
+    letter) step is worked out the first time it is read, so walking many
+    sequences through one transducer matches each direction to a block
+    once.  A direction that matches no block raises InconsistentDna only
+    when a completed path holds it.
     """
-    results: Set[Tuple[int, ...]] = set()
 
-    def walk(i: int, j: int, t: int, remaining: List[int], out: List[Union[int, None]]) -> None:
-        if i == k:
-            if None in out:
-                raise InconsistentDna(f"a direction re-traced from vertex {c} matches no block")
-            results.add(tuple(out))
-            return
-        m = k - i
+    def __init__(self, counts: Sequence[int], blocks: Sequence[float], c: int, alpha: float) -> None:
+        self.blocks = blocks
+        self.c = c
+        self.alpha = alpha
+        self.ids: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+        self.states: List[Tuple[int, int, Tuple[int, ...]]] = []
+        self.steps: List[List[Union[_Step, None]]] = []
+        self.start = self._state(c + 1, 0, tuple(counts))
+
+    def _state(self, j: int, t: int, remaining: Tuple[int, ...]) -> int:
+        key = (j, t, remaining)
+        s = self.ids.get(key)
+        if s is None:
+            s = self.ids[key] = len(self.states)
+            self.states.append(key)
+            self.steps.append([None] * len(remaining))
+        return s
+
+    def _fill(self, s: int, b: int) -> _Step:
+        j, t, remaining = self.states[s]
+        m = sum(remaining)  # letters left to read, k - i
         while j > m:
             j -= m
             t += 1
-        b = seq[i]
         before = sum(remaining[:b])
-        lo = 1 + before
-        hi = before + remaining[b]
-        remaining[b] -= 1
-        if j <= hi:
-            key = (b, 0, t)
-            if key not in letters:
-                letters[key] = _nearest_block(blocks[b] + t * PI_3 - alpha, blocks)
-            out.append(letters[key])
-            walk(i + 1, j, t, remaining, out)
-            out.pop()
-        if j - 1 >= lo:
-            key = (b, 1, t)
-            if key not in letters:
-                letters[key] = _nearest_block(blocks[b] + PI_3 + t * PI_3 - alpha, blocks)
-            out.append(letters[key])
-            walk(i + 1, j - 1, t, remaining, out)
-            out.pop()
-        remaining[b] += 1
+        rest = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
+        blocks, alpha = self.blocks, self.alpha
+        step: List[Tuple[int, Union[int, None]]] = []
+        if j <= before + remaining[b]:
+            step.append((self._state(j, t, rest), _nearest_block(blocks[b] + t * PI_3 - alpha, blocks)))
+        if j - 1 >= 1 + before:
+            step.append((self._state(j - 1, t, rest), _nearest_block(blocks[b] + PI_3 + t * PI_3 - alpha, blocks)))
+        self.steps[s][b] = out = tuple(step)
+        return out
 
-    walk(0, c + 1, 0, list(counts), [])
-    if not results:
-        raise InconsistentDna(f"no contact path from vertex {c}")
-    return results
+    def rotate(self, seq: Sequence[int]) -> Set[Tuple[int, ...]]:
+        """Every completed walk of ``seq`` from vertex c, as block sequences seen from P1.
 
-
-def _rotation_images(
-    k: int,
-    counts: Sequence[int],
-    blocks: Sequence[float],
-    hits: Sequence[int],
-    alphas: Sequence[float],
-    seq: Sequence[int],
-    memo: Sequence[_Letters],
-) -> Set[Tuple[int, ...]]:
-    """Union of the re-traced sequences from every occupied vertex.
-
-    ``memo`` holds one letter dict per vertex (see _trace_from_vertex).
-    """
-    images: Set[Tuple[int, ...]] = set()
-    for c, alpha, letters in zip(hits, alphas, memo):
-        images |= _trace_from_vertex(k, counts, blocks, seq, c, alpha, letters)
-    return images
-
-
-def _letter_memo(border: BorderSolution) -> List[_Letters]:
-    return [{} for _ in border.vertex_hits]
+        The live paths are walked letter by letter; a second one appears
+        only where a letter with two or more copies left branches, so the
+        common case of one path steps without building a new list.
+        """
+        steps, fill = self.steps, self._fill
+        s, out = self.start, []
+        paths: Union[List[Tuple[int, List[Union[int, None]]]], None] = None  # set at the first branch
+        for b in seq:
+            if paths is None:
+                step = steps[s][b]
+                if step is None:
+                    step = fill(s, b)
+                if len(step) == 1:
+                    (s, letter), = step
+                    out.append(letter)
+                    continue
+                paths = [(s, out)]
+            live = []
+            for s, out in paths:
+                step = steps[s][b]
+                if step is None:
+                    step = fill(s, b)
+                live.extend((nxt, out + [letter]) for nxt, letter in step)
+            paths = live
+        results = {tuple(out)} if paths is None else {tuple(out) for _, out in paths}
+        if not results:
+            raise InconsistentDna(f"no contact path from vertex {self.c}")
+        for r in results:
+            if None in r:
+                raise InconsistentDna(f"a direction re-traced from vertex {self.c} matches no block")
+        return results
 
 
-def _orbit(border: BorderSolution, seq: Tuple[int, ...], memo: Sequence[_Letters]) -> Set[Tuple[int, ...]]:
+def _transducers(border: BorderSolution) -> List[_Transducer]:
+    """One fresh transducer per occupied vertex of ``border``."""
+    blocks = border.blocks()
+    return [_Transducer(border.degeneracies, blocks, c, a) for c, a in zip(border.vertex_hits, border.vertex_angles)]
+
+
+def _orbit(border: BorderSolution, seq: Tuple[int, ...], walks: Sequence[_Transducer]) -> Set[Tuple[int, ...]]:
     """All DNA sequences equivalent to ``seq``: its vertex rotations and their mirrors.
 
-    The mirror half is the letter-wise reflection of the rotation images,
-    not a second walk of the mirrored sequence.  The two agree because
-    the degeneracies are palindromic (solve_border checks this): the
+    ``walks`` are the border's transducers (see _transducers).  The mirror
+    half is the letter-wise reflection of the rotation images, not a
+    second walk of the mirrored sequence.  The two agree because the
+    degeneracies are palindromic (solve_border checks this): the
     reflection of the sector about its bisector maps the set of occupied
     vertices onto itself, so reflecting a packing and then rotating it
     onto P1 from one vertex is the same as rotating it from the mirror
     vertex and then reflecting.
     """
-    images = _rotation_images(
-        border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq, memo
-    )
+    images = set().union(*(w.rotate(seq) for w in walks))
     ell = len(border.degeneracies)
     return images | {_reflect_seq(x, ell) for x in images}
 
@@ -607,7 +617,7 @@ def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
     else:
         dna = dna_from_values(dna.values, border)
     seq = _seq_of(dna.letters)
-    best = min(_orbit(border, seq, _letter_memo(border)))
+    best = min(_orbit(border, seq, _transducers(border)))
     return dna_from_letters(_letters_of(best), border)
 
 
@@ -641,18 +651,19 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     if total > cap:
         raise CapExceeded(f"{total} configurations exceed cap {cap}")
     seen: Set[Tuple[int, ...]] = set()
-    reps: List[str] = []
-    memo = _letter_memo(border)
+    reps: List[Dna] = []
+    blocks = border.blocks()
+    walks = _transducers(border)
     for perm in _multiset_permutations(border.degeneracies):
         if perm in seen:
             continue
-        orbit = _orbit(border, perm, memo)
+        orbit = _orbit(border, perm, walks)
         # ascending iteration meets each class at its lexicographic minimum
         if perm != min(orbit):
             raise InconsistentDna(f"orbit of {_letters_of(perm)} has smaller member {_letters_of(min(orbit))}")
         seen |= orbit
-        reps.append(_letters_of(perm))
-    return [dna_from_letters(s, border) for s in reps]
+        reps.append(Dna(values=tuple(blocks[b] for b in perm), letters=_letters_of(perm)))
+    return reps
 
 
 # ---------------------------------------------------------------------------

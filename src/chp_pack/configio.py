@@ -150,7 +150,9 @@ def loads_config(text: str) -> PackingConfiguration:
         kinds, what = _PROVENANCE_KEYS[key]
         if isinstance(val, bool) or not isinstance(val, kinds) or (isinstance(val, float) and not math.isfinite(val)):
             raise ParseError(f"field 'provenance.{key}': expected {what}, got {val!r}")
-    meta.update(prov)
+        # only the checked provenance keys: any other, such as "k" or
+        # "dna", would overwrite the top-level field checked above
+        meta[key] = val
     return PackingConfiguration(spec=spec, centers=centers, diameter=float(diameter), meta=meta)
 
 

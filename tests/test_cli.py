@@ -323,6 +323,15 @@ def test_config_field_errors():
     assert loads_config(json.dumps(good)).meta["scale"] == 1.5
 
 
+def test_provenance_cannot_override_checked_fields():
+    # "dna" and "k" are not provenance keys: inside provenance they are
+    # ignored, so the document written back keeps the checked top-level ones
+    doc = json.loads(dumps_config(build_chp("circle", 2)))
+    for extra in ({"dna": 5}, {"k": 7}, {"k": "abc"}):
+        odd = dict(doc, provenance=dict(doc["provenance"], **extra))
+        assert json.loads(dumps_config(loads_config(json.dumps(odd)))) == doc, extra
+
+
 def test_circle_config_round_trip():
     config = build_chp("circle", 2)
     back = loads_config(dumps_config(config))

@@ -162,10 +162,7 @@ def test_reflection_is_rotation_flags():
     # eta = 1 rows have the reflected string inside the rotation orbit
     def reflection_is_rotation(letters, border):
         seq = chp._seq_of(letters)
-        images = chp._rotation_images(
-            border.k, border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles, seq,
-            chp._letter_memo(border),
-        )
+        images = set().union(*(walk.rotate(seq) for walk in chp._transducers(border)))
         return chp._reflect_seq(seq, len(border.degeneracies)) in images
 
     assert reflection_is_rotation("ab", solve_border(12, 2))
@@ -244,9 +241,9 @@ def test_orbit_walk_matches_float_reference(sigma):
         perms = _all_arrangements(border)
         if len(perms) > 3000:
             perms = rng.sample(perms, 3000)
-        memo = chp._letter_memo(border)
+        walks = chp._transducers(border)
         for perm in perms:
-            assert chp._orbit(border, perm, memo) == _reference_orbit(border, perm), (sigma, k, perm)
+            assert chp._orbit(border, perm, walks) == _reference_orbit(border, perm), (sigma, k, perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +257,7 @@ def test_orbit_walk_property(sigma, k, rnd):
     perm = list(chp._sorted_seq(border.degeneracies))
     rnd.shuffle(perm)
     perm = tuple(perm)
-    assert chp._orbit(border, perm, chp._letter_memo(border)) == _reference_orbit(border, perm)
+    assert chp._orbit(border, perm, chp._transducers(border)) == _reference_orbit(border, perm)
 
 
 def _outcome(trace, *args):
@@ -272,17 +269,65 @@ def _outcome(trace, *args):
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24])
 def test_letter_memo_matches_float_walk_from_any_start(sigma):
-    # one memo serves every sequence walked from the same start, as in
-    # enumerate_dnas; starts that are not occupied vertices reach branch
+    # one transducer serves every sequence walked from the same start, as
+    # in enumerate_dnas; starts that are not occupied vertices reach branch
     # and turn combinations that the orbits never do, and mostly raise
     for k in range(2, 8):
         border = solve_border(sigma, k)
         perms = _all_arrangements(border)
         for c in range(k):
             for alpha in sorted({0.0, *border.vertex_angles}):
-                memo = {}
+                walk = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
                 for perm in perms:
                     args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
-                    assert _outcome(chp._trace_from_vertex, *args, memo) == _outcome(_reference_trace, *args), (
+                    assert _outcome(walk.rotate, perm) == _outcome(_reference_trace, *args), (
                         sigma, k, c, alpha, perm,
                     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, 78, 96, CIRCLE]),
+    st.integers(1, 9),
+    st.data(),
+)
+def test_shared_transducer_matches_fresh_one(sigma, k, data):
+    # what a transducer has filled in for earlier sequences must not change
+    # the images, or the InconsistentDna, of a later one
+    border = solve_border(sigma, k)
+    c = data.draw(st.integers(0, k - 1))
+    alpha = data.draw(st.sampled_from(sorted({0.0, *border.vertex_angles})))
+    base = chp._sorted_seq(border.degeneracies)
+    perms = data.draw(st.lists(st.permutations(base).map(tuple), min_size=1, max_size=30))
+    shared = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
+    for perm in perms:
+        fresh = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
+        assert _outcome(shared.rotate, perm) == _outcome(fresh.rotate, perm), (sigma, k, c, alpha, perm)
+
+
+@pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])
+def test_enumeration_is_the_brute_force_partition(sigma):
+    # every cell with at most 720 arrangements: the classes are the
+    # connected components of "q is in the reference orbit of p"
+    for k in range(1, 9):
+        border = solve_border(sigma, k)
+        perms = _all_arrangements(border)
+        if len(perms) > 720:
+            continue
+        root = {p: p for p in perms}
+
+        def find(p):
+            while root[p] != p:
+                p = root[p]
+            return p
+
+        for p in perms:
+            for q in _reference_orbit(border, p):
+                a, b = find(p), find(q)
+                root[max(a, b)] = min(a, b)
+        minima = sorted({find(p) for p in perms})
+        blocks = border.blocks()
+        got = enumerate_dnas(sigma, k)
+        assert [d.letters for d in got] == [chp._letters_of(m) for m in minima], (sigma, k)
+        assert [d.values for d in got] == [tuple(blocks[b] for b in m) for m in minima], (sigma, k)
+        assert len(minima) == count_configurations(CountInput.from_border(border)), (sigma, k)
