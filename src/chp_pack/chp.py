@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, Union
 
-from scipy import optimize
-
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
 from .geometry import Point2
@@ -276,6 +274,59 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
     return arcs
 
 
+def _brent(
+    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float
+) -> Union[float, None]:
+    """A root of ``f`` in ``[a, b]`` by Brent's method; None without a sign change.
+
+    A line-by-line transcription of scipy's brentq (brentq.c; Brent,
+    "Algorithms for Minimization Without Derivatives", 1973, ch. 4): the
+    same inverse quadratic or secant step, the same bisection safeguard and
+    the same stop when half the bracket is below (xtol + rtol|x|)/2, so it
+    evaluates ``f`` at the same points in the same order.  After 100
+    iterations it returns the last point, as brentq does with disp=False.
+    A zero division, where C computes an inf or nan step that then fails
+    the step test, takes the bisection.  ``f`` must not return nan.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        return None
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    return xcur
+
+
 def _diameter_estimate(
     sigma: int, k: int, excess: Callable[[float], float], lo: float, hi: float
 ) -> Union[float, None]:
@@ -284,28 +335,25 @@ def _diameter_estimate(
     When 6k/sigma is an integer the chords ride the edges, every arc
     equals its chord and d = target/k = hi up to rounding, so the residual
     has no sign change to search (this holds for every k on sigma 6); the
-    estimate is then the float just below hi.  Otherwise brentq finds the
-    root of the continuous residual to scipy's floor of relative
-    tolerance.  None when the ends do not differ in sign, which brentq
-    refuses with a ValueError; the plain bisection then runs and the chain
-    residual check reports the bad bracket.
+    estimate is then the float just below hi.  Otherwise _brent finds the
+    root of the continuous residual to a relative tolerance of 8.9e-16, the
+    floor brentq accepts.  None when the ends do not differ in sign; the
+    plain bisection then runs and the chain residual check reports the bad
+    bracket.
     """
     if (6 * k) % sigma == 0:
         return math.nextafter(hi, lo)
-    try:
-        return optimize.brentq(excess, lo, hi, xtol=1e-300, rtol=8.9e-16, disp=False)
-    except ValueError:
-        return None
+    return _brent(excess, lo, hi, 1e-300, 8.9e-16)
 
 
 def _solve_polygon_border(sigma: int, k: int) -> dict:
     """The raw border chain of a polygon of any side count sigma >= 6.
 
     The chord length d is where the arc that k chords cover reaches one
-    sixth of the perimeter.  _diameter_estimate (brentq on that residual,
-    or the top of the bracket when the chords ride the edges, as on sigma
-    6) gives the estimate from which _bisect finds the same d as a plain
-    bisection would.
+    sixth of the perimeter.  _diameter_estimate (Brent's method on that
+    residual, or the top of the bracket when the chords ride the edges, as
+    on sigma 6) gives the estimate from which _bisect finds the same d as
+    a plain bisection would.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge

@@ -37,9 +37,11 @@ class OptimizerParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.s_initial:
+            raise ValueError("s_initial must be positive")
         if not self.s_initial < self.s_final:
             raise ValueError("s_initial must be below s_final")
-        if self.s_factor <= 1.0:
+        if not self.s_factor > 1.0:
             raise ValueError("s_factor must exceed 1")
         if self.s_final > 1e9:
             raise ValueError("s_final capped at 1e9")

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .builder import PackingConfiguration
@@ -51,6 +49,8 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
         return None
     if len(a) == 0:
         return 0.0
+    from scipy.spatial import cKDTree
+
     dist, idx = cKDTree(b).query(a)
     if dist.max() > tol:
         return None
@@ -61,6 +61,8 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
 
 
 def _assignment_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.hypot(*geometry._pair_offsets(a, b))
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())

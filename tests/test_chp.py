@@ -1,8 +1,9 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from chp_pack import (
     CIRCLE,
@@ -348,3 +349,85 @@ def test_bisect_with_estimate_replays_the_plain_path(a, b, c, ragged, tol, data)
         label="estimate",
     )
     assert chp._bisect(below, lo, hi, tol, estimate).hex() == chp._bisect(below, lo, hi, tol).hex()
+
+
+def _traced(f):
+    """f, and the list that collects the points it is evaluated at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+def _brentq_or_none(f, a, b):
+    try:
+        return brentq(f, a, b, xtol=1e-300, rtol=8.9e-16, disp=False)
+    except ValueError:
+        return None
+
+
+def test_brent_replays_brentq_on_the_border_residuals():
+    # every cell whose chords leave the edges, so that the estimate
+    # searches the chord-length residual of _solve_polygon_border
+    for sigma in range(12, 121, 6):
+        edge = 2.0 * math.sin(math.pi / sigma)
+        target = (sigma / 6.0) * edge
+        for k in range(1, 21):
+            if (6 * k) % sigma == 0:
+                continue
+            memo = {}
+
+            def excess(t):
+                if t not in memo:
+                    memo[t] = chp._chain_arcs(sigma, k, t)[-1] - target
+                return memo[t]
+
+            hi = target / k
+            ours, got = _traced(excess)
+            theirs, want = _traced(excess)
+            estimate = chp._diameter_estimate(sigma, k, ours, 0.5 * hi, hi)
+            assert estimate is not None and estimate == _brentq_or_none(theirs, 0.5 * hi, hi), (sigma, k)
+            assert got == want, (sigma, k)
+
+
+_MONOTONE = {
+    "linear": lambda u: u,
+    "cubic": lambda u: u * u * u,
+    "atan": math.atan,
+    "sqrt": lambda u: math.copysign(math.sqrt(abs(u)), u),
+    "step": lambda u: math.copysign(1.0, u) if u else 0.0,
+    "subnormal": lambda u: u * 1e-320,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(_MONOTONE)),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.one_of(st.none(), st.floats(-0.5, 1.5)),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1.0, -1.0]),
+)
+# the slopes of an inverse quadratic step underflow to 0 and divide by it
+@example("subnormal", 686.9371053969821, 686.2733956688237, 0.1, 100773.52496681949, 1.0)
+def test_brent_replays_brentq_on_monotone_functions(kind, a, b, where, scale, sign):
+    # the root sits at a fraction ``where`` of the way from a to b, so
+    # outside the bracket when that is outside [0, 1]; a root at 0 (where
+    # None) inside the bracket runs into the 100-iteration cap, since xtol
+    # is 1e-300
+    g = _MONOTONE[kind]
+    root = 0.0 if where is None else a + where * (b - a)
+
+    def f(x):
+        return sign * g(scale * (x - root))
+
+    ours, got = _traced(f)
+    theirs, want = _traced(f)
+    x = chp._brent(ours, a, b, 1e-300, 8.9e-16)
+    y = _brentq_or_none(theirs, a, b)
+    assert (x is None and y is None) or x.hex() == y.hex()
+    assert [p.hex() for p in got] == [p.hex() for p in want]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chp_pack
 from chp_pack import build_chp
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
@@ -337,3 +338,37 @@ def test_circle_config_round_trip():
     back = loads_config(dumps_config(config))
     assert back.spec is None
     assert back.sigma == "circle"
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import chp_pack.cli
+from chp_pack import CIRCLE, CountInput, OptimizerParams, algorithm1, algorithm2, build_chp, chp_density
+from chp_pack import count_configurations, enumerate_dnas, seed_guided, solve_border
+from chp_pack.configio import dumps_config
+from chp_pack.svg import render_svg
+
+solve_border(48, 8)
+enumerate_dnas(48, 8)
+for sigma in (12, CIRCLE):
+    count_configurations(CountInput.from_border(solve_border(sigma, 6)))
+    chp_density(sigma, 6)
+config = build_chp(12, 4)
+dumps_config(config)
+render_svg(config)
+params = OptimizerParams(s_final=1e3)
+algorithm1(12, 7, params)
+start, pins = seed_guided(12, 2, 0.1, 0.97)
+algorithm2(start, params, pins)
+"""
+
+
+def test_tables_counts_builds_and_searches_run_without_scipy():
+    # scipy serves only the k-d tree and the optimal assignment; nothing
+    # here calls them, so the package and the CLI must import without it
+    src = str(Path(chp_pack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -324,3 +324,10 @@ def test_params_validation():
         OptimizerParams(s_final=2e9)
     with pytest.raises(ValueError):
         OptimizerParams(perturb_amplitude=0.7)
+    # a start at or below 0 never climbs to s_final, so _rungs never ends;
+    # a nan factor would pass a `<= 1` test and skip every rung between
+    for s_initial in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            OptimizerParams(s_initial=s_initial)
+    with pytest.raises(ValueError):
+        OptimizerParams(s_factor=math.nan)
