@@ -16,28 +16,27 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import geometry
-from .chp import CIRCLE, BorderSolution, Dna, Sigma, _letters_of, _nearest_block, canonicalize_dna, disk_count, dna_from_letters, dna_from_values, solve_border
-from .errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, InconsistentDna, NoIntersection, NoPath
-from .geometry import Point2, PolygonSpec
+from .chp import BorderSolution, Dna, _letters_of, _nearest_block, canonicalize_dna, disk_count, dna_from_letters, dna_from_values, solve_border
+from .errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, InconsistentDna, NoIntersection, NoPath, PreconditionViolated
+from .geometry import Point2, Sigma
 
 
 @dataclass
 class PackingConfiguration:
     """N disk centers plus the common disk diameter.
 
-    ``spec`` is the center-domain polygon (delta = 0); None means the
-    unit circle.  ``meta`` records provenance: construction mode, DNA,
-    seeds, and similar.
+    ``sigma`` names the center domain: the side count of the polygon of
+    circumradius 1, or CIRCLE for the unit circle.  ``meta`` records
+    provenance: construction mode, DNA, seeds, and similar.
     """
 
-    spec: Optional[PolygonSpec]
+    sigma: Sigma
     centers: np.ndarray
     diameter: float
     meta: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def sigma(self) -> Sigma:
-        return CIRCLE if self.spec is None else self.spec.sigma
+    def __post_init__(self) -> None:
+        geometry.check_sigma(self.sigma)
 
     @property
     def n_disks(self) -> int:
@@ -153,7 +152,6 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
         dna = dna_from_values(dna.values, border)
 
     d = border.d
-    spec = None if sigma == CIRCLE else PolygonSpec(int(sigma), 0.0)
     ws = _Workspace(d)
 
     # border shell: sector chain replicated by the six rotations
@@ -186,7 +184,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
                     branches = circle_pair_intersection(prev, partner, d)
                 except (NoIntersection, CoincidentPoints):
                     continue
-                inside = geometry.outside_by(spec, np.array(branches)) <= 1e-9
+                inside = geometry.outside_by(sigma, np.array(branches)) <= 1e-9
                 ok = [p for p, keep in zip(branches, inside) if keep and not ws.too_close(p)]
                 if not ok:
                     continue
@@ -212,10 +210,10 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     if geometry.min_distance(arr) < d * (1.0 - 1e-9):
         raise ConstructionFailed("overlap in assembled configuration")
     return PackingConfiguration(
-        spec=spec,
+        sigma=sigma,
         centers=arr,
         diameter=d,
-        meta={"mode": "deterministic", "sigma": sigma, "k": k, "dna": dna.letters},
+        meta={"mode": "deterministic", "k": k, "dna": dna.letters},
     )
 
 
@@ -224,12 +222,15 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
 
     Follows every contact path of exactly k steps from the disk at P1 to
     the disk at the origin; all found paths must canonicalize to the same
-    representative, which is returned.
+    representative, which is returned.  ``sigma`` must be the
+    configuration's own.
     """
+    if sigma != config.sigma:
+        raise PreconditionViolated(f"sigma {sigma!r} is not the configuration's sigma {config.sigma!r}")
     border = solve_border(sigma, k)
     d = config.diameter
     centers = np.asarray(config.centers, dtype=float)
-    p1 = np.array(geometry.fundamental_vertex(int(sigma)) if sigma != CIRCLE else (0.0, -1.0))
+    p1 = np.array(border.chain[0])
     dist_p1 = np.hypot(*(centers - p1).T)
     near = np.flatnonzero(dist_p1 <= max(tol, 1e-7))
     if len(near) != 1:

@@ -21,17 +21,13 @@ from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, Union
 
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
-from .geometry import Point2
-
-CIRCLE = "circle"
+from .geometry import CIRCLE, Point2, Sigma
 
 TWO_PI = 2.0 * math.pi
 PI_3 = math.pi / 3.0
 
 # tolerance for grouping chord directions and detecting occupied vertices
 GROUP_TOL = 1e-9
-
-Sigma = Union[int, str]
 
 
 def disk_count(k: int) -> int:

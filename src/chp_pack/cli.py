@@ -7,7 +7,6 @@ Errors go to stderr as one JSON object per failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -19,7 +18,6 @@ import numpy as np
 from . import geometry
 from .builder import build_chp
 from .chp import (
-    CIRCLE,
     CountInput,
     count_configurations,
     chp_density,
@@ -29,6 +27,7 @@ from .chp import (
 )
 from .configio import dumps_config, read_config
 from .errors import ChpError
+from .geometry import Sigma
 from .optimizer import OptimizerParams, PinSet, algorithm1, algorithm2
 from .svg import render_svg
 from .validation import density as packing_density
@@ -46,13 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise _BadArguments(message)
 
 
-def _sigma_arg(text: str):
-    if text == CIRCLE:
-        return CIRCLE
-    value = int(text)
-    if value < 3:
-        raise ValueError("sigma must be at least 3")
-    return value
+def _sigma_arg(text: str) -> Sigma:
+    try:
+        sigma: Sigma = int(text)
+    except ValueError:
+        sigma = text
+    try:
+        geometry.check_sigma(sigma)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return sigma
 
 
 def _sigma_list_arg(text: str) -> List[int]:
@@ -262,7 +264,7 @@ def _cmd_pack(args) -> int:
 
 
 def _border_pins(config) -> PinSet:
-    excess = geometry.outside_by(config.spec, np.asarray(config.centers, dtype=float))
+    excess = geometry.outside_by(config.sigma, np.asarray(config.centers, dtype=float))
     return PinSet.of(np.flatnonzero(np.abs(excess) <= 1e-7))
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import IO, List, Optional, Union
+from typing import IO, List, Union
 
 import numpy as np
 
+from . import geometry
 from .builder import PackingConfiguration
-from .chp import CIRCLE
 from .errors import ParseError, SchemaMismatch
-from .geometry import PolygonSpec
 
 SCHEMA_VERSION = "chp-pack/1"
 
@@ -53,10 +52,9 @@ def _json_scalar(v) -> str:
 def dumps_config(config: PackingConfiguration) -> str:
     """Serialize to the v1 document with deterministic bytes."""
     meta = config.meta or {}
-    sigma = config.sigma
     lines: List[str] = ["{"]
     lines.append(f'  "schema_version": {json.dumps(SCHEMA_VERSION)},')
-    lines.append(f'  "sigma": {json.dumps(sigma) if isinstance(sigma, str) else int(sigma)},')
+    lines.append(f'  "sigma": {json.dumps(config.sigma)},')
     if "k" in meta:
         lines.append(f'  "k": {int(meta["k"])},')
     lines.append(f'  "n_disks": {config.n_disks},')
@@ -103,12 +101,10 @@ def loads_config(text: str) -> PackingConfiguration:
         raise SchemaMismatch(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}")
 
     sigma = _require(doc, "sigma")
-    if sigma == CIRCLE:
-        spec: Optional[PolygonSpec] = None
-    elif isinstance(sigma, int) and not isinstance(sigma, bool) and sigma >= 3:
-        spec = PolygonSpec(sigma, 0.0)
-    else:
-        raise ParseError(f"field 'sigma': expected an integer >= 3 or \"circle\", got {sigma!r}")
+    try:
+        geometry.check_sigma(sigma)
+    except ValueError:
+        raise ParseError(f"field 'sigma': expected an integer >= 3 or \"circle\", got {sigma!r}") from None
 
     n = _require(doc, "n_disks")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -153,7 +149,7 @@ def loads_config(text: str) -> PackingConfiguration:
         # only the checked provenance keys: any other, such as "k" or
         # "dna", would overwrite the top-level field checked above
         meta[key] = val
-    return PackingConfiguration(spec=spec, centers=centers, diameter=float(diameter), meta=meta)
+    return PackingConfiguration(sigma=sigma, centers=centers, diameter=float(diameter), meta=meta)
 
 
 def read_config(src: Union[str, os.PathLike, IO[str]]) -> PackingConfiguration:

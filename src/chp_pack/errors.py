@@ -36,7 +36,8 @@ class CapExceeded(ChpError):
 
 class PreconditionViolated(ChpError):
     """Raised when a closed-form shortcut is called outside its domain, a pin
-    index is out of range, or a search gets fewer than two disks."""
+    index is out of range, a search gets fewer than two disks, or a DNA is
+    extracted under a sigma other than the configuration's."""
 
 
 class CoincidentPoints(ChpError):

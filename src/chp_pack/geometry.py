@@ -11,18 +11,25 @@ is a vertex, which places one edge horizontally at the bottom, running
 from P1 to ``(sin(pi/sigma), -cos(pi/sigma))``.  Vertices sit at polar
 angles ``3*pi/2 - pi/sigma + 2*pi*i/sigma``.  Offsetting by ``delta``
 grows the polygon about the origin without rotating it.
+
+A container is named by one value, ``sigma``: an int side count for the
+polygon with ``delta = 0``, or ``CIRCLE`` for the unit circle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 Point2 = Tuple[float, float]
+
+CIRCLE = "circle"
+
+# a container: a polygon's side count, or CIRCLE for the unit circle
+Sigma = Union[int, str]
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,23 +41,16 @@ _S3 = math.sqrt(3.0) / 2.0
 _ROT6 = ((1.0, 0.0), (0.5, _S3), (-0.5, _S3), (-1.0, 0.0), (-0.5, -_S3), (0.5, -_S3))
 
 
-@dataclass(frozen=True)
-class PolygonSpec:
-    """A regular polygon container.
+def check_sigma(sigma: Sigma) -> None:
+    """Refuse, with ValueError, a container other than an int side count >= 3 or CIRCLE.
 
-    Attributes:
-        sigma: number of sides, at least 3.
-        delta: offset added to the apothem; 0 gives unit circumradius.
+    A bool, a float and a numpy integer are refused even where they equal
+    an admissible side count.
     """
-
-    sigma: int
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sigma < 3:
-            raise ValueError(f"sigma must be >= 3, got {self.sigma}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+    if sigma == CIRCLE:
+        return
+    if isinstance(sigma, bool) or not isinstance(sigma, int) or sigma < 3:
+        raise ValueError(f"sigma must be an integer >= 3 or {CIRCLE!r}, got {sigma!r}")
 
 
 def vertex_angle(sigma: int) -> float:
@@ -80,8 +80,8 @@ def polygon_area(sigma: int, delta: float = 0.0) -> float:
     return sigma * h * h * math.tan(math.pi / sigma)
 
 
-def interior_point(t: float, u: float, spec: Optional[PolygonSpec]) -> Point2:
-    """Chart mapping ``(t, u)`` onto the closed polygon (unit disk for None).
+def interior_point(t: float, u: float, sigma: Sigma) -> Point2:
+    """Chart mapping ``(t, u)`` onto the closed polygon (unit disk for CIRCLE).
 
     The point lies at polar angle ``u``, at ``sin(t)**2`` times the
     distance from the origin to the boundary along that ray, so any real
@@ -91,11 +91,11 @@ def interior_point(t: float, u: float, spec: Optional[PolygonSpec]) -> Point2:
     """
     s = math.sin(t) ** 2
     r = 1.0
-    if spec is not None:
-        w = math.fmod(u - vertex_angle(spec.sigma), TWO_PI / spec.sigma)
+    if sigma != CIRCLE:
+        w = math.fmod(u - vertex_angle(sigma), TWO_PI / sigma)
         if w < 0.0:
-            w += TWO_PI / spec.sigma
-        r = apothem(spec.sigma, spec.delta) / math.cos(math.pi / spec.sigma - w)
+            w += TWO_PI / sigma
+        r = apothem(sigma) / math.cos(math.pi / sigma - w)
     return (s * (r * math.cos(u)), s * (r * math.sin(u)))
 
 
@@ -121,32 +121,32 @@ class _Frame(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def _frame(sigma: int, delta: float) -> _Frame:
+def _frame(sigma: int) -> _Frame:
     base = vertex_angle(sigma) + math.pi / sigma
     angles = [base + TWO_PI * i / sigma for i in range(sigma)]
     normals = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
-    verts = np.array(polygon_vertices(sigma, delta))
+    verts = np.array(polygon_vertices(sigma))
     edges = np.roll(verts, -1, axis=0) - verts
     edge_len2 = edges[:, 0] * edges[:, 0] + edges[:, 1] * edges[:, 1]
     for arr in (normals, verts, edges, edge_len2):
         arr.setflags(write=False)
-    return _Frame(normals, verts, edges, edge_len2, apothem(sigma, delta))
+    return _Frame(normals, verts, edges, edge_len2, apothem(sigma))
 
 
-def outside_by(spec: Optional[PolygonSpec], points: np.ndarray) -> np.ndarray:
-    """Per point, how far it lies outside the polygon (unit circle for None).
+def outside_by(sigma: Sigma, points: np.ndarray) -> np.ndarray:
+    """Per point, how far it lies outside the polygon (unit circle for CIRCLE).
 
     For a polygon this is the worst edge excess ``n . x - apothem`` over
     the outward edge normals ``n``; for the circle it is ``|x| - 1``.
     Points inside get a value <= 0.
     """
-    if spec is None:
+    if sigma == CIRCLE:
         return np.hypot(points[:, 0], points[:, 1]) - 1.0
-    frame = _frame(spec.sigma, spec.delta)
+    frame = _frame(sigma)
     return (points @ frame.normals).max(axis=1) - frame.apothem
 
 
-def project_into(spec: PolygonSpec, points: np.ndarray) -> np.ndarray:
+def project_into(sigma: int, points: np.ndarray) -> np.ndarray:
     """Closest points of the closed polygon to the rows of ``points``.
 
     Takes an ``(m, 2)`` array and returns a new ``(m, 2)`` array.  Rows
@@ -156,7 +156,7 @@ def project_into(spec: PolygonSpec, points: np.ndarray) -> np.ndarray:
     floating-point operations as a scalar scan over the edges, so results
     match it to the last bit.
     """
-    frame = _frame(spec.sigma, spec.delta)
+    frame = _frame(sigma)
     out = np.array(points, dtype=float)
     # elementwise like a scalar edge scan; a matmul may round differently
     reach = out[:, :1] * frame.normals[0] + out[:, 1:] * frame.normals[1]

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import geometry
 from .builder import PackingConfiguration
-from .chp import CIRCLE, Sigma, disk_count, solve_border
+from .chp import solve_border
 from .errors import CoincidentPoints, NonFinite, PreconditionViolated
-from .geometry import PolygonSpec
+from .geometry import CIRCLE, Sigma
 from .validation import packing_radius
 
 _M64 = (1 << 64) - 1
@@ -166,15 +166,15 @@ def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray):
     return value, _gradient(state, s, free)
 
 
-def _project_all(centers: np.ndarray, spec: Optional[PolygonSpec], free: np.ndarray) -> np.ndarray:
-    bad = free & (geometry.outside_by(spec, centers) > 0.0)
+def _project_all(centers: np.ndarray, sigma: Sigma, free: np.ndarray) -> np.ndarray:
+    bad = free & (geometry.outside_by(sigma, centers) > 0.0)
     if not np.any(bad):
         return centers
     out = centers.copy()
-    if spec is None:
+    if sigma == CIRCLE:
         out[bad] *= (1.0 / np.hypot(out[bad, 0], out[bad, 1]))[:, None]
     else:
-        out[bad] = geometry.project_into(spec, out[bad])
+        out[bad] = geometry.project_into(sigma, out[bad])
     return out
 
 
@@ -194,7 +194,7 @@ def minimize(
         raise PreconditionViolated(f"pinned indices {bad} out of range")
     free = _free_mask(len(x), pins)
 
-    spec = config.spec
+    sigma = config.sigma
     f, g = _objective(x, s, lam, free)
     if not math.isfinite(f):
         raise NonFinite(f"objective is {f} at the starting point")
@@ -216,7 +216,7 @@ def minimize(
         accepted = False
         a = alpha
         for _ in range(70):
-            trial = _project_all(x - a * g, spec, free)
+            trial = _project_all(x - a * g, sigma, free)
             move = trial - x
             move_norm2 = float((move * move).sum())
             if move_norm2 == 0.0:
@@ -238,7 +238,7 @@ def minimize(
         alpha = a
 
     out = PackingConfiguration(
-        spec=spec,
+        sigma=sigma,
         centers=x,
         diameter=packing_radius(x) if len(x) > 1 else config.diameter,
         meta=dict(config.meta),
@@ -275,21 +275,21 @@ def ladder(
 
 def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -> PackingConfiguration:
     """Energy-ladder packing from a random start; deterministic per seed."""
+    geometry.check_sigma(sigma)
     if n < 2:
         raise PreconditionViolated("need at least two disks")
     params = params or OptimizerParams()
     rng = _rng(params.seed, 0xA1)
-    spec = None if sigma == CIRCLE else PolygonSpec(int(sigma), 0.0)
     pts = np.empty((n, 2))
     for i in range(n):
         t = rng.uniform(0.0, 0.5 * math.pi)
         u = rng.uniform(0.0, 2.0 * math.pi)
-        pts[i] = geometry.interior_point(t, u, spec)
+        pts[i] = geometry.interior_point(t, u, sigma)
     start = PackingConfiguration(
-        spec=spec,
+        sigma=sigma,
         centers=pts,
         diameter=packing_radius(pts),
-        meta={"mode": "algorithm1", "sigma": sigma, "n": n, "seed": params.seed},
+        meta={"mode": "algorithm1", "seed": params.seed},
     )
     out = ladder(start, None, params)
     out.meta = dict(start.meta)
@@ -305,7 +305,6 @@ def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[Packi
     """
     border = solve_border(sigma, k)
     d = border.d
-    spec = None if sigma == CIRCLE else PolygonSpec(int(sigma), 0.0)
     pts = geometry.sixfold(border.chain[:-1])
     pts.append((0.0, 0.0))
 
@@ -320,17 +319,17 @@ def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[Packi
             lattice.append((ct * x - st * y, st * x + ct * y))
     lattice.sort(key=lambda p: (math.hypot(p[0], p[1]), math.atan2(p[1], p[0])))
     interior = lattice[: 3 * k * (k - 1)]
-    apothem = 1.0 if spec is None else geometry.apothem(spec.sigma, 0.0)
+    apothem = 1.0 if sigma == CIRCLE else geometry.apothem(sigma)
     r_max = max((math.hypot(*p) for p in interior), default=0.0)
     factor = scale * min(1.0, (apothem - 0.5 * d) / r_max) if r_max > 0.0 else scale
     pts.extend((factor * x, factor * y) for x, y in interior)
 
     arr = np.asarray(pts, dtype=float)
     config = PackingConfiguration(
-        spec=spec,
+        sigma=sigma,
         centers=arr,
         diameter=packing_radius(arr),
-        meta={"mode": "seed_guided", "sigma": sigma, "k": k, "theta": theta, "scale": scale},
+        meta={"mode": "seed_guided", "k": k, "theta": theta, "scale": scale},
     )
     return config, PinSet.of(range(6 * k + 1))
 
@@ -356,12 +355,12 @@ def algorithm2(
         ang = gen.uniform(0.0, 2.0 * math.pi)
         x[i, 0] += r * math.cos(ang)
         x[i, 1] += r * math.sin(ang)
-    x = _project_all(x, config.spec, free)
-    shaken = PackingConfiguration(spec=config.spec, centers=x, diameter=0.0, meta=dict(config.meta))
+    x = _project_all(x, config.sigma, free)
+    shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
     out = ladder(shaken, pins, params, record)
     if packing_radius(out.centers) > base:
         out.meta = dict(config.meta)
-        out.meta.update({"mode": "algorithm2", "trial": trial, "accepted": True, "seed": params.seed})
+        out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})
         result = out
     else:
         result = config

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import geometry
 from .builder import PackingConfiguration
+from .geometry import CIRCLE
 
 
 def _f(x: float) -> str:
@@ -29,7 +30,8 @@ def render_svg(
 ) -> str:
     centers = np.asarray(config.centers, dtype=float)
     r = config.diameter / 2.0
-    extent = 1.0 + r if config.spec is None else geometry.circumradius(config.spec.sigma, r)
+    sigma = config.sigma
+    extent = 1.0 + r if sigma == CIRCLE else geometry.circumradius(sigma, r)
     margin = extent * 1.02
 
     parts: List[str] = []
@@ -40,20 +42,20 @@ def render_svg(
     parts.append('<g transform="scale(1,-1)">')
 
     sw = _f(config.diameter * 0.02)
-    if config.spec is None:
+    if sigma == CIRCLE:
         parts.append(
             f'<circle class="container" cx="0" cy="0" r="{_f(1.0 + r)}" '
             f'fill="none" stroke="#222222" stroke-width="{sw}"/>'
         )
     else:
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in geometry.polygon_vertices(config.spec.sigma, r))
+        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in geometry.polygon_vertices(sigma, r))
         parts.append(
             f'<polygon class="container" points="{pts}" '
             f'fill="none" stroke="#222222" stroke-width="{sw}"/>'
         )
 
     if fundamental:
-        if config.spec is None:
+        if sigma == CIRCLE:
             a0 = 1.5 * math.pi
             a1 = a0 + math.pi / 3.0
             rr = 1.0 + r
@@ -65,7 +67,6 @@ def render_svg(
                 f'fill="#f5d76e" fill-opacity="0.45" stroke="none"/>'
             )
         else:
-            sigma = config.spec.sigma
             verts = geometry.polygon_vertices(sigma, r)
             wedge = [(0.0, 0.0)] + [verts[i] for i in range(sigma // 6 + 1)]
             pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in wedge)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import geometry
 from .builder import PackingConfiguration
-from .chp import CIRCLE
+from .geometry import CIRCLE
 
 PI_3 = math.pi / 3.0
 # Tolerance of separation, containment, contacts and equivalence.
@@ -31,9 +31,9 @@ def density(config: PackingConfiguration) -> float:
     """Disk area over container area; the container is offset by one radius."""
     r = 0.5 * config.diameter
     n = config.n_disks
-    if config.spec is None:
+    if config.sigma == CIRCLE:
         return n * r * r / (1.0 + r) ** 2
-    return n * math.pi * r * r / geometry.polygon_area(config.spec.sigma, r)
+    return n * math.pi * r * r / geometry.polygon_area(config.sigma, r)
 
 
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
@@ -83,7 +83,7 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
         return False
     if a.sigma == CIRCLE:
         raise ValueError("equivalence over the circle's continuous symmetries is not supported")
-    sigma = int(a.sigma)
+    sigma = a.sigma
     axis = geometry.vertex_angle(sigma)
     bc = np.asarray(b.centers, dtype=float)
     for mirrored in (False, True):
@@ -141,7 +141,7 @@ def validate_config(config: PackingConfiguration) -> ValidationReport:
     is None and validity rests on containment alone.
     """
     min_dist = packing_radius(config) if config.n_disks > 1 else None
-    violation = float(max(0.0, geometry.outside_by(config.spec, config.centers).max()))
+    violation = float(max(0.0, geometry.outside_by(config.sigma, config.centers).max()))
     valid = (min_dist is None or min_dist >= config.diameter * (1.0 - TOL)) and violation <= TOL
     return ValidationReport(
         min_distance=min_dist,

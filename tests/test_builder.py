@@ -18,7 +18,7 @@ from chp_pack import (
     validate_config,
 )
 from chp_pack.builder import circle_pair_intersection, extract_dna
-from chp_pack.errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, NoIntersection
+from chp_pack.errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, NoIntersection, PreconditionViolated
 from chp_pack.geometry import fundamental_vertex
 
 
@@ -157,7 +157,7 @@ def test_extract_dna_tolerates_noise():
     noisy = config.centers + jitter
     from chp_pack.builder import PackingConfiguration
 
-    cfg = PackingConfiguration(spec=config.spec, centers=noisy, diameter=config.diameter, meta={})
+    cfg = PackingConfiguration(sigma=config.sigma, centers=noisy, diameter=config.diameter, meta={})
     assert extract_dna(cfg, 12, 4, tol=1e-6).letters == "abab"
 
 
@@ -166,13 +166,20 @@ def test_extract_dna_requires_start_disk():
     from chp_pack.builder import PackingConfiguration
 
     shifted = PackingConfiguration(
-        spec=config.spec,
+        sigma=config.sigma,
         centers=config.centers + np.array([0.002, 0.0]),
         diameter=config.diameter,
         meta={},
     )
     with pytest.raises(AmbiguousStart):
         extract_dna(shifted, 12, 3, tol=1e-7)
+
+
+def test_extract_dna_refuses_another_sigma():
+    config = build_chp(18, 3)
+    for sigma in (12, 24, CIRCLE):
+        with pytest.raises(PreconditionViolated, match=f"sigma {sigma!r} .* sigma 18"):
+            extract_dna(config, sigma, 3)
 
 
 class _ReferenceWorkspace:

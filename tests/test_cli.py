@@ -220,6 +220,35 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_sigma_argument_names_the_rule(capsys):
+    for bad in ("2", "abc", "-6"):
+        code, out, err = run_cli(["pack", "--sigma", bad, "--n", "3"], capsys)
+        assert (code, out) == (2, ""), bad
+        doc = json.loads(err)
+        assert doc["error"] == "bad_arguments"
+        assert "argument --sigma: sigma must be an integer >= 3 or 'circle', got" in doc["message"], bad
+
+
+def test_pack_validate_render_side_count_not_multiple_of_six(tmp_path, capsys):
+    # a 15-gon container through configio, outside_by, project_into and svg
+    path, svg_path = tmp_path / "p.json", tmp_path / "p.svg"
+    code, _, _ = run_cli(["pack", "--sigma", "15", "--n", "7", "--seed", "1", "-o", str(path)], capsys)
+    assert code == 0
+    config = read_config(path)
+    assert (config.sigma, config.n_disks) == (15, 7)
+    assert dumps_config(config) == path.read_text()
+    code, out, _ = run_cli(["validate", "-i", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["is_valid"] is True
+    code, _, _ = run_cli(["render", "-i", str(path), "--fundamental", "--contacts", "-o", str(svg_path)], capsys)
+    assert code == 0
+    svg = svg_path.read_text()
+    container = svg.split('<polygon class="container" points="')[1].split('"')[0]
+    wedge = svg.split('<polygon class="fundamental" points="')[1].split('"')[0]
+    assert (len(container.split()), len(wedge.split())) == (15, 15 // 6 + 2)
+    assert svg.count('class="disk"') == 7
+
+
 def test_pack_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -336,7 +365,6 @@ def test_provenance_cannot_override_checked_fields():
 def test_circle_config_round_trip():
     config = build_chp("circle", 2)
     back = loads_config(dumps_config(config))
-    assert back.spec is None
     assert back.sigma == "circle"
 
 

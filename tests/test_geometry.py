@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chp_pack import geometry
-from chp_pack.geometry import PolygonSpec
+from chp_pack.builder import PackingConfiguration
+from chp_pack.geometry import CIRCLE
+from chp_pack.optimizer import algorithm1
 
 
 def test_fundamental_vertex_is_a_polygon_vertex():
@@ -24,7 +26,7 @@ def test_fundamental_vertex_components():
 
 def _gamma(u, sigma):
     """Radial support of the boundary: the chart's radius at t = pi/2, where sin(t)**2 is 1."""
-    return math.hypot(*geometry.interior_point(math.pi / 2, u, PolygonSpec(sigma, 0.0)))
+    return math.hypot(*geometry.interior_point(math.pi / 2, u, sigma))
 
 
 def test_gamma_periodic_and_extremal():
@@ -44,12 +46,11 @@ def test_gamma_periodic_and_extremal():
 def test_gamma_matches_boundary_radius():
     # at t = pi/2 the chart lands on the boundary, at polar angle u
     sigma = 18
-    spec = PolygonSpec(sigma, 0.0)
     for t in (0.1, 1.0, 4.4):
-        p = geometry.interior_point(math.pi / 2, t, spec)
-        assert abs(float(geometry.outside_by(spec, np.array([p]))[0])) < 1e-14
+        p = geometry.interior_point(math.pi / 2, t, sigma)
+        assert abs(float(geometry.outside_by(sigma, np.array([p]))[0])) < 1e-14
         assert abs(math.atan2(p[1], p[0]) % (2 * math.pi) - t % (2 * math.pi)) < 1e-12
-    assert geometry.interior_point(math.pi / 2, 0.7, None) == (math.cos(0.7), math.sin(0.7))
+    assert geometry.interior_point(math.pi / 2, 0.7, CIRCLE) == (math.cos(0.7), math.sin(0.7))
 
 
 def test_apothem():
@@ -57,38 +58,38 @@ def test_apothem():
     assert geometry.apothem(12, 0.25) == pytest.approx(math.cos(math.pi / 12) + 0.25, abs=1e-16)
 
 
-def test_contains_and_project():
-    spec = PolygonSpec(12, 0.0)
-    assert geometry.outside_by(spec, np.array([(0.0, 0.0)]))[0] <= 0.0
-    assert geometry.outside_by(spec, np.array([geometry.fundamental_vertex(12)]))[0] <= 1e-12
+def test_outside_by_and_project_into():
+    sigma = 12
+    assert geometry.outside_by(sigma, np.array([(0.0, 0.0)]))[0] <= 0.0
+    assert geometry.outside_by(sigma, np.array([geometry.fundamental_vertex(12)]))[0] <= 1e-12
     outside = (2.0, 0.3)
-    assert geometry.outside_by(spec, np.array([outside]))[0] > 1e-9
-    proj = geometry.project_into(spec, np.array([outside]))
-    assert geometry.outside_by(spec, proj)[0] <= 1e-9
+    assert geometry.outside_by(sigma, np.array([outside]))[0] > 1e-9
+    proj = geometry.project_into(sigma, np.array([outside]))
+    assert geometry.outside_by(sigma, proj)[0] <= 1e-9
     # projection is the identity on interior points
     inside = (0.1, -0.2)
-    assert tuple(geometry.project_into(spec, np.array([inside]))[0]) == inside
+    assert tuple(geometry.project_into(sigma, np.array([inside]))[0]) == inside
 
 
 def test_projection_is_nearest_boundary_point():
-    spec = PolygonSpec(6, 0.0)
+    sigma = 6
     p = (1.5, 0.0)
-    q = tuple(geometry.project_into(spec, np.array([p]))[0])
+    q = tuple(geometry.project_into(sigma, np.array([p]))[0])
     # brute force over dense boundary samples
     best = min(
-        geometry.dist(p, geometry.interior_point(math.pi / 2, t, spec))
+        geometry.dist(p, geometry.interior_point(math.pi / 2, t, sigma))
         for t in [i * 2 * math.pi / 20000 for i in range(20000)]
     )
     assert geometry.dist(p, q) <= best + 1e-6
 
 
 def test_interior_point_lands_inside():
-    spec = PolygonSpec(12, 0.0)
+    sigma = 12
     for t in (0.0, 0.4, 1.2, 1.5707):
         for u in (0.0, 1.0, 3.3, 6.2):
-            p = geometry.interior_point(t, u, spec)
-            assert geometry.outside_by(spec, np.array([p]))[0] <= 1e-12
-            assert geometry.outside_by(None, np.array([geometry.interior_point(t, u, None)]))[0] <= 0.0
+            p = geometry.interior_point(t, u, sigma)
+            assert geometry.outside_by(sigma, np.array([p]))[0] <= 1e-12
+            assert geometry.outside_by(CIRCLE, np.array([geometry.interior_point(t, u, CIRCLE)]))[0] <= 0.0
 
 
 def test_rotate_roundtrip():
@@ -102,15 +103,17 @@ def test_polygon_area():
     assert geometry.polygon_area(6, 0.0) == pytest.approx(3 * math.sqrt(3) / 2, abs=1e-14)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        PolygonSpec(2, 0.0)
-    with pytest.raises(ValueError):
-        PolygonSpec(12, -0.1)
+def test_sigma_rule():
+    # an int side count >= 3 or CIRCLE, checked before any geometry runs
+    for sigma in (2, 2.5, True, -6, "foo"):
+        with pytest.raises(ValueError, match="sigma must be an integer >= 3"):
+            PackingConfiguration(sigma=sigma, centers=np.zeros((2, 2)), diameter=0.5)
+        with pytest.raises(ValueError, match="sigma must be an integer >= 3"):
+            algorithm1(sigma, 5)
 
 
-@pytest.mark.parametrize("spec", [PolygonSpec(12, 0.0), None], ids=["sigma12", "circle"])
-def test_vectorized_primitives_match_scalar_scans(spec):
+@pytest.mark.parametrize("sigma", [12, CIRCLE], ids=["sigma12", "circle"])
+def test_vectorized_primitives_match_scalar_scans(sigma):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.2, 1.2, (300, 2))
     d, tol = 0.1, 0.2
@@ -122,34 +125,34 @@ def test_vectorized_primitives_match_scalar_scans(spec):
     ]
     assert brute
     assert geometry.contact_pairs(pts, d, tol) == brute
-    excess = geometry.outside_by(spec, pts)
+    excess = geometry.outside_by(sigma, pts)
     for tol in (0.0, 1e-3):
-        inside = [_scalar_inside(spec, (x, y), tol) for x, y in pts]
+        inside = [_scalar_inside(sigma, (x, y), tol) for x, y in pts]
         assert (excess <= tol).tolist() == inside
     assert 0 < sum(inside) < len(pts)
 
 
-def _scalar_inside(spec, point, tol=0.0):
-    """Per-point reference containment: the unit circle for None, else each edge's half-plane fattened by tol."""
+def _scalar_inside(sigma, point, tol=0.0):
+    """Per-point reference containment: the unit circle for CIRCLE, else each edge's half-plane fattened by tol."""
     x, y = point
-    if spec is None:
+    if sigma == CIRCLE:
         return math.hypot(x, y) <= 1.0 + tol
-    h = geometry.apothem(spec.sigma, spec.delta) + tol
-    base = geometry.vertex_angle(spec.sigma) + math.pi / spec.sigma
-    angles = [base + 2 * math.pi * i / spec.sigma for i in range(spec.sigma)]
+    h = geometry.apothem(sigma) + tol
+    base = geometry.vertex_angle(sigma) + math.pi / sigma
+    angles = [base + 2 * math.pi * i / sigma for i in range(sigma)]
     return all(x * math.cos(a) + y * math.sin(a) <= h for a in angles)
 
 
-def _scalar_projection(spec, point):
+def _scalar_projection(sigma, point):
     """Per-point reference: the edge test of ``_scalar_inside``, then a scan over the edge segments."""
-    if _scalar_inside(spec, point):
+    if _scalar_inside(sigma, point):
         return point
     x, y = point
-    verts = geometry.polygon_vertices(spec.sigma, spec.delta)
+    verts = geometry.polygon_vertices(sigma)
     best, best_d2 = verts[0], math.inf
-    for i in range(spec.sigma):
+    for i in range(sigma):
         ax, ay = verts[i]
-        bx, by = verts[(i + 1) % spec.sigma]
+        bx, by = verts[(i + 1) % sigma]
         ex, ey = bx - ax, by - ay
         t = min(1.0, max(0.0, ((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey)))
         qx, qy = ax + t * ex, ay + t * ey
@@ -161,7 +164,6 @@ def _scalar_projection(spec, point):
 
 @pytest.mark.parametrize("sigma", [3, 6, 12, 60])
 def test_array_projection_matches_scalar_scan(sigma):
-    spec = PolygonSpec(sigma, 0.0)
     rng = np.random.default_rng(sigma)
     verts = np.array(geometry.polygon_vertices(sigma))
     edge = rng.integers(sigma, size=400)
@@ -175,8 +177,8 @@ def test_array_projection_matches_scalar_scan(sigma):
         for scale in (1e-3, 1e-9, 1e-15)
     ]
     pts = np.vstack([rng.uniform(-1.5, 1.5, (800, 2))] + near)
-    got = geometry.project_into(spec, pts)
-    want = np.array([_scalar_projection(spec, (x, y)) for x, y in pts.tolist()])
+    got = geometry.project_into(sigma, pts)
+    want = np.array([_scalar_projection(sigma, (x, y)) for x, y in pts.tolist()])
     assert got.shape == pts.shape
     assert np.array_equal(got, want)
     moved = np.any(want != pts, axis=1)

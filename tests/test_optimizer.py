@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
 from chp_pack.errors import CoincidentPoints, PreconditionViolated
-from chp_pack.geometry import PolygonSpec, outside_by
+from chp_pack.geometry import outside_by
 from chp_pack.optimizer import (
     OptimizerParams,
     PinSet,
@@ -26,7 +26,7 @@ from chp_pack.validation import density, packing_radius, symmetry_residual, vali
 
 def random_instance(rng, n=10):
     pts = rng.uniform(-0.6, 0.6, (n, 2))
-    return PackingConfiguration(spec=PolygonSpec(12, 0.0), centers=pts, diameter=0.1, meta={})
+    return PackingConfiguration(sigma=12, centers=pts, diameter=0.1, meta={})
 
 
 def finite_difference(centers, s, lam, i, c, h):
@@ -240,7 +240,7 @@ def test_minimize_respects_container():
     rng = np.random.default_rng(21)
     cfg = random_instance(rng, n=25)
     out = ladder(cfg, None, OptimizerParams(s_final=1e4))
-    assert (outside_by(cfg.spec, out.centers) <= 1e-12).all()
+    assert (outside_by(cfg.sigma, out.centers) <= 1e-12).all()
 
 
 def test_two_disks_in_dodecagon():
@@ -268,7 +268,7 @@ def test_seed_guided_layout():
         (-math.sin(math.pi / 12), -math.cos(math.pi / 12)), abs=1e-16
     )
     assert np.hypot(*config.centers[6 * k]) == 0.0
-    assert (outside_by(config.spec, config.centers) <= 1e-12).all()
+    assert (outside_by(config.sigma, config.centers) <= 1e-12).all()
     # interior guess cannot already collide
     assert packing_radius(config.centers) > 0.5 * border.d
 
@@ -281,7 +281,7 @@ def test_algorithm2_identity_when_everything_pinned():
 
 
 def test_algorithm2_needs_two_disks():
-    one = PackingConfiguration(spec=PolygonSpec(12, 0.0), centers=np.zeros((1, 2)), diameter=0.5, meta={})
+    one = PackingConfiguration(sigma=12, centers=np.zeros((1, 2)), diameter=0.5, meta={})
     with pytest.raises(PreconditionViolated, match="two disks"):
         algorithm2(one, OptimizerParams(seed=1))
 

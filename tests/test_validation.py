@@ -14,7 +14,7 @@ from chp_pack import (
 )
 from chp_pack import validation
 from chp_pack.builder import PackingConfiguration
-from chp_pack.geometry import PolygonSpec, polygon_area
+from chp_pack.geometry import polygon_area
 from chp_pack.validation import (
     contact_count_histogram,
     density,
@@ -26,8 +26,7 @@ from chp_pack.validation import (
 
 
 def _cfg(centers, diameter, sigma=12):
-    spec = None if sigma == CIRCLE else PolygonSpec(sigma, 0.0)
-    return PackingConfiguration(spec=spec, centers=np.asarray(centers, float), diameter=diameter, meta={})
+    return PackingConfiguration(sigma=sigma, centers=np.asarray(centers, float), diameter=diameter, meta={})
 
 
 def test_packing_radius_simple():
