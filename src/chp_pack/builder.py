@@ -26,8 +26,10 @@ class PackingConfiguration:
     """N disk centers plus the common disk diameter.
 
     ``sigma`` names the center domain: the side count of the polygon of
-    circumradius 1, or CIRCLE for the unit circle.  ``meta`` records
-    provenance: construction mode, DNA, seeds, and similar.
+    circumradius 1, or CIRCLE for the unit circle.  ``centers`` is stored
+    as an (N, 2) float array, whatever sequence of pairs it is given as.
+    ``meta`` records provenance: construction mode, DNA, seeds, and
+    similar.
     """
 
     sigma: Sigma
@@ -37,6 +39,9 @@ class PackingConfiguration:
 
     def __post_init__(self) -> None:
         geometry.check_sigma(self.sigma)
+        self.centers = np.asarray(self.centers, dtype=float)
+        if self.centers.ndim != 2 or self.centers.shape[1] != 2:
+            raise ValueError(f"centers must have shape (N, 2), got {self.centers.shape}")
 
     @property
     def n_disks(self) -> int:
@@ -229,7 +234,7 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
         raise PreconditionViolated(f"sigma {sigma!r} is not the configuration's sigma {config.sigma!r}")
     border = solve_border(sigma, k)
     d = config.diameter
-    centers = np.asarray(config.centers, dtype=float)
+    centers = config.centers
     p1 = np.array(border.chain[0])
     dist_p1 = np.hypot(*(centers - p1).T)
     near = np.flatnonzero(dist_p1 <= max(tol, 1e-7))

@@ -437,7 +437,7 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
     base = _sorted_seq(degs)
     blocks = _blocks(raw["phi"], degs)
     walks = [_Transducer(degs, blocks, c, a) for c, a in zip(raw["hits"], raw["alphas"])]
-    images = set().union(*(w.rotate(base) for w in walks))
+    images = {w.rotate(base) for w in walks}
     eta = 1 if _reflect_seq(base, len(degs)) in images else 2
     return BorderSolution(
         sigma=sigma,
@@ -534,9 +534,8 @@ def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
     return tuple(ell - 1 - b for b in seq)
 
 
-# a transducer step: the (next state, output letter) pairs, one per contact
-# branch; the letter is None when the direction matches no block
-_Step = Tuple[Tuple[int, Union[int, None]], ...]
+# a transducer step: the next state and the output letter
+_Step = Tuple[int, int]
 
 
 class _Transducer:
@@ -544,20 +543,29 @@ class _Transducer:
 
     Re-tracing a DNA from vertex c walks the shell interfaces of the
     packing it encodes: at each interface the disk at position j of the
-    current shell ring touches one (rarely two) disks of the next ring
-    in, which fixes the chord direction contributed to the rotated DNA.
-    A step depends only on its state, the position j, the number t of
-    shell turns so far and the letter counts still unread, and on the
-    letter b it reads.  Its output is the block nearest to ``blocks[b] +
-    e*pi/3 + t*pi/3 - alpha`` for the branch e (0: the disk at j, 1: the
-    one at j - 1), which maps the direction back through the rotation
-    alpha that carries vertex c to P1.
+    current shell ring touches one disk of the next ring in, which fixes
+    the chord direction contributed to the rotated DNA.  A step depends
+    only on its state, the position j, the number t of shell turns so far
+    and the letter counts still unread, and on the letter b it reads.  Its
+    output is the block nearest to ``blocks[b] + e*pi/3 + t*pi/3 - alpha``
+    for the branch e (0: the disk at j, 1: the one at j - 1), which maps
+    the direction back through the rotation alpha that carries vertex c
+    to P1.
+
+    Exactly one branch applies at every step, so each sequence has one
+    image.  A chain point on a polygon vertex separates two runs of chord
+    directions, so c is a sum of leading degeneracies and j - 1 starts as
+    the count of the smallest letters still unread.  Reading a smaller
+    letter takes branch 1 and lowers j by one, reading one at or above
+    that boundary takes branch 0 and keeps j, and the wrap at j = m + 1
+    resets j to 1, so j - 1 stays such a count.  Both branches would need
+    j strictly inside a letter's run.  A state with both branches or with
+    neither, or a direction that matches no block, raises InconsistentDna.
 
     States are numbered as they are first reached, and each (state,
     letter) step is worked out the first time it is read, so walking many
     sequences through one transducer matches each direction to a block
-    once.  A direction that matches no block raises InconsistentDna only
-    when a completed path holds it.
+    once.
     """
 
     def __init__(self, counts: Sequence[int], blocks: Sequence[float], c: int, alpha: float) -> None:
@@ -585,50 +593,25 @@ class _Transducer:
             j -= m
             t += 1
         before = sum(remaining[:b])
+        stay, drop = j <= before + remaining[b], j - 1 >= 1 + before
+        if stay == drop:
+            raise InconsistentDna(f"{'two' if stay else 'no'} contact branches at position {j} from vertex {self.c}")
+        e = 0 if stay else 1
+        letter = _nearest_block(self.blocks[b] + e * PI_3 + t * PI_3 - self.alpha, self.blocks)
+        if letter is None:
+            raise InconsistentDna(f"a direction re-traced from vertex {self.c} matches no block")
         rest = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
-        blocks, alpha = self.blocks, self.alpha
-        step: List[Tuple[int, Union[int, None]]] = []
-        if j <= before + remaining[b]:
-            step.append((self._state(j, t, rest), _nearest_block(blocks[b] + t * PI_3 - alpha, blocks)))
-        if j - 1 >= 1 + before:
-            step.append((self._state(j - 1, t, rest), _nearest_block(blocks[b] + PI_3 + t * PI_3 - alpha, blocks)))
-        self.steps[s][b] = out = tuple(step)
+        self.steps[s][b] = out = (self._state(j - e, t, rest), letter)
         return out
 
-    def rotate(self, seq: Sequence[int]) -> Set[Tuple[int, ...]]:
-        """Every completed walk of ``seq`` from vertex c, as block sequences seen from P1.
-
-        The live paths are walked letter by letter; a second one appears
-        only where a letter with two or more copies left branches, so the
-        common case of one path steps without building a new list.
-        """
+    def rotate(self, seq: Sequence[int]) -> Tuple[int, ...]:
+        """The walk of ``seq`` from vertex c, as the block sequence seen from P1."""
         steps, fill = self.steps, self._fill
         s, out = self.start, []
-        paths: Union[List[Tuple[int, List[Union[int, None]]]], None] = None  # set at the first branch
         for b in seq:
-            if paths is None:
-                step = steps[s][b]
-                if step is None:
-                    step = fill(s, b)
-                if len(step) == 1:
-                    (s, letter), = step
-                    out.append(letter)
-                    continue
-                paths = [(s, out)]
-            live = []
-            for s, out in paths:
-                step = steps[s][b]
-                if step is None:
-                    step = fill(s, b)
-                live.extend((nxt, out + [letter]) for nxt, letter in step)
-            paths = live
-        results = {tuple(out)} if paths is None else {tuple(out) for _, out in paths}
-        if not results:
-            raise InconsistentDna(f"no contact path from vertex {self.c}")
-        for r in results:
-            if None in r:
-                raise InconsistentDna(f"a direction re-traced from vertex {self.c} matches no block")
-        return results
+            s, letter = steps[s][b] or fill(s, b)
+            out.append(letter)
+        return tuple(out)
 
 
 def _transducers(border: BorderSolution) -> List[_Transducer]:
@@ -640,7 +623,8 @@ def _transducers(border: BorderSolution) -> List[_Transducer]:
 def _orbit(border: BorderSolution, seq: Tuple[int, ...], walks: Sequence[_Transducer]) -> Set[Tuple[int, ...]]:
     """All DNA sequences equivalent to ``seq``: its vertex rotations and their mirrors.
 
-    ``walks`` are the border's transducers (see _transducers).  The mirror
+    ``walks`` are the border's transducers (see _transducers), and each
+    gives one rotation image, so the orbit holds at most 2 n_V.  The mirror
     half is the letter-wise reflection of the rotation images, not a
     second walk of the mirrored sequence.  The two agree because the
     degeneracies are palindromic (solve_border checks this): the
@@ -649,7 +633,7 @@ def _orbit(border: BorderSolution, seq: Tuple[int, ...], walks: Sequence[_Transd
     onto P1 from one vertex is the same as rotating it from the mirror
     vertex and then reflecting.
     """
-    images = set().union(*(w.rotate(seq) for w in walks))
+    images = {w.rotate(seq) for w in walks}
     ell = len(border.degeneracies)
     return images | {_reflect_seq(x, ell) for x in images}
 

@@ -264,7 +264,7 @@ def _cmd_pack(args) -> int:
 
 
 def _border_pins(config) -> PinSet:
-    excess = geometry.outside_by(config.sigma, np.asarray(config.centers, dtype=float))
+    excess = geometry.outside_by(config.sigma, config.centers)
     return PinSet.of(np.flatnonzero(np.abs(excess) <= 1e-7))
 
 

@@ -61,7 +61,7 @@ def dumps_config(config: PackingConfiguration) -> str:
     lines.append(f'  "diameter": {_fmt(config.diameter)},')
     lines.append('  "centers": [')
     last = config.n_disks - 1
-    for i, (x, y) in enumerate(np.asarray(config.centers, dtype=float)):
+    for i, (x, y) in enumerate(config.centers):
         comma = "," if i != last else ""
         lines.append(f"    [{_fmt(x)}, {_fmt(y)}]{comma}")
     lines.append("  ],")

@@ -146,24 +146,21 @@ def outside_by(sigma: Sigma, points: np.ndarray) -> np.ndarray:
     return (points @ frame.normals).max(axis=1) - frame.apothem
 
 
-def project_into(sigma: int, points: np.ndarray) -> np.ndarray:
-    """Closest points of the closed polygon to the rows of ``points``.
+def project_into(sigma: Sigma, points: np.ndarray) -> np.ndarray:
+    """Nearest boundary points of the polygon (unit circle for CIRCLE) to the rows of ``points``.
 
-    Takes an ``(m, 2)`` array and returns a new ``(m, 2)`` array.  Rows
-    with ``n . x <= apothem`` for every outward edge normal ``n`` come
-    back unchanged; every other row goes to the nearest point of the
-    nearest edge segment (the first edge on a tie), with the same
-    floating-point operations as a scalar scan over the edges, so results
-    match it to the last bit.
+    Takes an ``(m, 2)`` array and returns a new ``(m, 2)`` array.  Every
+    row moves, so callers pass only the rows that ``outside_by`` puts
+    outside.  The circle scales each row by ``1 / |x|``.  A polygon row
+    goes to the nearest point of the nearest edge segment (the first
+    edge on a tie), with the same floating-point operations as a scalar
+    scan over the edges, so results match it to the last bit.
     """
+    p = np.asarray(points, dtype=float)
+    if sigma == CIRCLE:
+        return p * (1.0 / np.hypot(p[:, 0], p[:, 1]))[:, None]
     frame = _frame(sigma)
-    out = np.array(points, dtype=float)
-    # elementwise like a scalar edge scan; a matmul may round differently
-    reach = out[:, :1] * frame.normals[0] + out[:, 1:] * frame.normals[1]
-    outside = (reach > frame.apothem).any(axis=1)
-    if not outside.any():
-        return out
-    p = out[outside][:, None, :]
+    p = p[:, None, :]
     # per point and edge a + t e, t the clipped parameter of the foot of p on the edge's line
     w = (p - frame.vertices) * frame.edges
     t = np.minimum(1.0, np.maximum(0.0, (w[..., 0] + w[..., 1]) / frame.edge_len2))
@@ -171,8 +168,7 @@ def project_into(sigma: int, points: np.ndarray) -> np.ndarray:
     # libm pow, like a scalar ``** 2``: ``x * x`` rounds differently in rare cases
     d2 = np.float_power(p - q, 2.0)
     best = (d2[..., 0] + d2[..., 1]).argmin(axis=1)
-    out[outside] = q[np.arange(len(best)), best]
-    return out
+    return q[np.arange(len(best)), best]
 
 
 def sixfold(points: Sequence[Point2]) -> List[Point2]:

@@ -66,9 +66,7 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
 
 
 def _centers_of(config) -> np.ndarray:
-    if isinstance(config, PackingConfiguration):
-        return np.asarray(config.centers, dtype=float)
-    return np.asarray(config, dtype=float)
+    return config.centers if isinstance(config, PackingConfiguration) else np.asarray(config, dtype=float)
 
 
 def _log_terms(
@@ -92,8 +90,12 @@ def _log_terms(
 
 
 def _free_mask(n: int, pins: Optional[PinSet]) -> np.ndarray:
+    """True for each of the n disks that ``pins`` leaves free; refuses a pin outside 0..n-1."""
     free = np.ones(n, dtype=bool)
     if pins is not None and pins.indices:
+        bad = sorted(i for i in pins.indices if not 0 <= i < n)
+        if bad:
+            raise PreconditionViolated(f"pinned indices {bad} out of range")
         free[list(pins.indices)] = False
     return free
 
@@ -118,9 +120,10 @@ def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None)
     overflows.
     """
     centers = _centers_of(config)
+    free = _free_mask(len(centers), pins)
     if len(centers) < 2:
         return np.zeros_like(centers)
-    value, grad = _objective(centers, s, lam, _free_mask(len(centers), pins))
+    value, grad = _objective(centers, s, lam, free)
     with np.errstate(over="ignore"):
         out = math.exp(value) * grad
     if np.isinf(out).any():
@@ -171,10 +174,7 @@ def _project_all(centers: np.ndarray, sigma: Sigma, free: np.ndarray) -> np.ndar
     if not np.any(bad):
         return centers
     out = centers.copy()
-    if sigma == CIRCLE:
-        out[bad] *= (1.0 / np.hypot(out[bad, 0], out[bad, 1]))[:, None]
-    else:
-        out[bad] = geometry.project_into(sigma, out[bad])
+    out[bad] = geometry.project_into(sigma, out[bad])
     return out
 
 
@@ -189,9 +189,6 @@ def minimize(
     params = params or OptimizerParams()
     pins = pins or PinSet()
     x = _centers_of(config).copy()
-    bad = [i for i in pins.indices if not 0 <= i < len(x)]
-    if bad:
-        raise PreconditionViolated(f"pinned indices {bad} out of range")
     free = _free_mask(len(x), pins)
 
     sigma = config.sigma

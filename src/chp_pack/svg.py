@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
 from . import geometry
 from .builder import PackingConfiguration
 from .geometry import CIRCLE
@@ -28,7 +26,7 @@ def render_svg(
     fundamental: bool = False,
     size: int = 640,
 ) -> str:
-    centers = np.asarray(config.centers, dtype=float)
+    centers = config.centers
     r = config.diameter / 2.0
     sigma = config.sigma
     extent = 1.0 + r if sigma == CIRCLE else geometry.circumradius(sigma, r)

@@ -85,7 +85,6 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
         raise ValueError("equivalence over the circle's continuous symmetries is not supported")
     sigma = a.sigma
     axis = geometry.vertex_angle(sigma)
-    bc = np.asarray(b.centers, dtype=float)
     for mirrored in (False, True):
         base = a.centers.copy()
         if mirrored:
@@ -95,7 +94,7 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
             ang = 2.0 * math.pi * i / sigma
             c, s = math.cos(ang), math.sin(ang)
             cand = base @ np.array([[c, s], [-s, c]])
-            if _matching_residual(cand, bc, TOL) is not None:
+            if _matching_residual(cand, b.centers, TOL) is not None:
                 return True
     return False
 

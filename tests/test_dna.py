@@ -162,7 +162,7 @@ def test_reflection_is_rotation_flags():
     # eta = 1 rows have the reflected string inside the rotation orbit
     def reflection_is_rotation(letters, border):
         seq = chp._seq_of(letters)
-        images = set().union(*(walk.rotate(seq) for walk in chp._transducers(border)))
+        images = {walk.rotate(seq) for walk in chp._transducers(border)}
         return chp._reflect_seq(seq, len(border.degeneracies)) in images
 
     assert reflection_is_rotation("ab", solve_border(12, 2))
@@ -170,19 +170,13 @@ def test_reflection_is_rotation_flags():
     assert reflection_is_rotation("aabb", solve_border(12, 4))
 
 
-def _reference_trace(k, counts, blocks, seq, c, alpha):
-    """The float walk: every step's direction is matched to a block at the leaf."""
-    results = set()
+def _reference_walks(k, counts, blocks, seq, c):
+    """Every contact path of the float walk of ``seq`` from chain point c, as raw directions."""
+    paths = []
 
     def walk(i, j, t, remaining, out):
         if i == k:
-            mapped = []
-            for v in out:
-                b = chp._nearest_block(v - alpha, blocks)
-                if b is None:
-                    raise InconsistentDna(f"re-traced direction {v - alpha!r} matches no block")
-                mapped.append(b)
-            results.add(tuple(mapped))
+            paths.append(tuple(out))
             return
         m = k - i
         while j > m:
@@ -204,6 +198,20 @@ def _reference_trace(k, counts, blocks, seq, c, alpha):
         remaining[b] += 1
 
     walk(0, c + 1, 0, list(counts), [])
+    return paths
+
+
+def _reference_trace(k, counts, blocks, seq, c, alpha):
+    """The float walk: every path's directions are matched to a block at the leaf."""
+    results = set()
+    for path in _reference_walks(k, counts, blocks, seq, c):
+        mapped = []
+        for v in path:
+            b = chp._nearest_block(v - alpha, blocks)
+            if b is None:
+                raise InconsistentDna(f"re-traced direction {v - alpha!r} matches no block")
+            mapped.append(b)
+        results.add(tuple(mapped))
     if not results:
         raise InconsistentDna(f"no contact path from vertex {c}")
     return results
@@ -260,29 +268,18 @@ def test_orbit_walk_property(sigma, k, rnd):
     assert chp._orbit(border, perm, chp._transducers(border)) == _reference_orbit(border, perm)
 
 
-def _outcome(trace, *args):
-    try:
-        return trace(*args)
-    except InconsistentDna:
-        return InconsistentDna
-
-
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24])
 def test_letter_memo_matches_float_walk_from_any_start(sigma):
-    # one transducer serves every sequence walked from the same start, as
-    # in enumerate_dnas; starts that are not occupied vertices reach branch
-    # and turn combinations that the orbits never do, and mostly raise
+    # one transducer serves every sequence walked from the same occupied
+    # vertex, as in enumerate_dnas, and gives the float walk's one image
     for k in range(2, 8):
         border = solve_border(sigma, k)
         perms = _all_arrangements(border)
-        for c in range(k):
-            for alpha in sorted({0.0, *border.vertex_angles}):
-                walk = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
-                for perm in perms:
-                    args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
-                    assert _outcome(walk.rotate, perm) == _outcome(_reference_trace, *args), (
-                        sigma, k, c, alpha, perm,
-                    )
+        for c, alpha in zip(border.vertex_hits, border.vertex_angles):
+            walk = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
+            for perm in perms:
+                args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
+                assert {walk.rotate(perm)} == _reference_trace(*args), (sigma, k, c, perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,16 +290,49 @@ def test_letter_memo_matches_float_walk_from_any_start(sigma):
 )
 def test_shared_transducer_matches_fresh_one(sigma, k, data):
     # what a transducer has filled in for earlier sequences must not change
-    # the images, or the InconsistentDna, of a later one
+    # the image of a later one
     border = solve_border(sigma, k)
-    c = data.draw(st.integers(0, k - 1))
-    alpha = data.draw(st.sampled_from(sorted({0.0, *border.vertex_angles})))
+    v = data.draw(st.integers(0, border.n_V - 1))
+    c, alpha = border.vertex_hits[v], border.vertex_angles[v]
     base = chp._sorted_seq(border.degeneracies)
     perms = data.draw(st.lists(st.permutations(base).map(tuple), min_size=1, max_size=30))
     shared = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
     for perm in perms:
         fresh = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
-        assert _outcome(shared.rotate, perm) == _outcome(fresh.rotate, perm), (sigma, k, c, alpha, perm)
+        assert shared.rotate(perm) == fresh.rotate(perm), (sigma, k, c, perm)
+
+
+@pytest.mark.parametrize("sigma", [*range(6, 97, 6), CIRCLE])
+def test_walk_from_an_occupied_vertex_never_forks(sigma):
+    # the premise of the count formula: re-tracing an arrangement from each
+    # of the n_V occupied vertices gives exactly one arrangement
+    rng = random.Random(11)
+    for k in range(1, 13):
+        border = solve_border(sigma, k)
+        counts, blocks = border.degeneracies, border.blocks()
+        prefix_sums = {sum(counts[:i]) for i in range(len(counts))}
+        assert set(border.vertex_hits) <= prefix_sums, (sigma, k)
+        arrangements = math.factorial(k)
+        for n in counts:
+            arrangements //= math.factorial(n)
+        if arrangements <= 40:
+            perms = list(chp._multiset_permutations(counts))
+        else:
+            perms = [tuple(rng.sample(chp._sorted_seq(counts), k)) for _ in range(40)]
+        for perm in perms:
+            for c in border.vertex_hits:
+                assert len(_reference_walks(k, counts, blocks, perm, c)) == 1, (sigma, k, c, perm)
+
+
+def test_two_branch_state_raises():
+    # from chain point 1 of (12, 4), which is no vertex, the float walk of
+    # "aabb" forks; the transducer refuses rather than follow both branches
+    border = solve_border(12, 4)
+    assert 1 not in border.vertex_hits
+    assert len(_reference_walks(4, border.degeneracies, border.blocks(), (0, 0, 1, 1), 1)) == 2
+    walk = chp._Transducer(border.degeneracies, border.blocks(), 1, 0.0)
+    with pytest.raises(InconsistentDna, match="two contact branches"):
+        walk.rotate((0, 0, 1, 1))
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])

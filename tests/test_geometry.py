@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chp_pack import geometry
+from chp_pack import geometry, optimizer
 from chp_pack.builder import PackingConfiguration
 from chp_pack.geometry import CIRCLE
-from chp_pack.optimizer import algorithm1
 
 
 def test_fundamental_vertex_is_a_polygon_vertex():
@@ -66,9 +65,13 @@ def test_outside_by_and_project_into():
     assert geometry.outside_by(sigma, np.array([outside]))[0] > 1e-9
     proj = geometry.project_into(sigma, np.array([outside]))
     assert geometry.outside_by(sigma, proj)[0] <= 1e-9
-    # projection is the identity on interior points
+    # the optimizer's projection leaves interior rows and pinned rows as they are
     inside = (0.1, -0.2)
-    assert tuple(geometry.project_into(sigma, np.array([inside]))[0]) == inside
+    rows = np.array([inside, outside, outside])
+    got = optimizer._project_all(rows, sigma, np.array([True, False, True]))
+    assert tuple(got[0]) == inside
+    assert tuple(got[1]) == outside
+    assert tuple(got[2]) == tuple(proj[0])
 
 
 def test_projection_is_nearest_boundary_point():
@@ -109,7 +112,7 @@ def test_sigma_rule():
         with pytest.raises(ValueError, match="sigma must be an integer >= 3"):
             PackingConfiguration(sigma=sigma, centers=np.zeros((2, 2)), diameter=0.5)
         with pytest.raises(ValueError, match="sigma must be an integer >= 3"):
-            algorithm1(sigma, 5)
+            optimizer.algorithm1(sigma, 5)
 
 
 @pytest.mark.parametrize("sigma", [12, CIRCLE], ids=["sigma12", "circle"])
@@ -144,10 +147,12 @@ def _scalar_inside(sigma, point, tol=0.0):
 
 
 def _scalar_projection(sigma, point):
-    """Per-point reference: the edge test of ``_scalar_inside``, then a scan over the edge segments."""
-    if _scalar_inside(sigma, point):
-        return point
+    """Per-point reference: the point scaled to unit length for CIRCLE, else a scan over the edge segments."""
     x, y = point
+    if sigma == CIRCLE:
+        # libm hypot, as numpy calls it; math.hypot rounds about 0.6% of points differently
+        scale = 1.0 / float(np.hypot(x, y))
+        return x * scale, y * scale
     verts = geometry.polygon_vertices(sigma)
     best, best_d2 = verts[0], math.inf
     for i in range(sigma):
@@ -162,28 +167,28 @@ def _scalar_projection(sigma, point):
     return best
 
 
-@pytest.mark.parametrize("sigma", [3, 6, 12, 60])
+@pytest.mark.parametrize("sigma", [3, 6, 12, 60, CIRCLE])
 def test_array_projection_matches_scalar_scan(sigma):
-    rng = np.random.default_rng(sigma)
-    verts = np.array(geometry.polygon_vertices(sigma))
-    edge = rng.integers(sigma, size=400)
-    along = rng.uniform(0.0, 1.0, (400, 1))
-    on_edges = verts[edge] + along * (verts[(edge + 1) % sigma] - verts[edge])
-    near_vertices = verts[rng.integers(sigma, size=400)]
-    # random points, then points within 1e-3 .. 1e-15 of an edge or a vertex
-    near = [
-        base + rng.normal(0.0, scale, base.shape)
-        for base in (on_edges, near_vertices)
-        for scale in (1e-3, 1e-9, 1e-15)
-    ]
+    # the rows outside_by puts outside, as the optimizer passes them
+    rng = np.random.default_rng(0 if sigma == CIRCLE else sigma)
+    if sigma == CIRCLE:
+        u = rng.uniform(0.0, 2.0 * math.pi, 800)
+        bases = (np.column_stack([np.cos(u), np.sin(u)]),)
+    else:
+        verts = np.array(geometry.polygon_vertices(sigma))
+        edge = rng.integers(sigma, size=400)
+        along = rng.uniform(0.0, 1.0, (400, 1))
+        on_edges = verts[edge] + along * (verts[(edge + 1) % sigma] - verts[edge])
+        bases = (on_edges, verts[rng.integers(sigma, size=400)])
+    # random points, then points within 1e-3 .. 1e-15 of the boundary or a vertex
+    near = [base + rng.normal(0.0, scale, base.shape) for base in bases for scale in (1e-3, 1e-9, 1e-15)]
     pts = np.vstack([rng.uniform(-1.5, 1.5, (800, 2))] + near)
-    got = geometry.project_into(sigma, pts)
-    want = np.array([_scalar_projection(sigma, (x, y)) for x, y in pts.tolist()])
-    assert got.shape == pts.shape
+    flagged = pts[geometry.outside_by(sigma, pts) > 0.0]
+    assert 0 < len(flagged) < len(pts)
+    got = geometry.project_into(sigma, flagged)
+    want = np.array([_scalar_projection(sigma, (x, y)) for x, y in flagged.tolist()])
+    assert got.shape == flagged.shape
     assert np.array_equal(got, want)
-    moved = np.any(want != pts, axis=1)
-    assert 0 < moved.sum() < len(pts)
-    assert np.array_equal(got[~moved], pts[~moved])
 
 
 def test_min_distance_matches_difference_tensor():

@@ -190,6 +190,19 @@ def test_pinned_rows_zeroed():
     assert np.all(np.any(g[[0, 2, 3, 4, 5, 6, 8, 9]] != 0.0, axis=1))
 
 
+def test_pins_out_of_range_are_refused():
+    # one range check serves minimize, energy_gradient and algorithm2
+    cfg = random_instance(np.random.default_rng(3))
+    lam = packing_radius(cfg.centers) ** 2
+    for pins in (PinSet.of([1000]), PinSet.of([-1])):
+        with pytest.raises(PreconditionViolated, match="out of range"):
+            minimize(cfg, 10.0, lam, pins)
+        with pytest.raises(PreconditionViolated, match="out of range"):
+            energy_gradient(cfg, 10.0, lam, pins)
+        with pytest.raises(PreconditionViolated, match="out of range"):
+            algorithm2(cfg, OptimizerParams(seed=1), pins)
+
+
 def test_minimize_keeps_pins_bit_identical():
     rng = np.random.default_rng(8)
     cfg = random_instance(rng)

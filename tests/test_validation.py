@@ -140,6 +140,18 @@ def test_validate_config_single_disk():
     assert outside.worst_containment_violation > 0.0
 
 
+def test_configuration_owns_the_centers_format():
+    # list centers are stored as the (N, 2) float array every consumer reads;
+    # any other shape is refused when the configuration is made
+    config = build_chp(12, 2)
+    listed = PackingConfiguration(sigma=12, centers=config.centers.tolist(), diameter=config.diameter, meta={})
+    assert validate_config(listed).to_json_dict() == validate_config(config).to_json_dict()
+    assert listed.centers.dtype == np.float64 and listed.centers.tobytes() == config.centers.tobytes()
+    for bad in (np.zeros((3, 3)), np.zeros(4), [[0.0, 0.0, 0.0]], [0.1, 0.2]):
+        with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+            PackingConfiguration(sigma=12, centers=bad, diameter=0.5)
+
+
 def _matching_cases():
     rng = np.random.default_rng(7)
     built = build_chp(12, 8).centers
