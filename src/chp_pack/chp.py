@@ -436,9 +436,10 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
         raise NoSolution(f"degeneracies {degs} not symmetric for sigma={sigma}, k={k}")
     base = _sorted_seq(degs)
     blocks = _blocks(raw["phi"], degs)
-    walks = [_Transducer(degs, blocks, c, a) for c, a in zip(raw["hits"], raw["alphas"])]
-    images = {w.rotate(base) for w in walks}
-    eta = 1 if _reflect_seq(base, len(degs)) in images else 2
+    mirrored = _letter_maps(degs, blocks, raw["hits"], raw["alphas"])[len(raw["hits"]):]
+    # the mirror image of the sorted sequence is one of its rotations
+    # exactly when a rotation followed by the mirror fixes it
+    eta = 1 if base in _orbit(base, mirrored) else 2
     return BorderSolution(
         sigma=sigma,
         k=k,
@@ -530,112 +531,65 @@ def _wrap_pi(a: float) -> float:
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def _reflect_seq(seq: Sequence[int], ell: int) -> Tuple[int, ...]:
-    return tuple(ell - 1 - b for b in seq)
+def _vertex_shifts(
+    degeneracies: Sequence[int], blocks: Sequence[float], hits: Sequence[int], alphas: Sequence[float]
+) -> Tuple[int, ...]:
+    """The letter shift L of each occupied vertex: its rotation maps letter b to (b - L) mod ell.
 
+    Re-tracing a DNA from the occupied vertex c walks the shell interfaces
+    of the packing it encodes: at each interface the disk at position j
+    of the current shell ring touches one disk of the next ring in, which
+    fixes a chord direction of the rotated DNA, mapped back through the
+    rotation alpha that carries vertex c to P1.  A chain point on a
+    polygon vertex separates two runs of chord directions, so c is the
+    sum of the first L degeneracies, and j - 1 starts as the count of the
+    letters below L.  A letter b >= L keeps the contact on the disk at j
+    and adds nothing.  A letter b < L moves it to the disk at j - 1, or,
+    once no letter >= L is left and the walk has wrapped into its one
+    extra shell turn, keeps it and adds that turn; both add pi/3.  So the
+    walk reads b as the block nearest blocks[b] + (pi/3 if b < L) - alpha
+    whatever the letters around it, and that block is (b - L) mod ell.
 
-# a transducer step: the next state and the output letter
-_Step = Tuple[int, int]
-
-
-class _Transducer:
-    """The contact walk from the occupied vertex c, as a lazily filled transducer.
-
-    Re-tracing a DNA from vertex c walks the shell interfaces of the
-    packing it encodes: at each interface the disk at position j of the
-    current shell ring touches one disk of the next ring in, which fixes
-    the chord direction contributed to the rotated DNA.  A step depends
-    only on its state, the position j, the number t of shell turns so far
-    and the letter counts still unread, and on the letter b it reads.  Its
-    output is the block nearest to ``blocks[b] + e*pi/3 + t*pi/3 - alpha``
-    for the branch e (0: the disk at j, 1: the one at j - 1), which maps
-    the direction back through the rotation alpha that carries vertex c
-    to P1.
-
-    Exactly one branch applies at every step, so each sequence has one
-    image.  A chain point on a polygon vertex separates two runs of chord
-    directions, so c is a sum of leading degeneracies and j - 1 starts as
-    the count of the smallest letters still unread.  Reading a smaller
-    letter takes branch 1 and lowers j by one, reading one at or above
-    that boundary takes branch 0 and keeps j, and the wrap at j = m + 1
-    resets j to 1, so j - 1 stays such a count.  Both branches would need
-    j strictly inside a letter's run.  A state with both branches or with
-    neither, or a direction that matches no block, raises InconsistentDna.
-
-    States are numbered as they are first reached, and each (state,
-    letter) step is worked out the first time it is read, so walking many
-    sequences through one transducer matches each direction to a block
-    once.
+    Raises InconsistentDna when c splits a run of equal directions or a
+    rotated block is not the shifted one.
     """
-
-    def __init__(self, counts: Sequence[int], blocks: Sequence[float], c: int, alpha: float) -> None:
-        self.blocks = blocks
-        self.c = c
-        self.alpha = alpha
-        self.ids: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        self.states: List[Tuple[int, int, Tuple[int, ...]]] = []
-        self.steps: List[List[Union[_Step, None]]] = []
-        self.start = self._state(c + 1, 0, tuple(counts))
-
-    def _state(self, j: int, t: int, remaining: Tuple[int, ...]) -> int:
-        key = (j, t, remaining)
-        s = self.ids.get(key)
-        if s is None:
-            s = self.ids[key] = len(self.states)
-            self.states.append(key)
-            self.steps.append([None] * len(remaining))
-        return s
-
-    def _fill(self, s: int, b: int) -> _Step:
-        j, t, remaining = self.states[s]
-        m = sum(remaining)  # letters left to read, k - i
-        while j > m:
-            j -= m
-            t += 1
-        before = sum(remaining[:b])
-        stay, drop = j <= before + remaining[b], j - 1 >= 1 + before
-        if stay == drop:
-            raise InconsistentDna(f"{'two' if stay else 'no'} contact branches at position {j} from vertex {self.c}")
-        e = 0 if stay else 1
-        letter = _nearest_block(self.blocks[b] + e * PI_3 + t * PI_3 - self.alpha, self.blocks)
-        if letter is None:
-            raise InconsistentDna(f"a direction re-traced from vertex {self.c} matches no block")
-        rest = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
-        self.steps[s][b] = out = (self._state(j - e, t, rest), letter)
-        return out
-
-    def rotate(self, seq: Sequence[int]) -> Tuple[int, ...]:
-        """The walk of ``seq`` from vertex c, as the block sequence seen from P1."""
-        steps, fill = self.steps, self._fill
-        s, out = self.start, []
-        for b in seq:
-            s, letter = steps[s][b] or fill(s, b)
-            out.append(letter)
-        return tuple(out)
+    ell = len(blocks)
+    first = {sum(degeneracies[:L]): L for L in range(ell)}
+    shifts: List[int] = []
+    for c, alpha in zip(hits, alphas):
+        L = first.get(c)
+        if L is None:
+            raise InconsistentDna(f"vertex {c} splits a run of equal chord directions")
+        for b, value in enumerate(blocks):
+            if _nearest_block(value + (PI_3 if b < L else 0.0) - alpha, blocks) != (b - L) % ell:
+                raise InconsistentDna(f"block {b} re-traced from vertex {c} is not block {(b - L) % ell}")
+        shifts.append(L)
+    return tuple(shifts)
 
 
-def _transducers(border: BorderSolution) -> List[_Transducer]:
-    """One fresh transducer per occupied vertex of ``border``."""
-    blocks = border.blocks()
-    return [_Transducer(border.degeneracies, blocks, c, a) for c, a in zip(border.vertex_hits, border.vertex_angles)]
+def _letter_maps(
+    degeneracies: Sequence[int], blocks: Sequence[float], hits: Sequence[int], alphas: Sequence[float]
+) -> List[Tuple[int, ...]]:
+    """The 2 n_V letter maps of a DNA's orbit: each vertex rotation, then each followed by the mirror.
 
-
-def _orbit(border: BorderSolution, seq: Tuple[int, ...], walks: Sequence[_Transducer]) -> Set[Tuple[int, ...]]:
-    """All DNA sequences equivalent to ``seq``: its vertex rotations and their mirrors.
-
-    ``walks`` are the border's transducers (see _transducers), and each
-    gives one rotation image, so the orbit holds at most 2 n_V.  The mirror
-    half is the letter-wise reflection of the rotation images, not a
-    second walk of the mirrored sequence.  The two agree because the
-    degeneracies are palindromic (solve_border checks this): the
-    reflection of the sector about its bisector maps the set of occupied
-    vertices onto itself, so reflecting a packing and then rotating it
-    onto P1 from one vertex is the same as rotating it from the mirror
-    vertex and then reflecting.
+    The mirror b -> ell - 1 - b reflects the sector about its bisector.
+    Reflecting a rotation image stands for walking the mirrored sequence
+    because the degeneracies are palindromic (solve_border checks this):
+    the reflection maps the set of occupied vertices onto itself.
     """
-    images = {w.rotate(seq) for w in walks}
-    ell = len(border.degeneracies)
-    return images | {_reflect_seq(x, ell) for x in images}
+    ell = len(blocks)
+    rotations = [tuple((b - L) % ell for b in range(ell)) for L in _vertex_shifts(degeneracies, blocks, hits, alphas)]
+    return rotations + [tuple(ell - 1 - x for x in m) for m in rotations]
+
+
+def _orbit(seq: Sequence[int], maps: Sequence[Tuple[int, ...]]) -> Set[Tuple[int, ...]]:
+    """The images of ``seq`` under the letter maps: with _letter_maps, every DNA equivalent to it."""
+    return {tuple([m[b] for b in seq]) for m in maps}
+
+
+def _border_maps(border: BorderSolution) -> List[Tuple[int, ...]]:
+    """The letter maps of a solved border (see _letter_maps)."""
+    return _letter_maps(border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles)
 
 
 def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
@@ -644,8 +598,7 @@ def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
         dna = dna_from_letters(dna, border)
     else:
         dna = dna_from_values(dna.values, border)
-    seq = _seq_of(dna.letters)
-    best = min(_orbit(border, seq, _transducers(border)))
+    best = min(_orbit(_seq_of(dna.letters), _border_maps(border)))
     return dna_from_letters(_letters_of(best), border)
 
 
@@ -681,11 +634,11 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     seen: Set[Tuple[int, ...]] = set()
     reps: List[Dna] = []
     blocks = border.blocks()
-    walks = _transducers(border)
+    maps = _border_maps(border)
     for perm in _multiset_permutations(border.degeneracies):
         if perm in seen:
             continue
-        orbit = _orbit(border, perm, walks)
+        orbit = _orbit(perm, maps)
         # ascending iteration meets each class at its lexicographic minimum
         if perm != min(orbit):
             raise InconsistentDna(f"orbit of {_letters_of(perm)} has smaller member {_letters_of(min(orbit))}")

@@ -27,7 +27,6 @@ _PROVENANCE_KEYS = {
     "mode": (str, "a string"),
     "seed": (int, "an integer"),
     "trial": (int, "an integer"),
-    "params": ((dict, str), "an object or a string"),
     "theta": ((int, float), "a finite number"),
     "scale": ((int, float), "a finite number"),
 }
@@ -71,13 +70,7 @@ def dumps_config(config: PackingConfiguration) -> str:
     for key in _PROVENANCE_KEYS:
         if key not in meta or meta[key] is None:
             continue
-        val = meta[key]
-        if key == "params" and not isinstance(val, str):
-            items = val if isinstance(val, dict) else vars(val)
-            inner = ", ".join(f"{json.dumps(k)}: {_json_scalar(items[k])}" for k in sorted(items))
-            prov.append(f'{json.dumps(key)}: {{{inner}}}')
-        else:
-            prov.append(f"{json.dumps(key)}: {_json_scalar(val)}")
+        prov.append(f"{json.dumps(key)}: {_json_scalar(meta[key])}")
     lines.append('  "provenance": {' + ", ".join(prov) + "}")
     lines.append("}")
     return "\n".join(lines) + "\n"

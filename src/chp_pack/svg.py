@@ -65,8 +65,14 @@ def render_svg(
                 f'fill="#f5d76e" fill-opacity="0.45" stroke="none"/>'
             )
         else:
+            # P1, the vertices within pi/3 of it, and the boundary point at
+            # P1's angle + pi/3, which is a vertex only when 6 divides sigma
             verts = geometry.polygon_vertices(sigma, r)
-            wedge = [(0.0, 0.0)] + [verts[i] for i in range(sigma // 6 + 1)]
+            wedge = [(0.0, 0.0)] + verts[: sigma // 6 + 1]
+            if sigma % 6:
+                scale = geometry.circumradius(sigma, r)
+                x, y = geometry.interior_point(0.5 * math.pi, geometry.vertex_angle(sigma) + math.pi / 3.0, sigma)
+                wedge.append((scale * x, scale * y))
             pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in wedge)
             parts.append(
                 f'<polygon class="fundamental" points="{pts}" '

@@ -208,7 +208,7 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
 
     built = json.loads(dumps_config(build_chp(12, 1)))
     for doc in (
-        dict(built, provenance={"params": 5}),
+        dict(built, provenance={"theta": [0]}),
         dict(built, dna=5),
         dict(built, provenance={"seed": [1, 2]}),
     ):
@@ -245,8 +245,28 @@ def test_pack_validate_render_side_count_not_multiple_of_six(tmp_path, capsys):
     svg = svg_path.read_text()
     container = svg.split('<polygon class="container" points="')[1].split('"')[0]
     wedge = svg.split('<polygon class="fundamental" points="')[1].split('"')[0]
-    assert (len(container.split()), len(wedge.split())) == (15, 15 // 6 + 2)
+    assert (len(container.split()), len(wedge.split())) == (15, 15 // 6 + 3)
     assert svg.count('class="disk"') == 7
+
+
+@pytest.mark.parametrize("sigma", [3, 4, 5, 9, 12, 15, 20, 36])
+def test_fundamental_wedge_spans_sixty_degrees(sigma):
+    # the wedge runs from the origin to P1 and on along the container to
+    # the boundary point pi/3 further round, wherever that falls
+    r = 0.05
+    config = PackingConfiguration(sigma=sigma, centers=[(0.0, 0.0)], diameter=2 * r)
+    svg = render_svg(config, fundamental=True)
+    wedge = svg.split('<polygon class="fundamental" points="')[1].split('"')[0]
+    pts = [tuple(map(float, p.split(","))) for p in wedge.split()]
+    assert pts[0] == (0.0, 0.0)
+    assert len(pts) >= 3
+    start = math.atan2(pts[1][1], pts[1][0])
+    end = math.atan2(pts[-1][1], pts[-1][0])
+    assert (end - start) % (2 * math.pi) == pytest.approx(math.pi / 3, abs=1e-7)
+    # the end lies on the drawn container, the polygon offset by r
+    outer = chp_pack.geometry.circumradius(sigma, r)
+    gap = chp_pack.geometry.outside_by(sigma, np.array([pts[-1]]) / outer)[0]
+    assert abs(gap) < 1e-7
 
 
 def test_pack_deterministic(tmp_path, capsys):
@@ -327,7 +347,7 @@ def test_config_field_errors():
         ("k", 2.5),
         ("k", True),
         ("k", 0),
-        ("provenance", {"params": 5}),
+        ("provenance", {"mode": 5}),
         ("provenance", []),
         ("dna", 5),
         ("dna", ["a", "b"]),
@@ -355,11 +375,14 @@ def test_config_field_errors():
 
 def test_provenance_cannot_override_checked_fields():
     # "dna" and "k" are not provenance keys: inside provenance they are
-    # ignored, so the document written back keeps the checked top-level ones
+    # ignored, so the document written back keeps the checked top-level ones;
+    # "params", which no command writes, is ignored like any unknown key
     doc = json.loads(dumps_config(build_chp("circle", 2)))
-    for extra in ({"dna": 5}, {"k": 7}, {"k": "abc"}):
+    for extra in ({"dna": 5}, {"k": 7}, {"k": "abc"}, {"params": 5}, {"params": {"s_final": 1000.0}}):
         odd = dict(doc, provenance=dict(doc["provenance"], **extra))
-        assert json.loads(dumps_config(loads_config(json.dumps(odd)))) == doc, extra
+        config = loads_config(json.dumps(odd))
+        assert "params" not in config.meta, extra
+        assert json.loads(dumps_config(config)) == doc, extra
 
 
 def test_circle_config_round_trip():

@@ -55,8 +55,12 @@ def _mirror_values(values, sigma):
     return [math.pi - v - shift for v in values]
 
 
+def _reflect_seq(seq, ell):
+    return tuple(ell - 1 - b for b in seq)
+
+
 def _reflect_letters(letters, border):
-    return chp._letters_of(chp._reflect_seq(chp._seq_of(letters), len(border.degeneracies)))
+    return chp._letters_of(_reflect_seq(chp._seq_of(letters), len(border.degeneracies)))
 
 
 def test_reflect_letters_complement():
@@ -77,7 +81,7 @@ def test_reflect_values_dodecagon():
     # letter b <-> ell - 1 - b is the angle map on the building blocks
     for sigma, k in ((12, 5), (18, 4), (24, 6), (CIRCLE, 5)):
         blocks = solve_border(sigma, k).blocks()
-        mirrored = [blocks[b] for b in chp._reflect_seq(range(len(blocks)), len(blocks))]
+        mirrored = [blocks[b] for b in _reflect_seq(range(len(blocks)), len(blocks))]
         assert _mirror_values(blocks, sigma) == pytest.approx(mirrored, abs=1e-12)
 
 
@@ -162,8 +166,8 @@ def test_reflection_is_rotation_flags():
     # eta = 1 rows have the reflected string inside the rotation orbit
     def reflection_is_rotation(letters, border):
         seq = chp._seq_of(letters)
-        images = {walk.rotate(seq) for walk in chp._transducers(border)}
-        return chp._reflect_seq(seq, len(border.degeneracies)) in images
+        rotations = chp._border_maps(border)[: border.n_V]
+        return _reflect_seq(seq, len(border.degeneracies)) in chp._orbit(seq, rotations)
 
     assert reflection_is_rotation("ab", solve_border(12, 2))
     assert not reflection_is_rotation("abc", solve_border(12, 3))
@@ -222,7 +226,7 @@ def _reference_orbit(border, seq):
     counts = border.degeneracies
     blocks = border.blocks()
     orbit = set()
-    for s in (seq, chp._reflect_seq(seq, len(counts))):
+    for s in (seq, _reflect_seq(seq, len(counts))):
         for c, alpha in zip(border.vertex_hits, border.vertex_angles):
             orbit |= _reference_trace(border.k, counts, blocks, s, c, alpha)
     return orbit
@@ -249,9 +253,9 @@ def test_orbit_walk_matches_float_reference(sigma):
         perms = _all_arrangements(border)
         if len(perms) > 3000:
             perms = rng.sample(perms, 3000)
-        walks = chp._transducers(border)
+        maps = chp._border_maps(border)
         for perm in perms:
-            assert chp._orbit(border, perm, walks) == _reference_orbit(border, perm), (sigma, k, perm)
+            assert chp._orbit(perm, maps) == _reference_orbit(border, perm), (sigma, k, perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,53 +269,36 @@ def test_orbit_walk_property(sigma, k, rnd):
     perm = list(chp._sorted_seq(border.degeneracies))
     rnd.shuffle(perm)
     perm = tuple(perm)
-    assert chp._orbit(border, perm, chp._transducers(border)) == _reference_orbit(border, perm)
+    assert chp._orbit(perm, chp._border_maps(border)) == _reference_orbit(border, perm)
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24])
 def test_letter_memo_matches_float_walk_from_any_start(sigma):
-    # one transducer serves every sequence walked from the same occupied
-    # vertex, as in enumerate_dnas, and gives the float walk's one image
+    # each occupied vertex's letter map gives the float walk's one image
+    # of every arrangement walked from that vertex
     for k in range(2, 8):
         border = solve_border(sigma, k)
         perms = _all_arrangements(border)
-        for c, alpha in zip(border.vertex_hits, border.vertex_angles):
-            walk = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
+        maps = chp._border_maps(border)
+        for v, (c, alpha) in enumerate(zip(border.vertex_hits, border.vertex_angles)):
             for perm in perms:
                 args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
-                assert {walk.rotate(perm)} == _reference_trace(*args), (sigma, k, c, perm)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, 78, 96, CIRCLE]),
-    st.integers(1, 9),
-    st.data(),
-)
-def test_shared_transducer_matches_fresh_one(sigma, k, data):
-    # what a transducer has filled in for earlier sequences must not change
-    # the image of a later one
-    border = solve_border(sigma, k)
-    v = data.draw(st.integers(0, border.n_V - 1))
-    c, alpha = border.vertex_hits[v], border.vertex_angles[v]
-    base = chp._sorted_seq(border.degeneracies)
-    perms = data.draw(st.lists(st.permutations(base).map(tuple), min_size=1, max_size=30))
-    shared = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
-    for perm in perms:
-        fresh = chp._Transducer(border.degeneracies, border.blocks(), c, alpha)
-        assert shared.rotate(perm) == fresh.rotate(perm), (sigma, k, c, perm)
+                assert chp._orbit(perm, maps[v : v + 1]) == _reference_trace(*args), (sigma, k, c, perm)
 
 
 @pytest.mark.parametrize("sigma", [*range(6, 97, 6), CIRCLE])
 def test_walk_from_an_occupied_vertex_never_forks(sigma):
     # the premise of the count formula: re-tracing an arrangement from each
-    # of the n_V occupied vertices gives exactly one arrangement
+    # of the n_V occupied vertices gives exactly one arrangement, and it is
+    # the arrangement with every letter shifted back by the vertex's
+    # number of leading blocks
     rng = random.Random(11)
     for k in range(1, 13):
         border = solve_border(sigma, k)
         counts, blocks = border.degeneracies, border.blocks()
-        prefix_sums = {sum(counts[:i]) for i in range(len(counts))}
-        assert set(border.vertex_hits) <= prefix_sums, (sigma, k)
+        ell = len(counts)
+        prefix_sums = {sum(counts[:i]): i for i in range(ell)}
+        assert set(border.vertex_hits) <= set(prefix_sums), (sigma, k)
         arrangements = math.factorial(k)
         for n in counts:
             arrangements //= math.factorial(n)
@@ -320,19 +307,26 @@ def test_walk_from_an_occupied_vertex_never_forks(sigma):
         else:
             perms = [tuple(rng.sample(chp._sorted_seq(counts), k)) for _ in range(40)]
         for perm in perms:
-            for c in border.vertex_hits:
+            for c, alpha in zip(border.vertex_hits, border.vertex_angles):
                 assert len(_reference_walks(k, counts, blocks, perm, c)) == 1, (sigma, k, c, perm)
+                shifted = tuple((b - prefix_sums[c]) % ell for b in perm)
+                assert _reference_trace(k, counts, blocks, perm, c, alpha) == {shifted}, (sigma, k, c, perm)
 
 
-def test_two_branch_state_raises():
-    # from chain point 1 of (12, 4), which is no vertex, the float walk of
-    # "aabb" forks; the transducer refuses rather than follow both branches
+def test_vertex_shifts_refuse_a_split_run_and_a_stray_rotation():
+    # from chain point 1 of (12, 4), inside the run "aa", the float walk of
+    # "aabb" forks; a start there has no shift
     border = solve_border(12, 4)
+    counts, blocks = border.degeneracies, border.blocks()
     assert 1 not in border.vertex_hits
-    assert len(_reference_walks(4, border.degeneracies, border.blocks(), (0, 0, 1, 1), 1)) == 2
-    walk = chp._Transducer(border.degeneracies, border.blocks(), 1, 0.0)
-    with pytest.raises(InconsistentDna, match="two contact branches"):
-        walk.rotate((0, 0, 1, 1))
+    assert len(_reference_walks(4, counts, blocks, (0, 0, 1, 1), 1)) == 2
+    with pytest.raises(InconsistentDna, match="splits a run"):
+        chp._vertex_shifts(counts, blocks, (1,), (0.0,))
+    # the occupied vertices 0 and 2 shift by 0 and 1 letters; vertex 2
+    # with its rotation off by 0.01 carries no block onto a block
+    assert chp._vertex_shifts(counts, blocks, border.vertex_hits, border.vertex_angles) == (0, 1)
+    with pytest.raises(InconsistentDna, match="re-traced from vertex 2"):
+        chp._vertex_shifts(counts, blocks, (2,), (border.vertex_angles[1] + 0.01,))
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])
