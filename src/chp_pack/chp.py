@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
@@ -43,7 +43,9 @@ class BorderSolution:
     common chord length (= disk diameter).  ``chain`` are the chain
     points P1..P_{k+1}; ``vertex_hits`` are the chord counts c at which
     the chain point sits on a polygon vertex and ``vertex_angles`` the
-    rotations that carry those points to P1.
+    rotations that carry those points to P1.  ``letter_maps`` are the
+    2 n_V relabellings of a DNA's orbit (see _letter_maps): each occupied
+    vertex's rotation in vertex order, then each followed by the mirror.
     """
 
     sigma: Sigma
@@ -56,6 +58,7 @@ class BorderSolution:
     chain: Tuple[Point2, ...]
     vertex_hits: Tuple[int, ...]
     vertex_angles: Tuple[float, ...]
+    letter_maps: Tuple[Tuple[int, ...], ...]
 
     def blocks(self) -> Tuple[float, ...]:
         """Distinct DNA letter values phi + pi/3, ascending."""
@@ -434,12 +437,11 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
     degs = _group_degeneracies(raw["phi"])
     if tuple(reversed(degs)) != degs:
         raise NoSolution(f"degeneracies {degs} not symmetric for sigma={sigma}, k={k}")
-    base = _sorted_seq(degs)
-    blocks = _blocks(raw["phi"], degs)
-    mirrored = _letter_maps(degs, blocks, raw["hits"], raw["alphas"])[len(raw["hits"]):]
-    # the mirror image of the sorted sequence is one of its rotations
-    # exactly when a rotation followed by the mirror fixes it
-    eta = 1 if base in _orbit(base, mirrored) else 2
+    maps = _letter_maps(degs, _blocks(raw["phi"], degs), raw["hits"], raw["alphas"])
+    # every letter occurs in a DNA, so only the identity fixes one: the
+    # mirror image of a DNA is one of its rotations exactly when a
+    # rotation followed by the mirror is the identity
+    eta = 1 if tuple(range(len(degs))) in maps[len(raw["hits"]):] else 2
     return BorderSolution(
         sigma=sigma,
         k=k,
@@ -451,6 +453,7 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
         chain=raw["chain"],
         vertex_hits=raw["hits"],
         vertex_angles=raw["alphas"],
+        letter_maps=maps,
     )
 
 
@@ -476,13 +479,6 @@ def _letters_of(seq: Sequence[int]) -> str:
 
 def _seq_of(letters: str) -> Tuple[int, ...]:
     return tuple(ord(c) - ord("a") for c in letters)
-
-
-def _sorted_seq(counts: Sequence[int]) -> Tuple[int, ...]:
-    out: List[int] = []
-    for b, n in enumerate(counts):
-        out.extend([b] * n)
-    return tuple(out)
 
 
 def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
@@ -569,7 +565,7 @@ def _vertex_shifts(
 
 def _letter_maps(
     degeneracies: Sequence[int], blocks: Sequence[float], hits: Sequence[int], alphas: Sequence[float]
-) -> List[Tuple[int, ...]]:
+) -> Tuple[Tuple[int, ...], ...]:
     """The 2 n_V letter maps of a DNA's orbit: each vertex rotation, then each followed by the mirror.
 
     The mirror b -> ell - 1 - b reflects the sector about its bisector.
@@ -579,17 +575,12 @@ def _letter_maps(
     """
     ell = len(blocks)
     rotations = [tuple((b - L) % ell for b in range(ell)) for L in _vertex_shifts(degeneracies, blocks, hits, alphas)]
-    return rotations + [tuple(ell - 1 - x for x in m) for m in rotations]
+    return tuple(rotations + [tuple(ell - 1 - x for x in m) for m in rotations])
 
 
 def _orbit(seq: Sequence[int], maps: Sequence[Tuple[int, ...]]) -> Set[Tuple[int, ...]]:
     """The images of ``seq`` under the letter maps: with _letter_maps, every DNA equivalent to it."""
     return {tuple([m[b] for b in seq]) for m in maps}
-
-
-def _border_maps(border: BorderSolution) -> List[Tuple[int, ...]]:
-    """The letter maps of a solved border (see _letter_maps)."""
-    return _letter_maps(border.degeneracies, border.blocks(), border.vertex_hits, border.vertex_angles)
 
 
 def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
@@ -598,32 +589,21 @@ def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
         dna = dna_from_letters(dna, border)
     else:
         dna = dna_from_values(dna.values, border)
-    best = min(_orbit(_seq_of(dna.letters), _border_maps(border)))
+    best = min(_orbit(_seq_of(dna.letters), border.letter_maps))
     return dna_from_letters(_letters_of(best), border)
-
-
-def _multiset_permutations(counts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Every arrangement of the multiset ``counts``, in ascending lexicographic order."""
-    seq = list(_sorted_seq(counts))
-    n = len(seq)
-    while True:
-        yield tuple(seq)
-        # next permutation: raise the last ascent by the smallest larger
-        # letter after it, then sort the tail ascending by reversing it
-        i = n - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = seq[:i:-1]
 
 
 def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     """All canonical DNA strings for (sigma, k), sorted lexicographically.
+
+    The distinct letter maps form a group that acts freely (every letter
+    occurs in a DNA, so only the identity fixes one), and each class is
+    emitted at its lexicographic minimum by orderly generation: prefixes
+    grow smallest letter first, each carrying the maps that are still the
+    identity on it.  A map that sends the newest letter lower makes a
+    smaller member of the class with this prefix, so the prefix is dropped;
+    one that sends it higher makes only larger members from here on, so it
+    is no longer carried.
 
     Raises CapExceeded when the configuration count passes ``cap``.
     """
@@ -631,19 +611,32 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     total = count_configurations(CountInput.from_border(border))
     if total > cap:
         raise CapExceeded(f"{total} configurations exceed cap {cap}")
-    seen: Set[Tuple[int, ...]] = set()
-    reps: List[Dna] = []
     blocks = border.blocks()
-    maps = _border_maps(border)
-    for perm in _multiset_permutations(border.degeneracies):
-        if perm in seen:
+    ell = len(blocks)
+    names = _letters_of(range(ell))
+    reps: List[Dna] = []
+    # depth first without recursion, since k may exceed the recursion
+    # limit: each entry is a prefix, its values, the letter counts it
+    # leaves and its carried maps, and children go on in descending
+    # order so that the smallest comes off first
+    stack = [("", (), border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
+    while stack:
+        letters, values, remaining, live = stack.pop()
+        if len(letters) == k:
+            reps.append(Dna(values=values, letters=letters))
             continue
-        orbit = _orbit(perm, maps)
-        # ascending iteration meets each class at its lexicographic minimum
-        if perm != min(orbit):
-            raise InconsistentDna(f"orbit of {_letters_of(perm)} has smaller member {_letters_of(min(orbit))}")
-        seen |= orbit
-        reps.append(Dna(values=tuple(blocks[b] for b in perm), letters=_letters_of(perm)))
+        for b in reversed(range(ell)):
+            if not remaining[b]:
+                continue
+            kept = []
+            for m in live:
+                if m[b] < b:
+                    break
+                if m[b] == b:
+                    kept.append(m)
+            else:
+                left = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
+                stack.append((letters + names[b], values + (blocks[b],), left, kept))
     return reps
 
 
@@ -666,7 +659,14 @@ class CountInput:
 
 
 def count_configurations(inp: CountInput) -> int:
-    """max(1, k! / (eta * n_V * prod(n_i!))) in exact arithmetic."""
+    """max(1, k! / (eta * n_V * prod(n_i!))) in exact arithmetic.
+
+    From a solved border this is an orbit count: the multinomial
+    k! / prod(n_i!) arrangements split into orbits of |G| = eta * n_V
+    under the group of letter maps, which acts freely (see
+    enumerate_dnas).  The quotient is then a whole number of at least 1,
+    so the clamp and the integer check only act on a hand-made CountInput.
+    """
     if sum(inp.degeneracies) != inp.k:
         raise PreconditionViolated(f"degeneracies {inp.degeneracies} do not sum to k={inp.k}")
     denom = inp.eta * inp.n_V
@@ -706,15 +706,3 @@ def chp_density(sigma: Sigma, k: int) -> float:
     cot = 1.0 / math.tan(math.pi / sigma)
     cos = math.cos(math.pi / sigma)
     return n * math.pi * d * d * cot / (sigma * (d + 2.0 * cos) ** 2)
-
-
-def chp_density_full_vertex(sigma: int, k: int) -> float:
-    """Closed-form density when every vertex is occupied (6k/sigma integer)."""
-    _require_sigma(sigma)
-    if k < 1:
-        raise NoSolution(f"k must be >= 1, got {k}")
-    if (6 * k) % sigma != 0:
-        raise PreconditionViolated(f"6k/sigma = {6 * k}/{sigma} is not an integer")
-    n = disk_count(k)
-    cot = 1.0 / math.tan(math.pi / sigma)
-    return math.pi * n * sigma * cot / (6.0 * k * cot + sigma) ** 2

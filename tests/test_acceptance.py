@@ -21,7 +21,6 @@ from chp_pack import (
     algorithm2,
     build_chp,
     chp_density,
-    chp_density_full_vertex,
     count_configurations,
     disk_count,
     enumerate_dnas,
@@ -88,7 +87,9 @@ def test_a03_density_constants():
     for row in rows:
         sigma, k = int(row["sigma"]), int(row["k"])
         if (6 * k) % sigma == 0:
-            assert abs(chp_density_full_vertex(sigma, k) - chp_density(sigma, k)) <= 1e-12
+            cot = 1.0 / math.tan(math.pi / sigma)
+            full_vertex = math.pi * disk_count(k) * sigma * cot / (6.0 * k * cot + sigma) ** 2
+            assert abs(full_vertex - chp_density(sigma, k)) <= 1e-12
             checked += 1
     assert checked >= 12
 

@@ -10,12 +10,10 @@ from chp_pack import (
     NoSolution,
     NotMultipleOfSix,
     chp_density,
-    chp_density_full_vertex,
     disk_count,
     solve_border,
 )
 from chp_pack import chp, geometry
-from chp_pack.errors import PreconditionViolated
 from chp_pack.geometry import dist, fundamental_vertex, rotate
 
 
@@ -146,11 +144,16 @@ def test_density_constants():
     assert chp_density(12, 7) == pytest.approx(0.8272589, abs=1e-5)
 
 
+def full_vertex_density(sigma, k):
+    """The paper's closed-form density when every vertex is occupied (6k/sigma an integer)."""
+    assert (6 * k) % sigma == 0, (sigma, k)
+    cot = 1.0 / math.tan(math.pi / sigma)
+    return math.pi * disk_count(k) * sigma * cot / (6.0 * k * cot + sigma) ** 2
+
+
 def test_density_full_vertex_agrees():
     for sigma, k in ((12, 2), (12, 4), (12, 6), (18, 3), (24, 4), (6, 3)):
-        assert chp_density_full_vertex(sigma, k) == pytest.approx(chp_density(sigma, k), abs=1e-12)
-    with pytest.raises(PreconditionViolated):
-        chp_density_full_vertex(12, 3)
+        assert full_vertex_density(sigma, k) == pytest.approx(chp_density(sigma, k), abs=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [CIRCLE, 12, 6, 15])
@@ -158,9 +161,6 @@ def test_density_full_vertex_agrees():
 def test_density_rejects_k_below_one(sigma, k):
     with pytest.raises(NoSolution):
         chp_density(sigma, k)
-    if sigma in (12, 6):
-        with pytest.raises(NoSolution):
-            chp_density_full_vertex(sigma, k)
 
 
 def test_hexagon_density_closed_form():

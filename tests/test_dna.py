@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -115,6 +114,8 @@ def test_enumerate_counts():
     assert len(enumerate_dnas(12, 5)) == 15
     assert len(enumerate_dnas(18, 3)) == 1
     assert len(enumerate_dnas(CIRCLE, 5)) == 12
+    # one class, deeper than the interpreter's default recursion limit
+    assert [d.letters for d in enumerate_dnas(6, 1100)] == ["a" * 1100]
 
 
 def test_enumerate_sorted_distinct():
@@ -166,7 +167,7 @@ def test_reflection_is_rotation_flags():
     # eta = 1 rows have the reflected string inside the rotation orbit
     def reflection_is_rotation(letters, border):
         seq = chp._seq_of(letters)
-        rotations = chp._border_maps(border)[: border.n_V]
+        rotations = border.letter_maps[: border.n_V]
         return _reflect_seq(seq, len(border.degeneracies)) in chp._orbit(seq, rotations)
 
     assert reflection_is_rotation("ab", solve_border(12, 2))
@@ -221,6 +222,14 @@ def _reference_trace(k, counts, blocks, seq, c, alpha):
     return results
 
 
+def _multinomial(counts):
+    """The number of arrangements of the multiset with these letter counts."""
+    out = math.factorial(sum(counts))
+    for n in counts:
+        out //= math.factorial(n)
+    return out
+
+
 def _reference_orbit(border, seq):
     """Rotation images of the sequence and, by a second walk, of its mirror."""
     counts = border.degeneracies
@@ -232,14 +241,25 @@ def _reference_orbit(border, seq):
     return orbit
 
 
-def _all_arrangements(border):
-    return sorted(set(itertools.permutations(chp._sorted_seq(border.degeneracies))))
+def _sorted_seq(counts):
+    return tuple(b for b, n in enumerate(counts) for _ in range(n))
 
 
-@pytest.mark.parametrize("counts", [(1,), (3,), (1, 1, 1, 1), (2, 1, 2), (3, 3), (2, 1, 1, 1, 2)])
-def test_multiset_permutations_ascend_through_every_arrangement(counts):
-    want = sorted(set(itertools.permutations(chp._sorted_seq(counts))))
-    assert list(chp._multiset_permutations(counts)) == want
+def _all_arrangements(counts):
+    """Every arrangement of the multiset with these letter counts, ascending.
+
+    Unlike itertools.permutations, which steps through all k! orders, this
+    makes each distinct arrangement once: sigma 6 has one, of k equal letters.
+    """
+    if not any(counts):
+        return [()]
+    out = []
+    for b, n in enumerate(counts):
+        if n:
+            rest = list(counts)
+            rest[b] -= 1
+            out += [(b,) + tail for tail in _all_arrangements(rest)]
+    return out
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])
@@ -250,10 +270,10 @@ def test_orbit_walk_matches_float_reference(sigma):
         border = solve_border(sigma, k)
         if count_configurations(CountInput.from_border(border)) > 2520:
             continue
-        perms = _all_arrangements(border)
+        perms = _all_arrangements(border.degeneracies)
         if len(perms) > 3000:
             perms = rng.sample(perms, 3000)
-        maps = chp._border_maps(border)
+        maps = border.letter_maps
         for perm in perms:
             assert chp._orbit(perm, maps) == _reference_orbit(border, perm), (sigma, k, perm)
 
@@ -266,10 +286,10 @@ def test_orbit_walk_matches_float_reference(sigma):
 )
 def test_orbit_walk_property(sigma, k, rnd):
     border = solve_border(sigma, k)
-    perm = list(chp._sorted_seq(border.degeneracies))
+    perm = list(_sorted_seq(border.degeneracies))
     rnd.shuffle(perm)
     perm = tuple(perm)
-    assert chp._orbit(perm, chp._border_maps(border)) == _reference_orbit(border, perm)
+    assert chp._orbit(perm, border.letter_maps) == _reference_orbit(border, perm)
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24])
@@ -278,8 +298,8 @@ def test_letter_memo_matches_float_walk_from_any_start(sigma):
     # of every arrangement walked from that vertex
     for k in range(2, 8):
         border = solve_border(sigma, k)
-        perms = _all_arrangements(border)
-        maps = chp._border_maps(border)
+        perms = _all_arrangements(border.degeneracies)
+        maps = border.letter_maps
         for v, (c, alpha) in enumerate(zip(border.vertex_hits, border.vertex_angles)):
             for perm in perms:
                 args = (k, border.degeneracies, border.blocks(), perm, c, alpha)
@@ -299,13 +319,10 @@ def test_walk_from_an_occupied_vertex_never_forks(sigma):
         ell = len(counts)
         prefix_sums = {sum(counts[:i]): i for i in range(ell)}
         assert set(border.vertex_hits) <= set(prefix_sums), (sigma, k)
-        arrangements = math.factorial(k)
-        for n in counts:
-            arrangements //= math.factorial(n)
-        if arrangements <= 40:
-            perms = list(chp._multiset_permutations(counts))
+        if _multinomial(counts) <= 40:
+            perms = _all_arrangements(counts)
         else:
-            perms = [tuple(rng.sample(chp._sorted_seq(counts), k)) for _ in range(40)]
+            perms = [tuple(rng.sample(_sorted_seq(counts), k)) for _ in range(40)]
         for perm in perms:
             for c, alpha in zip(border.vertex_hits, border.vertex_angles):
                 assert len(_reference_walks(k, counts, blocks, perm, c)) == 1, (sigma, k, c, perm)
@@ -335,7 +352,7 @@ def test_enumeration_is_the_brute_force_partition(sigma):
     # connected components of "q is in the reference orbit of p"
     for k in range(1, 9):
         border = solve_border(sigma, k)
-        perms = _all_arrangements(border)
+        perms = _all_arrangements(border.degeneracies)
         if len(perms) > 720:
             continue
         root = {p: p for p in perms}
@@ -355,3 +372,66 @@ def test_enumeration_is_the_brute_force_partition(sigma):
         assert [d.letters for d in got] == [chp._letters_of(m) for m in minima], (sigma, k)
         assert [d.values for d in got] == [tuple(blocks[b] for b in m) for m in minima], (sigma, k)
         assert len(minima) == count_configurations(CountInput.from_border(border)), (sigma, k)
+
+
+def _compose(f, g):
+    """The letter map b -> f[g[b]]."""
+    return tuple(f[x] for x in g)
+
+
+@pytest.mark.parametrize("sigma", [*range(6, 97, 6), CIRCLE])
+def test_letter_maps_form_a_group_whose_orbits_the_count_formula_counts(sigma):
+    # the distinct maps are closed under composition and number eta * n_V;
+    # the group acts freely (only the identity fixes a sequence that holds
+    # every letter), so every orbit has |G| members and the paper's count
+    # is the number of orbits
+    for k in range(1, 13):
+        border = solve_border(sigma, k)
+        group = set(border.letter_maps)
+        assert tuple(range(len(border.degeneracies))) in group, (sigma, k)
+        assert {_compose(f, g) for f in group for g in group} == group, (sigma, k)
+        assert len(group) == border.eta * border.n_V, (sigma, k)
+        classes, rest = divmod(_multinomial(border.degeneracies), len(group))
+        assert rest == 0 and classes == count_configurations(CountInput.from_border(border)), (sigma, k)
+
+
+@pytest.mark.parametrize("sigma", [*range(6, 97, 6), CIRCLE])
+def test_each_enumerated_class_is_its_orbit_minimum_and_orbits_are_disjoint(sigma):
+    for k in range(1, 10):
+        border = solve_border(sigma, k)
+        if count_configurations(CountInput.from_border(border)) > 2520:
+            continue
+        seen = set()
+        for dna in enumerate_dnas(sigma, k):
+            seq = chp._seq_of(dna.letters)
+            orbit = chp._orbit(seq, border.letter_maps)
+            assert seq == min(orbit), (sigma, k, dna.letters)
+            assert not orbit & seen, (sigma, k, dna.letters)
+            seen |= orbit
+        assert len(seen) == _multinomial(border.degeneracies), (sigma, k)
+
+
+def _reference_classes(border):
+    """Each class at its smallest member: every arrangement in ascending
+    order, skipping those already met in the orbit of an earlier one."""
+    seen, reps = set(), []
+    for perm in _all_arrangements(border.degeneracies):
+        if perm not in seen:
+            seen |= chp._orbit(perm, border.letter_maps)
+            reps.append(perm)
+    return reps
+
+
+def test_orderly_generation_matches_the_reference_enumeration():
+    # the catalog's enumerated rows (sigma 12..60 at k <= 8, and (12, 9),
+    # (12, 10), with at most 2,520 classes), then cells beyond them: n_V 4
+    # at (72, 8) with 5,040 classes, n_V 7 at (84, 7) and the circle's 8
+    cells = [(s, k) for s in range(12, 61, 6) for k in range(1, 9)] + [(12, 9), (12, 10)]
+    cells = [c for c in cells if count_configurations(CountInput.from_border(solve_border(*c))) <= 2520]
+    for sigma, k in cells + [(72, 8), (84, 7), (CIRCLE, 8)]:
+        border = solve_border(sigma, k)
+        blocks = border.blocks()
+        got = enumerate_dnas(sigma, k)
+        want = _reference_classes(border)
+        assert [d.letters for d in got] == [chp._letters_of(p) for p in want], (sigma, k)
+        assert [d.values for d in got] == [tuple(blocks[b] for b in p) for p in want], (sigma, k)
