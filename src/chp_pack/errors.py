@@ -19,7 +19,8 @@ class InconsistentDna(ChpError):
 
 
 class ConstructionFailed(ChpError):
-    """Raised when ring assembly cannot complete or fails its closure check."""
+    """Raised when a built packing's DNA path misses the center, a disk
+    leaves the container, or two disks overlap."""
 
 
 class AmbiguousStart(ChpError):
@@ -41,16 +42,11 @@ class PreconditionViolated(ChpError):
 
 
 class CoincidentPoints(ChpError):
-    """Raised when two centers coincide, in an energy evaluation or a circle
-    pair whose intersection is then undefined."""
+    """Raised when two centers coincide in an energy evaluation."""
 
 
 class NonFinite(ChpError):
     """Raised when a minimization step produces a non-finite value."""
-
-
-class NoIntersection(ChpError):
-    """Raised when two equal-radius circles do not intersect."""
 
 
 class ParseError(ChpError):

@@ -17,7 +17,9 @@ from .geometry import CIRCLE
 
 
 def _f(x: float) -> str:
-    return f"{x:.8f}"
+    # a rounding residue in (-5e-9, 0) prints as 0, whatever its sign
+    s = f"{x:.8f}"
+    return "0.00000000" if s == "-0.00000000" else s
 
 
 def render_svg(

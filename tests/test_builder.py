@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from chp_pack import (
     solve_border,
     validate_config,
 )
-from chp_pack.builder import circle_pair_intersection, extract_dna
-from chp_pack.errors import AmbiguousStart, CoincidentPoints, ConstructionFailed, NoIntersection, PreconditionViolated
+from chp_pack.builder import extract_dna
+from chp_pack.errors import AmbiguousStart, ConstructionFailed, PreconditionViolated
 from chp_pack.geometry import fundamental_vertex
 
 
@@ -85,6 +86,37 @@ def test_builder_circle():
             assert multiset_distance(config.centers, want) < 1e-9
 
 
+def _rings(config, k):
+    """Shells m = k..1 of a build, each as its 6m centers in ring order, keyed by m.
+
+    The builder emits the border ring, then shells k-1..1, each as its
+    sector row under the six rotations (rotation-major, so the rows of
+    the six sectors follow one another around the ring), then the origin.
+    """
+    rings, start = {}, 0
+    for m in range(k, 0, -1):
+        rings[m] = config.centers[start : start + 6 * m]
+        start += 6 * m
+    return rings
+
+
+@pytest.mark.parametrize("sigma,k", [(12, 5), (18, 4), (24, 6), (CIRCLE, 5)])
+def test_inner_shells_are_tangent_chains(sigma, k):
+    # what the tangent search used to enforce: each inner-shell disk touches
+    # its predecessor in the ring (the row's, or the previous sector's last
+    # disk for a corner) and at least one disk of the next shell out
+    for dna in enumerate_dnas(sigma, k):
+        config = build_chp(sigma, k, dna)
+        d = config.diameter
+        rings = _rings(config, k)
+        for m in range(1, k):
+            ring, outer = rings[m], rings[m + 1]
+            gaps = np.hypot(*(ring - np.roll(ring, 1, axis=0)).T)
+            assert np.abs(gaps - d).max() <= 1e-12 * d, (dna.letters, m)
+            to_outer = np.hypot(*(ring[:, None, :] - outer[None, :, :]).transpose(2, 0, 1))
+            assert (np.abs(to_outer - d).min(axis=1) <= 1e-12 * d).all(), (dna.letters, m)
+
+
 def test_build_shapes_and_meta():
     config = build_chp(12, 3, "abc")
     assert config.n_disks == disk_count(3)
@@ -128,18 +160,25 @@ def test_wrong_multiset_rejected():
         build_chp(12, 4, "ab")
 
 
-def test_intersection_points():
-    p, q = circle_pair_intersection((-0.5, 0.0), (0.5, 0.0), 1.0)
-    # left of the directed line from c1 to c2 comes first
-    assert p == pytest.approx((0.0, math.sqrt(3) / 2), abs=1e-15)
-    assert q == pytest.approx((0.0, -math.sqrt(3) / 2), abs=1e-15)
-    with pytest.raises(CoincidentPoints):
-        circle_pair_intersection((0.1, 0.2), (0.1, 0.2), 1.0)
-    with pytest.raises(NoIntersection):
-        circle_pair_intersection((0.0, 0.0), (3.0, 0.0), 1.0)
-    # tangency collapses both points onto the midpoint
-    p, q = circle_pair_intersection((0.0, 0.0), (2.0, 0.0), 1.0)
-    assert p == pytest.approx((1.0, 0.0), abs=1e-9)
+def _scaled_chain(border, factor):
+    chain = border.chain
+    return chain[:1] + tuple((factor * x, factor * y) for x, y in chain[1:-1]) + chain[-1:]
+
+
+@pytest.mark.parametrize(
+    "perturb,message",
+    [
+        (lambda b: dataclasses.replace(b, d=b.d * (1.0 + 1e-6)), "DNA path misses the center"),
+        (lambda b: dataclasses.replace(b, chain=_scaled_chain(b, 0.97)), "overlap"),
+        (lambda b: dataclasses.replace(b, chain=_scaled_chain(b, 1.001)), "leaves the container"),
+    ],
+    ids=["diameter", "chain-inward", "chain-outward"],
+)
+def test_construction_guards(monkeypatch, perturb, message):
+    border = solve_border(12, 4)
+    monkeypatch.setattr(builder, "solve_border", lambda sigma, k: perturb(border))
+    with pytest.raises(ConstructionFailed, match=message):
+        build_chp(12, 4)
 
 
 def test_extract_dna_round_trip():
@@ -182,41 +221,6 @@ def test_extract_dna_refuses_another_sigma():
             extract_dna(config, sigma, 3)
 
 
-class _ReferenceWorkspace:
-    """The builder's scans over every placed disk, without the grid."""
-
-    def __init__(self, d):
-        self.d = d
-        self.points = []
-        self.shells = []
-
-    def add(self, points, shell):
-        self.points.extend(points)
-        self.shells.extend([shell] * len(points))
-
-    def too_close(self, p):
-        limit = self.d * (1.0 - 1e-9)
-        for q in self.points:
-            if math.hypot(p[0] - q[0], p[1] - q[1]) < limit:
-                return True
-        return False
-
-    def partners(self, prev, shell):
-        prev_angle = math.atan2(prev[1], prev[0])
-        reach = 2.0 * self.d * (1.0 + 1e-9)
-        found = []
-        for q, s in zip(self.points, self.shells):
-            if s != shell:
-                continue
-            if math.atan2(q[1], q[0]) <= prev_angle - 1e-12:
-                continue
-            gap = math.hypot(prev[0] - q[0], prev[1] - q[1])
-            if 0.0 < gap <= reach:
-                found.append((gap, math.atan2(q[1], q[0]), q))
-        found.sort(key=lambda item: (item[0], item[1]))
-        return [q for _, _, q in found]
-
-
 # cells where long runs of one letter bend a shell inside the corner of the
 # shell within it; the builder once rejected their tangent placements
 _LONG_RUN_CELLS = [
@@ -253,7 +257,7 @@ def test_long_runs_build(sigma, k):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([6 * i for i in range(1, 11)] + [CIRCLE]),
-    st.integers(1, 24),
+    st.integers(1, 40),
     st.randoms(use_true_random=False),
 )
 def test_every_arrangement_builds(sigma, k, rnd):
@@ -261,14 +265,3 @@ def test_every_arrangement_builds(sigma, k, rnd):
     letters = list(_default_letters(sigma, k))
     rnd.shuffle(letters)
     _assert_realizes(sigma, k, "".join(letters))
-
-
-def test_grid_scans_match_reference(monkeypatch):
-    builds = [(sigma, k, letters) for sigma, k in _LONG_RUN_CELLS for letters in _default_and_reversal(sigma, k)]
-    builds += [(12, 8, dna.letters) for dna in enumerate_dnas(12, 8)]
-    for sigma, k, letters in builds:
-        got = build_chp(sigma, k, letters).centers
-        with monkeypatch.context() as m:
-            m.setattr(builder, "_Workspace", _ReferenceWorkspace)
-            want = build_chp(sigma, k, letters).centers
-        assert got.tobytes() == want.tobytes(), (sigma, k, letters)

@@ -96,7 +96,18 @@ def test_render_with_contacts_is_byte_stable():
     # the render_12_2.svg golden has no contact lines or sector wedge
     svg = render_svg(build_chp(12, 4), contacts=True, fundamental=True)
     digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
-    assert digest == "681d6cd8ffeb235bcaff807ebe1bc24885853b1461f1b4d2de613cb28fb796ee"
+    assert digest == "2dfe6f0439220386ba246e4f85e416bc12ae7c9e1bbcc91a0d909610283afd18"
+
+
+def test_render_prints_no_negative_zero():
+    # a rounding residue's sign must not reach the document's bytes
+    config = build_chp(12, 2)
+    flipped = config.centers.copy()
+    flipped[np.abs(flipped) < 1e-12] = -1e-17
+    twin = PackingConfiguration(sigma=12, centers=flipped, diameter=config.diameter)
+    svg = render_svg(twin, contacts=True, fundamental=True)
+    assert "-0.00000000" not in svg
+    assert svg == render_svg(config, contacts=True, fundamental=True)
 
 
 def test_tables_repeated_sigma_is_tabled_once(capsys):
