@@ -20,6 +20,10 @@ from .chp import PI_3, BorderSolution, Dna, _letters_of, _nearest_block, _seq_of
 from .errors import AmbiguousStart, ConstructionFailed, InconsistentDna, NoPath, PreconditionViolated
 from .geometry import Point2, Sigma
 
+# extract_dna's tolerance: absolute on the disks at P1 and at the origin,
+# relative to d on contacts; the letter match allows ten times it
+_EXTRACT_TOL = 1e-6
+
 
 @dataclass
 class PackingConfiguration:
@@ -40,8 +44,8 @@ class PackingConfiguration:
     def __post_init__(self) -> None:
         geometry.check_sigma(self.sigma)
         self.centers = np.asarray(self.centers, dtype=float)
-        if self.centers.ndim != 2 or self.centers.shape[1] != 2:
-            raise ValueError(f"centers must have shape (N, 2), got {self.centers.shape}")
+        if self.centers.ndim != 2 or self.centers.shape[1] != 2 or len(self.centers) == 0:
+            raise ValueError(f"centers must have shape (N, 2) with N >= 1, got {self.centers.shape}")
 
     @property
     def n_disks(self) -> int:
@@ -117,7 +121,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     )
 
 
-def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float = 1e-6) -> Dna:
+def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
     """Recover the canonical DNA of a packing by walking its contact graph.
 
     Follows every contact path of exactly k steps from the disk at P1 to
@@ -132,17 +136,17 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
     centers = config.centers
     p1 = np.array(border.chain[0])
     dist_p1 = np.hypot(*(centers - p1).T)
-    near = np.flatnonzero(dist_p1 <= max(tol, 1e-7))
+    near = np.flatnonzero(dist_p1 <= _EXTRACT_TOL)
     if len(near) != 1:
         raise AmbiguousStart(f"{len(near)} disks at P1 within tolerance")
     start = int(near[0])
     radius = np.hypot(centers[:, 0], centers[:, 1])
     finish = int(np.argmin(radius))
-    if radius[finish] > max(tol, 1e-7):
+    if radius[finish] > _EXTRACT_TOL:
         raise NoPath("no disk at the origin")
 
     adjacency: Dict[int, List[int]] = {}
-    for i, j in geometry.contact_pairs(centers, d, tol):
+    for i, j in geometry.contact_pairs(centers, d, _EXTRACT_TOL):
         adjacency.setdefault(i, []).append(j)
         adjacency.setdefault(j, []).append(i)
 
@@ -155,7 +159,7 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
             return
         remaining = k - depth
         for nxt in adjacency.get(node, ()):
-            if radius[nxt] > remaining * d * (1.0 + 10.0 * tol):
+            if radius[nxt] > remaining * d * (1.0 + 10.0 * _EXTRACT_TOL):
                 continue
             dx, dy = centers[nxt] - centers[node]
             values.append(math.atan2(dy, dx))
@@ -166,11 +170,10 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
     if not value_paths:
         raise NoPath(f"no {k}-step contact path from P1 to the center")
 
-    block_tol = max(1e-9, 10.0 * tol)
     reps = set()
     canon: Optional[Dna] = None
     for values in value_paths:
-        dna = _dna_from_noisy_values(values, border, block_tol)
+        dna = _dna_from_noisy_values(values, border)
         rep = canonicalize_dna(dna, border)
         reps.add(rep.letters)
         canon = rep
@@ -180,13 +183,13 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int, tol: float =
     return canon
 
 
-def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution, tol: float) -> Dna:
+def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution) -> Dna:
     blocks = border.blocks()
     gap = min(
         [abs(blocks[i + 1] - blocks[i]) for i in range(len(blocks) - 1)],
         default=math.pi,
     )
-    limit = min(0.45 * gap, max(tol, 1e-9)) if len(blocks) > 1 else max(tol, 1e-9)
+    limit = min(0.45 * gap, 10.0 * _EXTRACT_TOL)
     seq = []
     for v in values:
         b = _nearest_block(v, blocks, limit)

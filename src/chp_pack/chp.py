@@ -693,16 +693,15 @@ def chp_density(sigma: Sigma, k: int) -> float:
     are not multiples of 6 have no globally symmetric packing, so the
     combinatorial operations still reject them.
     """
+    if sigma != CIRCLE and not (isinstance(sigma, int) and sigma >= 6):
+        raise NotMultipleOfSix(f"sigma must be an integer >= 6 or {CIRCLE!r}, got {sigma!r}")
     if k < 1:
         raise NoSolution(f"k must be >= 1, got {k}")
     n = disk_count(k)
     if sigma == CIRCLE:
         s = math.sin(math.pi / (6.0 * k))
         return n * s * s / (1.0 + s) ** 2
-    if isinstance(sigma, int) and sigma >= 6 and sigma % 6 != 0:
-        d = _solve_polygon_border(sigma, k)["d"]
-    else:
-        d = solve_border(sigma, k).d
+    d = _solve_polygon_border(sigma, k)["d"] if sigma % 6 else solve_border(sigma, k).d
     cot = 1.0 / math.tan(math.pi / sigma)
     cos = math.cos(math.pi / sigma)
     return n * math.pi * d * d * cot / (sigma * (d + 2.0 * cos) ** 2)

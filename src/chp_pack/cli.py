@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .chp import (
 from .configio import dumps_config, read_config
 from .errors import ChpError
 from .geometry import Sigma
-from .optimizer import OptimizerParams, PinSet, algorithm1, algorithm2
+from .optimizer import OptimizerParams, algorithm1, algorithm2
 from .svg import render_svg
 from .validation import density as packing_density
 from .validation import packing_radius, validate_config
@@ -64,8 +63,8 @@ def _sigma_list_arg(text: str) -> List[int]:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}")
-    # a side count named twice is tabled once, where it first appears
-    return list(dict.fromkeys(values))
+    # the table lists each side count once, in ascending order
+    return sorted(set(values))
 
 
 def _int_at_least(low: int):
@@ -91,16 +90,6 @@ def _emit(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _workers() -> int:
-    raw = os.environ.get("CHP_PACK_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise _BadArguments(f"CHP_PACK_THREADS must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -201,8 +190,7 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _table_row(job) -> tuple:
-    sigma, k, limit = job
+def _table_row(sigma: int, k: int, limit: int) -> tuple:
     b = solve_border(sigma, k)
     cnt = count_configurations(CountInput.from_border(b))
     if cnt <= limit:
@@ -223,16 +211,8 @@ def _table_row(job) -> tuple:
 
 
 def _cmd_tables(args) -> int:
-    jobs = [(s, k, args.enumerate_limit) for s in args.sigma_list for k in range(1, args.k_max + 1)]
-    workers = min(_workers(), len(jobs)) if jobs else 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, jobs))
-    else:
-        rows = [_table_row(j) for j in jobs]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    ks = range(1, args.k_max + 1)
+    rows = [_table_row(s, k, args.enumerate_limit) for s in args.sigma_list for k in ks]
     lines = ["sigma,k,blocks,degeneracies,eta,n_V,k_mod,formula_count,enumerated_count"]
     lines.extend(",".join(str(c) for c in row) for row in rows)
     _emit("\n".join(lines) + "\n", args.output)
@@ -263,14 +243,14 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _border_pins(config) -> PinSet:
+def _border_pins(config) -> np.ndarray:
     excess = geometry.outside_by(config.sigma, config.centers)
-    return PinSet.of(np.flatnonzero(np.abs(excess) <= 1e-7))
+    return np.flatnonzero(np.abs(excess) <= 1e-7)
 
 
 def _cmd_shake(args) -> int:
     config = read_config(args.input)
-    pins = _border_pins(config) if args.pin == "border" else PinSet()
+    pins = _border_pins(config) if args.pin == "border" else ()
     params = OptimizerParams(seed=args.seed)
     # the header goes out with the first trial's rows, so a trial that
     # rejects its input leaves stdout empty

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import IO, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -145,8 +145,6 @@ def loads_config(text: str) -> PackingConfiguration:
     return PackingConfiguration(sigma=sigma, centers=centers, diameter=float(diameter), meta=meta)
 
 
-def read_config(src: Union[str, os.PathLike, IO[str]]) -> PackingConfiguration:
-    if hasattr(src, "read"):
-        return loads_config(src.read())
-    with open(src, "r", encoding="utf-8") as fh:
+def read_config(path: Union[str, os.PathLike]) -> PackingConfiguration:
+    with open(path, "r", encoding="utf-8") as fh:
         return loads_config(fh.read())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +22,16 @@ from .geometry import CIRCLE, Sigma
 from .validation import packing_radius
 
 _M64 = (1 << 64) - 1
+_S_FACTOR = 1.5  # ratio of consecutive rungs of the s ladder
+_INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
 
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Schedule and tolerances of the energy ladder."""
+    """Schedule, inner iteration cap, shake amplitude and seed of the energy ladder."""
 
     s_initial: float = 10.0
-    s_factor: float = 1.5
     s_final: float = 1e8
-    inner_tol: float = 1e-12
     max_inner_iters: int = 5000
     perturb_amplitude: float = 0.01
     seed: int = 0
@@ -41,32 +41,15 @@ class OptimizerParams:
             raise ValueError("s_initial must be positive")
         if not self.s_initial < self.s_final:
             raise ValueError("s_initial must be below s_final")
-        if not self.s_factor > 1.0:
-            raise ValueError("s_factor must exceed 1")
         if self.s_final > 1e9:
             raise ValueError("s_final capped at 1e9")
         if not 0.0 <= self.perturb_amplitude < 0.5:
             raise ValueError("perturb_amplitude must lie in [0, 0.5)")
 
 
-@dataclass(frozen=True)
-class PinSet:
-    """Disk indices whose positions are frozen during minimization."""
-
-    indices: FrozenSet[int] = frozenset()
-
-    @classmethod
-    def of(cls, ids: Sequence[int]) -> "PinSet":
-        return cls(indices=frozenset(int(i) for i in ids))
-
-
 def _rng(seed: int, salt: int) -> np.random.Generator:
     key = ((int(salt) & _M64) << 64) | (int(seed) & _M64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _centers_of(config) -> np.ndarray:
-    return config.centers if isinstance(config, PackingConfiguration) else np.asarray(config, dtype=float)
 
 
 def _log_terms(
@@ -89,46 +72,15 @@ def _log_terms(
     return logterms, r2, (dx, dy)
 
 
-def _free_mask(n: int, pins: Optional[PinSet]) -> np.ndarray:
+def _free_mask(n: int, pins: Sequence[int]) -> np.ndarray:
     """True for each of the n disks that ``pins`` leaves free; refuses a pin outside 0..n-1."""
+    idx = [int(i) for i in pins]
+    bad = sorted({i for i in idx if not 0 <= i < n})
+    if bad:
+        raise PreconditionViolated(f"pinned indices {bad} out of range")
     free = np.ones(n, dtype=bool)
-    if pins is not None and pins.indices:
-        bad = sorted(i for i in pins.indices if not 0 <= i < n)
-        if bad:
-            raise PreconditionViolated(f"pinned indices {bad} out of range")
-        free[list(pins.indices)] = False
+    free[idx] = False
     return free
-
-
-def energy(config, s: float, lam: float) -> float:
-    """Sum over pairs of (lambda/r^2)^s, accumulated in the log domain; inf where it overflows."""
-    centers = _centers_of(config)
-    if len(centers) < 2:
-        return 0.0
-    value, _ = _evaluate(centers, s, lam)
-    try:
-        return math.exp(value)
-    except OverflowError:
-        return math.inf
-
-
-def energy_gradient(config, s: float, lam: float, pins: Optional[PinSet] = None) -> np.ndarray:
-    """Analytic gradient of ``energy`` per center; pinned rows are zeroed.
-
-    Computed as ``energy * grad(log energy)``, the gradient ``minimize``
-    follows; raises OverflowError where the energy or a gradient entry
-    overflows.
-    """
-    centers = _centers_of(config)
-    free = _free_mask(len(centers), pins)
-    if len(centers) < 2:
-        return np.zeros_like(centers)
-    value, grad = _objective(centers, s, lam, free)
-    with np.errstate(over="ignore"):
-        out = math.exp(value) * grad
-    if np.isinf(out).any():
-        raise OverflowError(f"energy gradient overflows (log energy {value})")
-    return out
 
 
 def _evaluate(centers: np.ndarray, s: float, lam: float):
@@ -182,13 +134,12 @@ def minimize(
     config: PackingConfiguration,
     s: float,
     lam: float,
-    pins: Optional[PinSet] = None,
+    pins: Sequence[int] = (),
     params: Optional[OptimizerParams] = None,
 ) -> PackingConfiguration:
     """Projected gradient descent on the log energy at fixed (s, lambda)."""
     params = params or OptimizerParams()
-    pins = pins or PinSet()
-    x = _centers_of(config).copy()
+    x = config.centers.copy()
     free = _free_mask(len(x), pins)
 
     sigma = config.sigma
@@ -201,7 +152,7 @@ def minimize(
 
     for _ in range(params.max_inner_iters):
         gnorm = float(np.abs(g).max())
-        if gnorm <= params.inner_tol * max(1.0, abs(f)):
+        if gnorm <= _INNER_TOL * max(1.0, abs(f)):
             break
         if prev_x is not None:
             dx = (x - prev_x).ravel()
@@ -230,7 +181,7 @@ def minimize(
         prev_x, prev_g, prev_f = x, g, f
         x, f = trial, f_trial
         g = _gradient(state, s, free)
-        if abs(prev_f - f) <= params.inner_tol * max(1.0, abs(prev_f)):
+        if abs(prev_f - f) <= _INNER_TOL * max(1.0, abs(prev_f)):
             break
         alpha = a
 
@@ -248,14 +199,14 @@ def _rungs(params: OptimizerParams) -> List[float]:
     s = params.s_initial
     while s < params.s_final:
         out.append(s)
-        s *= params.s_factor
+        s *= _S_FACTOR
     out.append(params.s_final)
     return out
 
 
 def ladder(
     config: PackingConfiguration,
-    pins: Optional[PinSet] = None,
+    pins: Sequence[int] = (),
     params: Optional[OptimizerParams] = None,
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
@@ -288,12 +239,12 @@ def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -
         diameter=packing_radius(pts),
         meta={"mode": "algorithm1", "seed": params.seed},
     )
-    out = ladder(start, None, params)
+    out = ladder(start, params=params)
     out.meta = dict(start.meta)
     return out
 
 
-def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[PackingConfiguration, PinSet]:
+def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[PackingConfiguration, range]:
     """Exact border and center disks plus a rotated hexagonal interior guess.
 
     The first 6k+1 disks are at their final positions and come pinned;
@@ -328,13 +279,13 @@ def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[Packi
         diameter=packing_radius(arr),
         meta={"mode": "seed_guided", "k": k, "theta": theta, "scale": scale},
     )
-    return config, PinSet.of(range(6 * k + 1))
+    return config, range(6 * k + 1)
 
 
 def algorithm2(
     config: PackingConfiguration,
     params: Optional[OptimizerParams] = None,
-    pins: Optional[PinSet] = None,
+    pins: Sequence[int] = (),
     trial: int = 0,
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
@@ -342,9 +293,8 @@ def algorithm2(
     if config.n_disks < 2:
         raise PreconditionViolated("need at least two disks")
     params = params or OptimizerParams()
-    pins = pins or PinSet()
     base = packing_radius(config.centers)
-    x = _centers_of(config).copy()
+    x = config.centers.copy()
     free = _free_mask(len(x), pins)
     for i in np.flatnonzero(free):
         gen = _rng(params.seed, (trial << 32) | i)

@@ -22,12 +22,7 @@ def _f(x: float) -> str:
     return "0.00000000" if s == "-0.00000000" else s
 
 
-def render_svg(
-    config: PackingConfiguration,
-    contacts: bool = False,
-    fundamental: bool = False,
-    size: int = 640,
-) -> str:
+def render_svg(config: PackingConfiguration, contacts: bool = False, fundamental: bool = False) -> str:
     centers = config.centers
     r = config.diameter / 2.0
     sigma = config.sigma
@@ -36,7 +31,7 @@ def render_svg(
 
     parts: List[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{_f(-margin)} {_f(-margin)} {_f(2 * margin)} {_f(2 * margin)}">'
     )
     parts.append('<g transform="scale(1,-1)">')

@@ -197,7 +197,7 @@ def test_extract_dna_tolerates_noise():
     from chp_pack.builder import PackingConfiguration
 
     cfg = PackingConfiguration(sigma=config.sigma, centers=noisy, diameter=config.diameter, meta={})
-    assert extract_dna(cfg, 12, 4, tol=1e-6).letters == "abab"
+    assert extract_dna(cfg, 12, 4).letters == "abab"
 
 
 def test_extract_dna_requires_start_disk():
@@ -211,7 +211,7 @@ def test_extract_dna_requires_start_disk():
         meta={},
     )
     with pytest.raises(AmbiguousStart):
-        extract_dna(shifted, 12, 3, tol=1e-7)
+        extract_dna(shifted, 12, 3)
 
 
 def test_extract_dna_refuses_another_sigma():

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import chp_pack
-from chp_pack import build_chp
+from chp_pack import build_chp, seed_guided
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
 from chp_pack.configio import dumps_config, loads_config, read_config
 from chp_pack.errors import ParseError, SchemaMismatch
+from chp_pack.geometry import outside_by
 from chp_pack.svg import render_svg
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,19 @@ def test_density_digits(capsys):
     code, out, _ = run_cli(["density", "--sigma", "12", "--k", "23"], capsys)
     assert code == 0
     assert out.strip() == "0.836837494348"
+
+
+def test_density_names_its_sigma_rule(capsys):
+    # density takes every integer side count from 6 up, not only multiples of 6
+    code, out, _ = run_cli(["density", "--sigma", "7", "--k", "2"], capsys)
+    assert (code, out) == (0, "0.798040967272\n")
+    for k in ("2", "3", "5"):
+        code, out, err = run_cli(["density", "--sigma", "4", "--k", k], capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "NotMultipleOfSix",
+            "message": "sigma must be an integer >= 6 or 'circle', got 4",
+        }
 
 
 def test_solve_json(capsys):
@@ -119,24 +133,6 @@ def test_tables_repeated_sigma_is_tabled_once(capsys):
         assert out == once
 
 
-def test_tables_thread_count_invariance(tmp_path, capsys):
-    args = ["tables", "--sigma-list", "12,18", "--k-max", "4"]
-    old = os.environ.get("CHP_PACK_THREADS")
-    try:
-        os.environ["CHP_PACK_THREADS"] = "1"
-        code1, out1, _ = run_cli(args, capsys)
-        os.environ["CHP_PACK_THREADS"] = "3"
-        code3, out3, _ = run_cli(args, capsys)
-    finally:
-        if old is None:
-            os.environ.pop("CHP_PACK_THREADS", None)
-        else:
-            os.environ["CHP_PACK_THREADS"] = old
-    assert code1 == code3 == 0
-    assert out1 == out3
-    assert out1.splitlines()[0] == "sigma,k,blocks,degeneracies,eta,n_V,k_mod,formula_count,enumerated_count"
-
-
 def test_validate_good_and_corrupt(tmp_path, capsys):
     good = tmp_path / "good.json"
     run_cli(["build", "--sigma", "12", "--k", "2", "-o", str(good)], capsys)
@@ -169,7 +165,7 @@ def test_validate_and_shake_single_disk(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "PreconditionViolated"
 
 
-def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
+def test_exit_codes_and_error_json(tmp_path, capsys):
     code, _, err = run_cli(["count", "--sigma", "13", "--k", "2"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "NotMultipleOfSix"
@@ -196,12 +192,6 @@ def test_exit_codes_and_error_json(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
         assert json.loads(err)["error"] == "bad_arguments"
-
-    with monkeypatch.context() as env:
-        env.setenv("CHP_PACK_THREADS", "x")
-        code, _, err = run_cli(["tables", "--sigma-list", "12", "--k-max", "1"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "bad_arguments"
 
     for k in ("0", "-1"):
         code, _, err = run_cli(["density", "--sigma", "circle", "--k", k], capsys)
@@ -304,6 +294,22 @@ def test_shake_emits_rung_csv(tmp_path, capsys):
     for row in lines[1:]:
         val = float(row.split(",")[3])
         assert 0.0 < val < 0.92
+
+
+def test_shake_border_pins_keep_their_rows(tmp_path, capsys):
+    # the (12, 2) build is already densest and a guided start is not; either
+    # way the border disks that --pin border freezes come back byte for byte
+    built, start, out = tmp_path / "built.json", tmp_path / "start.json", tmp_path / "out.json"
+    run_cli(["build", "--sigma", "12", "--k", "2", "-o", str(built)], capsys)
+    start.write_text(dumps_config(seed_guided(12, 2, 0.12, 0.95)[0]))
+    for src in (built, start):
+        code, _, _ = run_cli(["shake", "-i", str(src), "--pin", "border", "--trials", "1", "-o", str(out)], capsys)
+        assert code == 0
+        before, after = read_config(src), read_config(out)
+        pinned = np.flatnonzero(np.abs(outside_by(12, before.centers)) <= 1e-7)
+        assert len(pinned) == 12
+        assert after.centers[pinned].tobytes() == before.centers[pinned].tobytes()
+        assert (after.centers.tobytes() == before.centers.tobytes()) == (src == built)
 
 
 def test_config_round_trip_bitwise(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +11,11 @@ from chp_pack.errors import CoincidentPoints, PreconditionViolated
 from chp_pack.geometry import outside_by
 from chp_pack.optimizer import (
     OptimizerParams,
-    PinSet,
+    _evaluate,
+    _free_mask,
+    _objective,
     algorithm1,
     algorithm2,
-    energy,
-    energy_gradient,
     ladder,
     minimize,
     seed_guided,
@@ -29,21 +28,30 @@ def random_instance(rng, n=10):
     return PackingConfiguration(sigma=12, centers=pts, diameter=0.1, meta={})
 
 
+def log_energy(centers, s, lam):
+    return _evaluate(centers, s, lam)[0]
+
+
+def gradient(centers, s, lam, pins=()):
+    return _objective(centers, s, lam, _free_mask(len(centers), pins))[1]
+
+
 def finite_difference(centers, s, lam, i, c, h):
     p = centers.copy()
     p[i, c] += h
     m = centers.copy()
     m[i, c] -= h
-    return (energy(p, s, lam) - energy(m, s, lam)) / (2 * h)
+    return (log_energy(p, s, lam) - log_energy(m, s, lam)) / (2 * h)
 
 
 @pytest.mark.parametrize("s", [2.0, 10.0, 100.0])
 def test_gradient_matches_finite_differences(s):
+    # minimize follows the log-energy and _objective's gradient of it
     rng = np.random.default_rng(11)
     for _ in range(10):
         cfg = random_instance(rng)
         lam = packing_radius(cfg.centers) ** 2
-        g = energy_gradient(cfg, s, lam)
+        g = gradient(cfg.centers, s, lam)
         h = 3e-7 * packing_radius(cfg.centers)
         scale = float(np.abs(g).max())
         for i in (0, 4, 9):
@@ -58,45 +66,11 @@ def test_energy_translation_invariant():
     rng = np.random.default_rng(5)
     cfg = random_instance(rng)
     lam = 0.02
-    e0 = energy(cfg.centers, 4.0, lam)
-    g0 = energy_gradient(cfg.centers, 4.0, lam)
+    e0 = log_energy(cfg.centers, 4.0, lam)
+    g0 = gradient(cfg.centers, 4.0, lam)
     shifted = cfg.centers + np.array([0.123, -0.456])
-    assert energy(shifted, 4.0, lam) == pytest.approx(e0, rel=1e-12)
-    assert np.allclose(energy_gradient(shifted, 4.0, lam), g0, rtol=1e-9, atol=1e-12)
-
-
-def test_energy_overflow_guard():
-    # a pair far inside lambda would overflow outside the log domain
-    pts = np.array([[0.0, 0.0], [1e-8, 0.0]])
-    val = energy(pts, 100.0, 1.0)
-    assert math.isinf(val)
-    with pytest.raises(CoincidentPoints):
-        energy(np.zeros((2, 2)), 2.0, 1.0)
-
-
-def test_energy_gradient_overflow_raises():
-    # the energy is about 1e306, its gradient about 6e309
-    pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-    lam = 0.01 * 10.0 ** (306.0 / 300.0)
-    assert math.isfinite(energy(pts, 300.0, lam))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OverflowError):
-            energy_gradient(pts, 300.0, lam)
-
-
-def test_energy_finite_up_to_float_max():
-    # log energy 709.5: exp is finite up to about 709.78, so the energy is
-    # 1.355e308 and agrees with its gradient 2s/r * energy = 5.42e306
-    pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-    lam = 1e4 * math.exp(354.75)
-    e = energy(pts, 2.0, lam)
-    assert e == pytest.approx(math.exp(709.5), rel=1e-12)
-    g = energy_gradient(pts, 2.0, lam)
-    assert g[0, 0] == pytest.approx(0.04 * e, rel=1e-12)
-    assert g[1, 0] == -g[0, 0]
-    # one step further the energy itself overflows
-    assert energy(pts, 2.0, 1e4 * math.exp(355.0)) == math.inf
+    assert log_energy(shifted, 4.0, lam) == pytest.approx(e0, rel=1e-12)
+    assert np.allclose(gradient(shifted, 4.0, lam), g0, rtol=1e-9, atol=1e-12)
 
 
 def _reference_evaluate(centers, s, lam):
@@ -141,23 +115,13 @@ def test_pair_kernel_matches_difference_tensor(n, s, seed, lam_scale, pin_share)
     before = centers.copy()
 
     value, state = _reference_evaluate(centers, s, lam)
-    want = math.exp(value) if value <= 709.0 else math.inf
-    assert energy(centers, s, lam) == want
     grad = _reference_gradient(state, s, free)
     # bit for bit, signed zeros included
-    assert optimizer._objective(centers, s, lam, free)[1].tobytes() == grad.tobytes()
-    if value > 709.0:
-        return
-    with np.errstate(over="ignore"):
-        want_grad = math.exp(value) * grad
-    if np.isinf(want_grad).any():
-        with pytest.raises(OverflowError):
-            energy_gradient(centers, s, lam, PinSet.of(pinned))
-        return
-    first = energy_gradient(centers, s, lam, PinSet.of(pinned))
-    assert np.array_equal(first, want_grad)
+    got_value, got_grad = _objective(centers, s, lam, free)
+    assert got_value == value
+    assert got_grad.tobytes() == grad.tobytes()
     # the in-place gradient consumes only its own state
-    assert energy_gradient(centers, s, lam, PinSet.of(pinned)).tobytes() == first.tobytes()
+    assert _objective(centers, s, lam, free)[1].tobytes() == got_grad.tobytes()
     assert centers.tobytes() == before.tobytes()
 
 
@@ -166,9 +130,7 @@ def test_pair_kernel_rejects_coincident_centers(n):
     centers = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
     centers[-1] = centers[0]
     with pytest.raises(CoincidentPoints):
-        energy(centers, 10.0, 0.01)
-    with pytest.raises(CoincidentPoints):
-        energy_gradient(centers, 10.0, 0.01)
+        _evaluate(centers, 10.0, 0.01)
 
 
 def test_ladder_matches_difference_tensor_kernel(monkeypatch):
@@ -185,20 +147,18 @@ def test_ladder_matches_difference_tensor_kernel(monkeypatch):
 def test_pinned_rows_zeroed():
     rng = np.random.default_rng(3)
     cfg = random_instance(rng)
-    g = energy_gradient(cfg, 2.0, 0.05, PinSet.of([1, 7]))
+    g = gradient(cfg.centers, 2.0, 0.05, [1, 7])
     assert np.all(g[[1, 7]] == 0.0)
     assert np.all(np.any(g[[0, 2, 3, 4, 5, 6, 8, 9]] != 0.0, axis=1))
 
 
 def test_pins_out_of_range_are_refused():
-    # one range check serves minimize, energy_gradient and algorithm2
+    # one range check serves minimize and algorithm2, whatever sequence the pins come as
     cfg = random_instance(np.random.default_rng(3))
     lam = packing_radius(cfg.centers) ** 2
-    for pins in (PinSet.of([1000]), PinSet.of([-1])):
+    for pins in ([1000], [-1], range(9, 11), np.array([3, -1])):
         with pytest.raises(PreconditionViolated, match="out of range"):
             minimize(cfg, 10.0, lam, pins)
-        with pytest.raises(PreconditionViolated, match="out of range"):
-            energy_gradient(cfg, 10.0, lam, pins)
         with pytest.raises(PreconditionViolated, match="out of range"):
             algorithm2(cfg, OptimizerParams(seed=1), pins)
 
@@ -206,7 +166,7 @@ def test_pins_out_of_range_are_refused():
 def test_minimize_keeps_pins_bit_identical():
     rng = np.random.default_rng(8)
     cfg = random_instance(rng)
-    pins = PinSet.of([0, 5])
+    pins = [0, 5]
     frozen = cfg.centers[[0, 5]].copy()
     out = minimize(cfg, 10.0, packing_radius(cfg.centers) ** 2, pins, OptimizerParams())
     assert np.array_equal(out.centers[[0, 5]], frozen)
@@ -231,15 +191,15 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
     monkeypatch.setattr(optimizer, "_project_all", counted_project_all)
     cfg = random_instance(np.random.default_rng(4))
     lam = packing_radius(cfg.centers) ** 2
-    out = minimize(cfg, 10.0, lam, None, OptimizerParams(max_inner_iters=30))
+    out = minimize(cfg, 10.0, lam, (), OptimizerParams(max_inner_iters=30))
     trials = events.count("trial")
     assert trials >= 30
     assert events.count("evaluate") == 1 + trials
     assert not np.array_equal(out.centers, cfg.centers)
 
-    # and the gradient those evaluations feed still matches the energy
+    # and the gradient those evaluations feed still matches the log-energy
     events.clear()
-    g = energy_gradient(out, 10.0, lam)
+    g = gradient(out.centers, 10.0, lam)
     assert events.count("evaluate") == 1
     h = 3e-7 * packing_radius(out.centers)
     scale = float(np.abs(g).max())
@@ -252,7 +212,7 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
 def test_minimize_respects_container():
     rng = np.random.default_rng(21)
     cfg = random_instance(rng, n=25)
-    out = ladder(cfg, None, OptimizerParams(s_final=1e4))
+    out = ladder(cfg, params=OptimizerParams(s_final=1e4))
     assert (outside_by(cfg.sigma, out.centers) <= 1e-12).all()
 
 
@@ -274,7 +234,7 @@ def test_seed_guided_layout():
     k = 3
     config, pins = seed_guided(12, k, theta=0.1, scale=0.97)
     assert config.n_disks == 3 * k * (k + 1) + 1
-    assert pins.indices == frozenset(range(6 * k + 1))
+    assert pins == range(6 * k + 1)
     border = solve_border(12, k)
     # pinned prefix holds the exact border ring and the center
     assert config.centers[0] == pytest.approx(
@@ -288,9 +248,22 @@ def test_seed_guided_layout():
 
 def test_algorithm2_identity_when_everything_pinned():
     config = build_chp(12, 2)
-    pins = PinSet.of(range(config.n_disks))
+    pins = range(config.n_disks)
     out = algorithm2(config, OptimizerParams(seed=4, perturb_amplitude=0.0), pins)
     assert np.array_equal(out.centers, config.centers)
+
+
+def test_algorithm2_takes_any_pin_sequence():
+    # a one-element array is falsy in numpy when its element is 0: the pins
+    # must still hold, and every sequence type gives the same bytes
+    config, pins = seed_guided(12, 2, theta=0.12, scale=0.95)
+    params = OptimizerParams(seed=2, s_final=1e3)
+    groups = ([range(19), list(range(19)), np.arange(19)], [pins, list(pins), np.asarray(pins)], [[0], np.array([0])])
+    for same in groups:
+        outs = [algorithm2(config, params, p).centers for p in same]
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+    assert outs[0][0].tobytes() == config.centers[0].tobytes()
+    assert not np.array_equal(outs[0], config.centers)
 
 
 def test_algorithm2_needs_two_disks():
@@ -332,15 +305,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         OptimizerParams(s_initial=10, s_final=5)
     with pytest.raises(ValueError):
-        OptimizerParams(s_factor=1.0)
-    with pytest.raises(ValueError):
         OptimizerParams(s_final=2e9)
     with pytest.raises(ValueError):
         OptimizerParams(perturb_amplitude=0.7)
-    # a start at or below 0 never climbs to s_final, so _rungs never ends;
-    # a nan factor would pass a `<= 1` test and skip every rung between
+    # a start at or below 0 never climbs to s_final, so _rungs never ends
     for s_initial in (0.0, -1.0, -math.inf):
         with pytest.raises(ValueError):
             OptimizerParams(s_initial=s_initial)
-    with pytest.raises(ValueError):
-        OptimizerParams(s_factor=math.nan)

@@ -152,6 +152,12 @@ def test_configuration_owns_the_centers_format():
             PackingConfiguration(sigma=12, centers=bad, diameter=0.5)
 
 
+def test_configuration_refuses_no_disks():
+    # validate_config and dumps_config both need a disk; the error names the shape
+    with pytest.raises(ValueError, match=r"with N >= 1, got \(0, 2\)"):
+        PackingConfiguration(sigma=12, centers=np.zeros((0, 2)), diameter=0.5)
+
+
 def _matching_cases():
     rng = np.random.default_rng(7)
     built = build_chp(12, 8).centers
