@@ -58,11 +58,11 @@ def dumps_config(config: PackingConfiguration) -> str:
         lines.append(f'  "k": {int(meta["k"])},')
     lines.append(f'  "n_disks": {config.n_disks},')
     lines.append(f'  "diameter": {_fmt(config.diameter)},')
+    if not np.isfinite(config.centers).all():
+        raise ValueError("non-finite value in output centers")
     lines.append('  "centers": [')
-    last = config.n_disks - 1
-    for i, (x, y) in enumerate(config.centers):
-        comma = "," if i != last else ""
-        lines.append(f"    [{_fmt(x)}, {_fmt(y)}]{comma}")
+    rows = [f"    [{x:.17g}, {y:.17g}]" for x, y in config.centers.tolist()]
+    lines.append(",\n".join(rows))
     lines.append("  ],")
     if "dna" in meta and meta["dna"] is not None:
         lines.append(f'  "dna": {json.dumps(str(meta["dna"]))},')

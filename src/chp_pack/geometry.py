@@ -220,11 +220,21 @@ def min_distance(centers: np.ndarray) -> float:
 
 
 def contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, int]]:
-    """Sorted index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``."""
+    """Sorted index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``.
+
+    Both paths keep a pair by the same ``hypot`` test; the k-d tree only
+    proposes the candidates above ``_DENSE_MAX`` points.
+    """
+    n = len(centers)
+    lo, hi = d * (1.0 - tol), d * (1.0 + tol)
+    if n <= _DENSE_MAX:
+        gap = np.hypot(*_pair_offsets(centers, centers))
+        rows, cols = np.nonzero(np.triu((gap >= lo) & (gap <= hi), 1))
+        return list(zip(rows.tolist(), cols.tolist()))
     from scipy.spatial import cKDTree
 
-    pairs = cKDTree(centers).query_pairs(d * (1.0 + tol), output_type="ndarray")
+    pairs = cKDTree(centers).query_pairs(hi, output_type="ndarray")
     gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
-    pairs = pairs[gap >= d * (1.0 - tol)]
-    pairs = pairs[np.argsort(pairs[:, 0] * len(centers) + pairs[:, 1])]
+    pairs = pairs[(gap >= lo) & (gap <= hi)]
+    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     return [(i, j) for i, j in pairs.tolist()]

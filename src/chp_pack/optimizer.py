@@ -52,78 +52,90 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _log_terms(
-    centers: np.ndarray, s: float, lam: float
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """Ordered-pair matrix of s*(log lam - log r^2), -inf on the diagonal.
-
-    Also returns r^2 and the offsets ``(dx, dy)``, ``dx[i, j] = x_j - x_i``,
-    all three contiguous n×n arrays.
-    """
-    dx, dy = geometry._pair_offsets(centers, centers)
-    r2 = dx * dx
-    r2 += dy * dy
-    r2.flat[:: len(centers) + 1] = np.inf
-    if float(r2.min()) <= 0.0:
-        raise CoincidentPoints("two centers coincide")
-    logterms = np.log(r2)
-    np.subtract(math.log(lam), logterms, out=logterms)
-    logterms *= s
-    return logterms, r2, (dx, dy)
-
-
-def _free_mask(n: int, pins: Sequence[int]) -> np.ndarray:
-    """True for each of the n disks that ``pins`` leaves free; refuses a pin outside 0..n-1."""
+def _pinned(n: int, pins: Sequence[int]) -> np.ndarray:
+    """Sorted indices of the disks ``pins`` holds fixed; refuses a pin outside 0..n-1."""
     idx = [int(i) for i in pins]
     bad = sorted({i for i in idx if not 0 <= i < n})
     if bad:
         raise PreconditionViolated(f"pinned indices {bad} out of range")
-    free = np.ones(n, dtype=bool)
-    free[idx] = False
-    return free
+    return np.unique(np.asarray(idx, dtype=np.intp))
 
 
-def _evaluate(centers: np.ndarray, s: float, lam: float):
-    """log-energy, and the ``(w, total, r2, (dx, dy))`` its gradient is built from."""
-    logterms, r2, offsets = _log_terms(centers, s, lam)
-    m = float(logterms.max())
-    logterms -= m
-    w = np.exp(logterms, out=logterms)
+def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers one evaluation of n centers fills: offsets (2, n, n), r^2 and log-terms (n, n)."""
+    return np.empty((2, n, n)), np.empty((n, n)), np.empty((n, n))
+
+
+def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
+    """log-energy, and the ``(w, total, r2, offsets)`` its gradient is built from.
+
+    The log-terms are s*(log lam - log r^2) over ordered pairs, -inf on
+    the diagonal; ``offsets[:, i, j]`` is ``c_j - c_i``.  All of them are
+    written into ``work``, a ``_workspace(len(centers))``, or into fresh
+    buffers without one, and stay valid until its next evaluation.
+    Rounding is monotone, so the largest log-term is the one at the
+    smallest log r^2, and -inf there means two centers coincide.
+    """
+    n = len(centers)
+    offsets, r2, terms = work if work is not None else _workspace(n)
+    ct = centers.T.copy()
+    # copy, then subtract in place: a fifth faster above ~40 centers than one broadcast subtract
+    offsets[...] = ct[:, None, :]
+    offsets -= ct[:, :, None]
+    np.multiply(offsets[0], offsets[0], out=r2)
+    r2 += np.multiply(offsets[1], offsets[1], out=terms)
+    r2.flat[:: n + 1] = np.inf
+    with np.errstate(divide="ignore"):
+        np.log(r2, out=terms)
+    low = float(terms.min())
+    if low == -math.inf:
+        raise CoincidentPoints("two centers coincide")
+    log_lam = math.log(lam)
+    np.subtract(log_lam, terms, out=terms)
+    terms *= s
+    m = s * (log_lam - low)
+    terms -= m
+    w = np.exp(terms, out=terms)
     total = 0.5 * float(w.sum())
     return m + math.log(total), (w, total, r2, offsets)
 
 
-def _gradient(state, s: float, free: np.ndarray) -> np.ndarray:
-    """Gradient of the log-energy from ``_evaluate``'s state; pinned rows are zero.
+def _gradient(state, s: float, pinned: np.ndarray) -> np.ndarray:
+    """Gradient of the log-energy from ``_evaluate``'s state; the ``pinned`` rows are zero.
 
     Consumes ``state``: its pair arrays are overwritten in place.  Row i
     is coef[i, j] (x_i - x_j) summed over j in sequence onto +0.0, the
     order of ``einsum("ij,ijk->ik")`` on an (n, n, 2) difference tensor,
     the reference formula the tests keep; holding to it keeps optimizer
     trajectories bit-identical to that formula.  coef is exactly symmetric
-    and ``dx[j, i] = x_i - x_j``, so each row is a column sum of coef * dx.
+    and ``offsets[:, j, i] = c_i - c_j``, so each row is a column sum of
+    coef * offsets.
     """
-    w, total, r2, (dx, dy) = state
+    w, total, r2, offsets = state
     coef = w
     coef /= total
     coef *= -2.0 * s
     coef /= r2
-    grad = np.empty((len(coef), 2))
-    grad[:, 0] = np.multiply(coef, dx, out=dx).sum(axis=0, initial=0.0)
-    grad[:, 1] = np.multiply(coef, dy, out=dy).sum(axis=0, initial=0.0)
-    grad[~free] = 0.0
+    offsets *= coef
+    # a contiguous (2, n) sum, then transposed: summing into ``out=grad.T``
+    # keeps the order but takes twice as long
+    grad = offsets.sum(axis=1, initial=0.0).T.copy()
+    if len(pinned):
+        grad[pinned] = 0.0
     return grad
 
 
-def _objective(centers: np.ndarray, s: float, lam: float, free: np.ndarray):
+def _objective(centers: np.ndarray, s: float, lam: float, pinned: np.ndarray, work=None):
     """log-energy and its gradient restricted to unpinned disks."""
-    value, state = _evaluate(centers, s, lam)
-    return value, _gradient(state, s, free)
+    value, state = _evaluate(centers, s, lam, work)
+    return value, _gradient(state, s, pinned)
 
 
-def _project_all(centers: np.ndarray, sigma: Sigma, free: np.ndarray) -> np.ndarray:
-    bad = free & (geometry.outside_by(sigma, centers) > 0.0)
-    if not np.any(bad):
+def _project_all(centers: np.ndarray, sigma: Sigma, pinned: np.ndarray) -> np.ndarray:
+    bad = geometry.outside_by(sigma, centers) > 0.0
+    if len(pinned):
+        bad[pinned] = False
+    if not bad.any():
         return centers
     out = centers.copy()
     out[bad] = geometry.project_into(sigma, out[bad])
@@ -137,13 +149,19 @@ def minimize(
     pins: Sequence[int] = (),
     params: Optional[OptimizerParams] = None,
 ) -> PackingConfiguration:
-    """Projected gradient descent on the log energy at fixed (s, lambda)."""
+    """Projected gradient descent on the log energy at fixed (s, lambda).
+
+    Every evaluation of the call, the start's and each line-search
+    trial's, fills one pair workspace; the accepted trial's gradient is
+    built from that trial's buffers before the next trial overwrites them.
+    """
     params = params or OptimizerParams()
     x = config.centers.copy()
-    free = _free_mask(len(x), pins)
+    pinned = _pinned(len(x), pins)
+    work = _workspace(len(x))
 
     sigma = config.sigma
-    f, g = _objective(x, s, lam, free)
+    f, g = _objective(x, s, lam, pinned, work)
     if not math.isfinite(f):
         raise NonFinite(f"objective is {f} at the starting point")
     alpha = 0.05 * math.sqrt(lam) / max(float(np.abs(g).max()), 1e-300)
@@ -164,12 +182,12 @@ def minimize(
         accepted = False
         a = alpha
         for _ in range(70):
-            trial = _project_all(x - a * g, sigma, free)
+            trial = _project_all(x - a * g, sigma, pinned)
             move = trial - x
             move_norm2 = float((move * move).sum())
             if move_norm2 == 0.0:
                 break
-            f_trial, state = _evaluate(trial, s, lam)
+            f_trial, state = _evaluate(trial, s, lam, work)
             if math.isnan(f_trial):
                 raise NonFinite("objective became NaN during line search")
             if f_trial <= f - 1e-4 / max(a, 1e-300) * move_norm2:
@@ -180,7 +198,7 @@ def minimize(
             break
         prev_x, prev_g, prev_f = x, g, f
         x, f = trial, f_trial
-        g = _gradient(state, s, free)
+        g = _gradient(state, s, pinned)
         if abs(prev_f - f) <= _INNER_TOL * max(1.0, abs(prev_f)):
             break
         alpha = a
@@ -295,14 +313,14 @@ def algorithm2(
     params = params or OptimizerParams()
     base = packing_radius(config.centers)
     x = config.centers.copy()
-    free = _free_mask(len(x), pins)
-    for i in np.flatnonzero(free):
+    pinned = _pinned(len(x), pins)
+    for i in np.setdiff1d(np.arange(len(x)), pinned, assume_unique=True):
         gen = _rng(params.seed, (trial << 32) | i)
         r = params.perturb_amplitude * base * math.sqrt(gen.uniform())
         ang = gen.uniform(0.0, 2.0 * math.pi)
         x[i, 0] += r * math.cos(ang)
         x[i, 1] += r * math.sin(ang)
-    x = _project_all(x, config.sigma, free)
+    x = _project_all(x, config.sigma, pinned)
     shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
     out = ladder(shaken, pins, params, record)
     if packing_radius(out.centers) > base:

@@ -39,19 +39,26 @@ def density(config: PackingConfiguration) -> float:
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
     """Max pair distance of the min-sum bijection a -> b, or None past tol.
 
-    One k-d query finds each point's nearest target.  Any bijection's max
-    is at least every row's nearest distance, so one above tol rules all
-    of them out.  When the nearest targets form a bijection, every row
-    sits at its own minimum, so that map is the min-sum assignment; only
-    a shared nearest target calls the optimal assignment.
+    One nearest-target search, dense up to ``geometry._DENSE_MAX`` points
+    and a k-d query above, finds each point's nearest target.  Any
+    bijection's max is at least every row's nearest distance, so one
+    above tol rules all of them out.  When the nearest targets form a
+    bijection, every row sits at its own minimum, so that map is the
+    min-sum assignment; only a shared nearest target calls the optimal
+    assignment.
     """
     if len(a) != len(b):
         return None
     if len(a) == 0:
         return 0.0
-    from scipy.spatial import cKDTree
+    if len(b) <= geometry._DENSE_MAX:
+        cost = np.hypot(*geometry._pair_offsets(a, b))
+        idx = cost.argmin(axis=1)
+        dist = cost[np.arange(len(a)), idx]
+    else:
+        from scipy.spatial import cKDTree
 
-    dist, idx = cKDTree(b).query(a)
+        dist, idx = cKDTree(b).query(a)
     if dist.max() > tol:
         return None
     if len(np.unique(idx)) < len(b):

@@ -68,7 +68,7 @@ def test_outside_by_and_project_into():
     # the optimizer's projection leaves interior rows and pinned rows as they are
     inside = (0.1, -0.2)
     rows = np.array([inside, outside, outside])
-    got = optimizer._project_all(rows, sigma, np.array([True, False, True]))
+    got = optimizer._project_all(rows, sigma, np.array([1]))
     assert tuple(got[0]) == inside
     assert tuple(got[1]) == outside
     assert tuple(got[2]) == tuple(proj[0])

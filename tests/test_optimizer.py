@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from chp_pack.geometry import outside_by
 from chp_pack.optimizer import (
     OptimizerParams,
     _evaluate,
-    _free_mask,
     _objective,
+    _pinned,
     algorithm1,
     algorithm2,
     ladder,
@@ -33,7 +34,7 @@ def log_energy(centers, s, lam):
 
 
 def gradient(centers, s, lam, pins=()):
-    return _objective(centers, s, lam, _free_mask(len(centers), pins))[1]
+    return _objective(centers, s, lam, _pinned(len(centers), pins))[1]
 
 
 def finite_difference(centers, s, lam, i, c, h):
@@ -73,8 +74,8 @@ def test_energy_translation_invariant():
     assert np.allclose(gradient(shifted, 4.0, lam), g0, rtol=1e-9, atol=1e-12)
 
 
-def _reference_evaluate(centers, s, lam):
-    """The pair kernel on an (n, n, 2) difference tensor, as first written."""
+def _reference_evaluate(centers, s, lam, work=None):
+    """The pair kernel on an (n, n, 2) difference tensor, as first written; ``work`` is unused."""
     diff = centers[:, None, :] - centers[None, :, :]
     r2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     n = len(centers)
@@ -89,11 +90,11 @@ def _reference_evaluate(centers, s, lam):
     return m + math.log(total), (w, total, r2, diff)
 
 
-def _reference_gradient(state, s, free):
+def _reference_gradient(state, s, pinned):
     w, total, r2, diff = state
     coef = (-2.0 * s) * (w / total) / r2
     grad = np.einsum("ij,ijk->ik", coef, diff)
-    grad[~free] = 0.0
+    grad[pinned] = 0.0
     return grad
 
 
@@ -110,38 +111,69 @@ def test_pair_kernel_matches_difference_tensor(n, s, seed, lam_scale, pin_share)
     centers = rng.uniform(-1.0, 1.0, (n, 2))
     lam = lam_scale * packing_radius(centers) ** 2
     pinned = np.flatnonzero(rng.uniform(size=n) < pin_share)
-    free = np.ones(n, dtype=bool)
-    free[pinned] = False
     before = centers.copy()
 
     value, state = _reference_evaluate(centers, s, lam)
-    grad = _reference_gradient(state, s, free)
-    # bit for bit, signed zeros included
-    got_value, got_grad = _objective(centers, s, lam, free)
+    grad = _reference_gradient(state, s, pinned)
+    # bit for bit, signed zeros included, in fresh buffers and in a reused workspace
+    got_value, got_grad = _objective(centers, s, lam, pinned)
     assert got_value == value
     assert got_grad.tobytes() == grad.tobytes()
-    # the in-place gradient consumes only its own state
-    assert _objective(centers, s, lam, free)[1].tobytes() == got_grad.tobytes()
+    work = optimizer._workspace(n)
+    for _ in range(2):
+        # the in-place gradient consumes only its own state
+        again_value, again_grad = _objective(centers, s, lam, pinned, work)
+        assert again_value == value
+        assert again_grad.tobytes() == grad.tobytes()
     assert centers.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_pair_kernel_rejects_coincident_centers(n):
+    # exact coincidence, and two centers so close that r^2 underflows to 0;
+    # either raises, with no floating-point warning on the way
     centers = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
-    centers[-1] = centers[0]
-    with pytest.raises(CoincidentPoints):
-        _evaluate(centers, 10.0, 0.01)
+    centers[0] = (0.0, 0.0)
+    for gap in (0.0, 1e-170):
+        centers[-1] = (gap, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for work in (None, optimizer._workspace(n)):
+                with pytest.raises(CoincidentPoints):
+                    _evaluate(centers, 10.0, 0.01, work)
+
+
+def _searches_through(monkeypatch, evaluate, gradient):
+    """Bytes of two short searches run on the given kernel, and its evaluation count."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    monkeypatch.setattr(optimizer, "_evaluate", counted)
+    monkeypatch.setattr(optimizer, "_gradient", gradient)
+    params = OptimizerParams(s_final=1e3, seed=1)
+    guided, pins = seed_guided(12, 2, theta=0.1, scale=0.97)
+    out = algorithm1(12, 7, params).centers.tobytes() + algorithm2(guided, params, pins).centers.tobytes()
+    return out, len(calls)
 
 
 def test_ladder_matches_difference_tensor_kernel(monkeypatch):
-    params = OptimizerParams(s_final=1e3, seed=1)
-    got = algorithm1(12, 7, params)
-    guided, pins = seed_guided(12, 2, theta=0.1, scale=0.97)
-    got_guided = algorithm2(guided, params, pins)
-    monkeypatch.setattr(optimizer, "_evaluate", _reference_evaluate)
-    monkeypatch.setattr(optimizer, "_gradient", _reference_gradient)
-    assert got.centers.tobytes() == algorithm1(12, 7, params).centers.tobytes()
-    assert got_guided.centers.tobytes() == algorithm2(guided, params, pins).centers.tobytes()
+    # minimize reaches its kernel only through the module's _evaluate and
+    # _gradient, so swapping them swaps what every line-search trial runs
+    got, count = _searches_through(monkeypatch, optimizer._evaluate, optimizer._gradient)
+    ref, ref_count = _searches_through(monkeypatch, _reference_evaluate, _reference_gradient)
+    assert got == ref
+    assert count == ref_count > 0
+
+    # the swap takes effect: a kernel one ulp off moves the output
+    def ulp_off(state, s, pinned):
+        grad = _reference_gradient(state, s, pinned)
+        return np.where(grad == 0.0, grad, np.nextafter(grad, np.inf))
+
+    off, _ = _searches_through(monkeypatch, _reference_evaluate, ulp_off)
+    assert off != ref
 
 
 def test_pinned_rows_zeroed():
@@ -174,20 +206,23 @@ def test_minimize_keeps_pins_bit_identical():
 
 
 def test_minimize_evaluates_each_iterate_once(monkeypatch):
-    # the start is evaluated once and every line-search trial once; an
-    # accepted trial's gradient comes from that trial's evaluation
+    # the start is evaluated once and every line-search trial once, all in
+    # one workspace; an accepted trial's gradient comes from that trial's
+    # evaluation
     events = []
-    log_terms, project_all = optimizer._log_terms, optimizer._project_all
+    workspaces = set()
+    evaluate, project_all = optimizer._evaluate, optimizer._project_all
 
-    def counted_log_terms(*args):
+    def counted_evaluate(centers, s, lam, work=None):
         events.append("evaluate")
-        return log_terms(*args)
+        workspaces.add(id(work))
+        return evaluate(centers, s, lam, work)
 
     def counted_project_all(*args):
         events.append("trial")
         return project_all(*args)
 
-    monkeypatch.setattr(optimizer, "_log_terms", counted_log_terms)
+    monkeypatch.setattr(optimizer, "_evaluate", counted_evaluate)
     monkeypatch.setattr(optimizer, "_project_all", counted_project_all)
     cfg = random_instance(np.random.default_rng(4))
     lam = packing_radius(cfg.centers) ** 2
@@ -195,6 +230,7 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
     trials = events.count("trial")
     assert trials >= 30
     assert events.count("evaluate") == 1 + trials
+    assert len(workspaces) == 1 and id(None) not in workspaces
     assert not np.array_equal(out.centers, cfg.centers)
 
     # and the gradient those evaluations feed still matches the log-energy

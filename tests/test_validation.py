@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from chp_pack import (
     enumerate_dnas,
     solve_border,
 )
-from chp_pack import validation
+from chp_pack import geometry, validation
 from chp_pack.builder import PackingConfiguration
 from chp_pack.geometry import polygon_area
 from chp_pack.validation import (
+    TOL,
     contact_count_histogram,
     density,
     equivalent,
@@ -245,3 +247,41 @@ def test_equivalent_rejects_classes_without_assignment(monkeypatch):
     calls = _count_assignments(monkeypatch)
     assert not equivalent(first, second)
     assert not calls
+
+
+@pytest.mark.parametrize("k", [2, 9], ids=["19_disks", "271_disks"])
+def test_dense_and_tree_paths_agree(k, monkeypatch):
+    # one size on each side of geometry._DENSE_MAX, each run through the
+    # path its size takes and through both forced paths
+    config = build_chp(12, k)
+    centers, d = config.centers, config.diameter
+    rng = np.random.default_rng(k)
+    c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    rotated = centers @ np.array([[c, s], [-s, c]])
+    noisy = centers + rng.uniform(-1e-7, 1e-7, centers.shape)
+    matchings = [(rotated, centers, 1e-6), (rotated + rng.uniform(-5e-7, 5e-7, centers.shape), centers, 1e-6), (rotated, noisy, 1e-9)]
+
+    def results():
+        pairs = [geometry.contact_pairs(pts, d, tol) for pts in (centers, noisy) for tol in (TOL, 1e-6)]
+        return pairs, [validation._matching_residual(a, b, tol) for a, b, tol in matchings]
+
+    own = results()
+    monkeypatch.setattr(geometry, "_DENSE_MAX", 0)
+    tree = results()
+    monkeypatch.setattr(geometry, "_DENSE_MAX", len(centers))
+    dense = results()
+    assert own == tree == dense
+    pairs, residuals = own
+    # the noise breaks contacts at TOL that 1e-6 still finds
+    assert pairs[0] and len(pairs[2]) < len(pairs[3])
+    assert residuals[0] is not None and residuals[1] is not None and residuals[2] is None
+
+
+def test_small_configurations_validate_without_scipy(monkeypatch):
+    config = build_chp(12, 2)
+    report = validate_config(config)
+    pairs = geometry.contact_pairs(config.centers, config.diameter, TOL)
+    for name in ("scipy", "scipy.spatial", "scipy.optimize"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert validate_config(config) == report
+    assert geometry.contact_pairs(config.centers, config.diameter, TOL) == pairs
