@@ -21,9 +21,8 @@ from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
-from .geometry import CIRCLE, Point2, Sigma
+from .geometry import CIRCLE, TWO_PI, Point2, Sigma
 
-TWO_PI = 2.0 * math.pi
 PI_3 = math.pi / 3.0
 
 # tolerance for grouping chord directions and detecting occupied vertices
@@ -273,101 +272,51 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
     return arcs
 
 
-def _brent(
-    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float
-) -> Union[float, None]:
-    """A root of ``f`` in ``[a, b]`` by Brent's method; None without a sign change.
-
-    A line-by-line transcription of scipy's brentq (brentq.c; Brent,
-    "Algorithms for Minimization Without Derivatives", 1973, ch. 4): the
-    same inverse quadratic or secant step, the same bisection safeguard and
-    the same stop when half the bracket is below (xtol + rtol|x|)/2, so it
-    evaluates ``f`` at the same points in the same order.  After 100
-    iterations it returns the last point, as brentq does with disp=False.
-    A zero division, where C computes an inf or nan step that then fails
-    the step test, takes the bisection.  ``f`` must not return nan.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        return None
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    return xcur
-
-
-def _diameter_estimate(
-    sigma: int, k: int, excess: Callable[[float], float], lo: float, hi: float
-) -> Union[float, None]:
-    """Where the residual ``excess`` of the chord length crosses zero in ``[lo, hi]``.
-
-    When 6k/sigma is an integer the chords ride the edges, every arc
-    equals its chord and d = target/k = hi up to rounding, so the residual
-    has no sign change to search (this holds for every k on sigma 6); the
-    estimate is then the float just below hi.  Otherwise _brent finds the
-    root of the continuous residual to a relative tolerance of 8.9e-16, the
-    floor brentq accepts.  None when the ends do not differ in sign; the
-    plain bisection then runs and the chain residual check reports the bad
-    bracket.
-    """
-    if (6 * k) % sigma == 0:
-        return math.nextafter(hi, lo)
-    return _brent(excess, lo, hi, 1e-300, 8.9e-16)
-
-
 def _solve_polygon_border(sigma: int, k: int) -> dict:
     """The raw border chain of a polygon of any side count sigma >= 6.
 
     The chord length d is where the arc that k chords cover reaches one
-    sixth of the perimeter.  _diameter_estimate (Brent's method on that
-    residual, or the top of the bracket when the chords ride the edges, as
-    on sigma 6) gives the estimate from which _bisect finds the same d as
-    a plain bisection would.
+    sixth of the perimeter.  _bisect finds it on the chain of _chain_arcs,
+    starting from an estimate that a plain bisection on the closed-form
+    chain gives: k _chord_end calls per trial length, where _chain_arcs
+    bisects on every chord end.  A chord end that _chord_end misses, by
+    rounding at a vertex, counts as short; that choice steers only the
+    cost, since the replay of _bisect makes d the plain bisection's
+    whatever the estimate.
+
+    When 6k/sigma is an integer the chords ride the edges, every arc
+    equals its chord and d = target/k = hi up to rounding, so the closed
+    form has no sign change to search (this holds for every k on sigma 6)
+    and the estimate is the float just below hi.  The arc residual may
+    round below zero at hi itself there, against _bisect's precondition,
+    as on (48, 8); d lies up to 12 ulps under hi, at (36, 36), and 7 ulps
+    at (30, 35), where the residual at hi is negative.  On every such
+    cell with sigma <= 360 and k <= 40 the estimated and the plain
+    bisection give the same d.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge
     step = TWO_PI / sigma
-    point_at, _ = _perimeter(sigma)
+    point_at, corner = _perimeter(sigma)
 
-    def excess(t: float) -> float:
-        return _chain_arcs(sigma, k, t)[-1] - target
+    def closed_form_short(t: float) -> bool:
+        s = 0.0
+        px, py = point_at(0.0)
+        for _ in range(k):
+            end = _chord_end(corner, edge, px, py, t, s + t * (1.0 - 1e-12), s + 2.0 * t)
+            if end is None:
+                return True
+            s = end
+            px, py = point_at(s)
+        return s < target
 
     # arclength >= chord length, so d = target/k overshoots (or matches on
     # sigma=6); k chords cover at most 2/sqrt(3) times their length in arc,
     # so half of it falls short.  A bad bracket shows in the residual below.
     hi = target / k
     lo = 0.5 * hi
-    d = _bisect(lambda t: excess(t) < 0.0, lo, hi, estimate=_diameter_estimate(sigma, k, excess, lo, hi))
+    estimate = math.nextafter(hi, lo) if (6 * k) % sigma == 0 else _bisect(closed_form_short, lo, hi)
+    d = _bisect(lambda t: _chain_arcs(sigma, k, t)[-1] < target, lo, hi, estimate=estimate)
 
     arcs = _chain_arcs(sigma, k, d)
     chain = [point_at(s) for s in arcs]

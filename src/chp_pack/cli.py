@@ -305,16 +305,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except _BadArguments as exc:
-        sys.stderr.write(json.dumps({"error": "bad_arguments", "message": str(exc)}) + "\n")
-        return 2
     except FileNotFoundError as exc:
         sys.stderr.write(json.dumps({"error": "bad_arguments", "message": str(exc)}) + "\n")
         return 2
-    except ChpError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except (ValueError, OSError) as exc:
+    except (ChpError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3
 

@@ -36,9 +36,10 @@ class CapExceeded(ChpError):
 
 
 class PreconditionViolated(ChpError):
-    """Raised when a closed-form shortcut is called outside its domain, a pin
-    index is out of range, a search gets fewer than two disks, or a DNA is
-    extracted under a sigma other than the configuration's."""
+    """Raised when a hand-made CountInput's degeneracies do not sum to k or
+    give no whole count, a pin index is out of range, a search gets fewer
+    than two disks, or a DNA is extracted under a sigma other than the
+    configuration's."""
 
 
 class CoincidentPoints(ChpError):

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import geometry
 from .builder import PackingConfiguration
+from .chp import PI_3
 from .geometry import CIRCLE
 
-PI_3 = math.pi / 3.0
 # Tolerance of separation, containment, contacts and equivalence.
 TOL = 1e-9
 # Largest symmetry residual reported as a number; past it the residual is inf.

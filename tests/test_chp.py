@@ -1,9 +1,8 @@
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from chp_pack import (
     CIRCLE,
@@ -283,9 +282,12 @@ def test_border_solver_matches_capped_reference(sigma):
 
 def test_border_estimates_save_point_at_calls(monkeypatch):
     # the estimates leave the result as it is and cut the boundary
-    # evaluations at least threefold against plain bisection
+    # evaluations at least threefold against plain bisection; (6, 29),
+    # (24, 20), (30, 35) and (36, 36) ride the edges, where d lies up to
+    # 12 ulps under the estimate's top of the bracket
     calls = [0]
     perimeter = chp._perimeter
+    bisect = chp._bisect
 
     def counted_perimeter(sigma):
         point_at, corner = perimeter(sigma)
@@ -296,18 +298,22 @@ def test_border_estimates_save_point_at_calls(monkeypatch):
 
         return counted_point_at, corner
 
+    def plain_bisect(below, lo, hi, tol=0.0, estimate=None):
+        return bisect(below, lo, hi, tol)
+
+    timed = ((12, 8), (48, 8), (12, 20))
     monkeypatch.setattr(chp, "_perimeter", counted_perimeter)
-    for sigma, k in ((12, 8), (48, 8), (12, 20)):
+    for sigma, k in timed + ((6, 29), (24, 20), (30, 35), (36, 36)):
         calls[0] = 0
         got = chp._solve_polygon_border(sigma, k)
         fast = calls[0]
         with monkeypatch.context() as plain:
-            plain.setattr(chp, "_chord_end", lambda *args: None)
-            plain.setattr(chp, "_diameter_estimate", lambda *args: None)
+            plain.setattr(chp, "_bisect", plain_bisect)
             calls[0] = 0
             want = chp._solve_polygon_border(sigma, k)
         assert got == want, (sigma, k)
-        assert 3 * fast <= calls[0], (sigma, k, fast, calls[0])
+        if (sigma, k) in timed:
+            assert 3 * fast <= calls[0], (sigma, k, fast, calls[0])
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -349,85 +355,3 @@ def test_bisect_with_estimate_replays_the_plain_path(a, b, c, ragged, tol, data)
         label="estimate",
     )
     assert chp._bisect(below, lo, hi, tol, estimate).hex() == chp._bisect(below, lo, hi, tol).hex()
-
-
-def _traced(f):
-    """f, and the list that collects the points it is evaluated at."""
-    points = []
-
-    def g(x):
-        points.append(x)
-        return f(x)
-
-    return g, points
-
-
-def _brentq_or_none(f, a, b):
-    try:
-        return brentq(f, a, b, xtol=1e-300, rtol=8.9e-16, disp=False)
-    except ValueError:
-        return None
-
-
-def test_brent_replays_brentq_on_the_border_residuals():
-    # every cell whose chords leave the edges, so that the estimate
-    # searches the chord-length residual of _solve_polygon_border
-    for sigma in range(12, 121, 6):
-        edge = 2.0 * math.sin(math.pi / sigma)
-        target = (sigma / 6.0) * edge
-        for k in range(1, 21):
-            if (6 * k) % sigma == 0:
-                continue
-            memo = {}
-
-            def excess(t):
-                if t not in memo:
-                    memo[t] = chp._chain_arcs(sigma, k, t)[-1] - target
-                return memo[t]
-
-            hi = target / k
-            ours, got = _traced(excess)
-            theirs, want = _traced(excess)
-            estimate = chp._diameter_estimate(sigma, k, ours, 0.5 * hi, hi)
-            assert estimate is not None and estimate == _brentq_or_none(theirs, 0.5 * hi, hi), (sigma, k)
-            assert got == want, (sigma, k)
-
-
-_MONOTONE = {
-    "linear": lambda u: u,
-    "cubic": lambda u: u * u * u,
-    "atan": math.atan,
-    "sqrt": lambda u: math.copysign(math.sqrt(abs(u)), u),
-    "step": lambda u: math.copysign(1.0, u) if u else 0.0,
-    "subnormal": lambda u: u * 1e-320,
-}
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    st.sampled_from(sorted(_MONOTONE)),
-    st.floats(-1e3, 1e3),
-    st.floats(-1e3, 1e3),
-    st.one_of(st.none(), st.floats(-0.5, 1.5)),
-    st.floats(1e-3, 1e3),
-    st.sampled_from([1.0, -1.0]),
-)
-# the slopes of an inverse quadratic step underflow to 0 and divide by it
-@example("subnormal", 686.9371053969821, 686.2733956688237, 0.1, 100773.52496681949, 1.0)
-def test_brent_replays_brentq_on_monotone_functions(kind, a, b, where, scale, sign):
-    # the root sits at a fraction ``where`` of the way from a to b, so
-    # outside the bracket when that is outside [0, 1]; a root at 0 (where
-    # None) inside the bracket runs into the 100-iteration cap, since xtol
-    # is 1e-300
-    g = _MONOTONE[kind]
-    root = 0.0 if where is None else a + where * (b - a)
-
-    def f(x):
-        return sign * g(scale * (x - root))
-
-    ours, got = _traced(f)
-    theirs, want = _traced(f)
-    x = chp._brent(ours, a, b, 1e-300, 8.9e-16)
-    y = _brentq_or_none(theirs, a, b)
-    assert (x is None and y is None) or x.hex() == y.hex()
-    assert [p.hex() for p in got] == [p.hex() for p in want]
