@@ -14,6 +14,7 @@ out of a finite family that all share the same density.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,9 @@ PI_3 = math.pi / 3.0
 
 # tolerance for grouping chord directions and detecting occupied vertices
 GROUP_TOL = 1e-9
+
+# _bisect's replay window, in floats, for a chord end on a polygon vertex (see _chain_arcs)
+_VERTEX_WINDOW = 1024
 
 
 def disk_count(k: int) -> int:
@@ -130,12 +134,35 @@ def _vertex_index(s: float, edge: float) -> Union[int, None]:
     return m if abs(s - m * edge) <= GROUP_TOL else None
 
 
+_INF_ORDINAL = 0x7FF0000000000000  # the bits of +inf
+
+
+def _float_steps(x: float, n: int) -> float:
+    """The float n steps above the finite x (below for negative n).
+
+    What n calls of ``math.nextafter`` toward +-inf give, in one round
+    trip through the bits: as an int64 the bits of a float >= 0 order
+    those floats, and minus the bits of |x| orders the negative ones, so
+    +0.0 and -0.0 are one step apart from their neighbours as with
+    ``nextafter`` (a step onto zero keeps the sign of the side it comes
+    from).  Past the largest float the result is +-inf.
+    """
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    ordinal = bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+    ordinal = max(-_INF_ORDINAL, min(_INF_ORDINAL, ordinal + n))
+    if ordinal == 0:
+        return math.copysign(0.0, x)
+    (y,) = struct.unpack("<d", struct.pack("<q", abs(ordinal)))
+    return y if ordinal > 0 else -y
+
+
 def _bisect(
     below: Callable[[float], bool],
     lo: float,
     hi: float,
     tol: float = 0.0,
     estimate: Union[float, None] = None,
+    window: int = 16,
 ) -> float:
     """Where ``below`` turns false in the bracket ``[lo, hi]``.
 
@@ -153,15 +180,15 @@ def _bisect(
     an end, taken as true at lo and false at hi), then halving that small
     bracket, pins a flip ``x`` to adjacent floats.  The loop above is then
     replayed from the original bracket and ``tol``, answering true below
-    and false above a window of 16 floats on each side of ``x``, and
-    calling ``below`` inside it.  The precondition: ``below`` is true
-    below and false above some run of at most 16 consecutive floats,
-    within which it may answer anything.  Every flip then lies in or
-    next to that run, so the window holds all of it, every answer of the
-    replay is ``below``'s own, and the result is bit for bit the one
+    and false above a window of ``window`` floats on each side of ``x``,
+    and calling ``below`` inside it.  The precondition: ``below`` is true
+    below and false above some run of at most ``window`` consecutive
+    floats, within which it may answer anything.  Every flip then lies in
+    or next to that run, so the window holds all of it, every answer of
+    the replay is ``below``'s own, and the result is bit for bit the one
     without an estimate, for a few predicate calls instead of about
-    fifty.  Without an estimate, or with one outside the open bracket,
-    the plain loop runs.
+    fifty; a wider window costs about one call per doubling.  Without an
+    estimate, or with one outside the open bracket, the plain loop runs.
     """
     lo_edge, hi_edge = -math.inf, math.inf
     if estimate is not None and lo < estimate < hi:
@@ -175,10 +202,8 @@ def _bisect(
             if below(y) != inside:
                 break
             x, step = y, 2.0 * step
-        lo_edge = hi_edge = _bisect(below, x, y) if inside else _bisect(below, y, x)
-        for _ in range(16):
-            lo_edge = math.nextafter(lo_edge, -math.inf)
-            hi_edge = math.nextafter(hi_edge, math.inf)
+        flip = _bisect(below, x, y) if inside else _bisect(below, y, x)
+        lo_edge, hi_edge = _float_steps(flip, -window), _float_steps(flip, window)
 
     # halving each end first cannot overflow, and for normal floats it
     # rounds exactly as 0.5 * (lo + hi) does; the width test spells out
@@ -211,6 +236,11 @@ def _chord_end(
     edge with that root in [0, 1] gives (i + f) * edge.  None when the
     walk passes hi.  Starting at lo rather than at the chord's start keeps
     the walk to a few edges however many the chord spans.
+
+    An end on a vertex can round to a root just above 1 on the edge
+    before it and just below 0 on the edge after.  An edge whose root lies
+    below 0 starts outside the circle, so the end is at its start vertex,
+    and the walk returns i * edge.
     """
     i = lo // edge
     while i * edge <= hi:
@@ -227,6 +257,8 @@ def _chord_end(
             f = -c / (b + root) if b > 0.0 else (root - b) / a
             if 0.0 <= f <= 1.0:
                 return (i + f) * edge
+            if f < 0.0:
+                return i * edge
         i += 1.0
     return None
 
@@ -247,10 +279,16 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
 
     The bisection starts from the closed-form chord end of _chord_end,
     which leaves its result unchanged (see _bisect) and costs a handful
-    of ``point_at`` calls instead of about fifty.  An end on a polygon
-    vertex (an occupied vertex of the packing) gets no estimate: there
-    ``point_at`` switches edge and the chord length is ragged over more
-    than _bisect's window, so a replay could land a few ulps away.
+    of ``point_at`` calls instead of about fifty.  The replay needs the
+    chord length to be ragged over no more than _bisect's window.  Away
+    from the vertices the default 16 floats hold it: at the solved d of
+    sigma 6..360 (step 6) and k 1..40, the 42,942 such chord ends were
+    ragged over at most 3 floats.  An end on a polygon vertex (an
+    occupied vertex of the packing) gets a window of _VERTEX_WINDOW
+    floats: there ``point_at`` switches edge, and the two edges' corner
+    trig rounds differently.  On the same cells the 6,258 vertex ends were
+    ragged over 0 floats on 5,536 of them and at most 129, at (210, 35)
+    and (276, 23), so the window is 8 times the widest run measured.
     """
     point_at, corner = _perimeter(sigma)
     edge = 2.0 * math.sin(math.pi / sigma)
@@ -264,9 +302,8 @@ def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
 
         lo, hi = s + d * (1.0 - 1e-12), s + 2.0 * d
         end = _chord_end(corner, edge, px, py, d, lo, hi)
-        if end is not None and _vertex_index(end, edge) is not None:
-            end = None
-        s = _bisect(short, lo, hi, 1e-16, end)
+        window = 16 if end is None or _vertex_index(end, edge) is None else _VERTEX_WINDOW
+        s = _bisect(short, lo, hi, 1e-16, end, window)
         arcs.append(s)
         px, py = point_at(s)
     return arcs
@@ -279,10 +316,9 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     sixth of the perimeter.  _bisect finds it on the chain of _chain_arcs,
     starting from an estimate that a plain bisection on the closed-form
     chain gives: k _chord_end calls per trial length, where _chain_arcs
-    bisects on every chord end.  A chord end that _chord_end misses, by
-    rounding at a vertex, counts as short; that choice steers only the
-    cost, since the replay of _bisect makes d the plain bisection's
-    whatever the estimate.
+    bisects on every chord end.  A chord end that _chord_end misses
+    counts as short; that choice steers only the cost, since the replay
+    of _bisect makes d the plain bisection's whatever the estimate.
 
     When 6k/sigma is an integer the chords ride the edges, every arc
     equals its chord and d = target/k = hi up to rounding, so the closed
@@ -496,9 +532,15 @@ def _vertex_shifts(
     whatever the letters around it, and that block is (b - L) mod ell.
 
     Raises InconsistentDna when c splits a run of equal directions or a
-    rotated block is not the shifted one.
+    rotated block is not the shifted one.  When the blocks lie more than
+    2 GROUP_TOL apart around the circle, at most one of them is within
+    GROUP_TOL of a value, so the nearest block is the shifted one exactly
+    when the shifted one is within GROUP_TOL: one comparison per block
+    instead of a scan of all of them, which made the circle's border
+    quadratic in k per vertex.
     """
     ell = len(blocks)
+    apart = all(abs(_wrap_pi(blocks[b] - blocks[b - 1])) > 2.0 * GROUP_TOL for b in range(ell))
     first = {sum(degeneracies[:L]): L for L in range(ell)}
     shifts: List[int] = []
     for c, alpha in zip(hits, alphas):
@@ -506,8 +548,13 @@ def _vertex_shifts(
         if L is None:
             raise InconsistentDna(f"vertex {c} splits a run of equal chord directions")
         for b, value in enumerate(blocks):
-            if _nearest_block(value + (PI_3 if b < L else 0.0) - alpha, blocks) != (b - L) % ell:
-                raise InconsistentDna(f"block {b} re-traced from vertex {c} is not block {(b - L) % ell}")
+            rotated, want = value + (PI_3 if b < L else 0.0) - alpha, (b - L) % ell
+            if apart:
+                ok = abs(_wrap_pi(rotated - blocks[want])) <= GROUP_TOL
+            else:
+                ok = _nearest_block(rotated, blocks) == want
+            if not ok:
+                raise InconsistentDna(f"block {b} re-traced from vertex {c} is not block {want}")
         shifts.append(L)
     return tuple(shifts)
 

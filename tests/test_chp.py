@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chp_pack import (
@@ -282,9 +283,11 @@ def test_border_solver_matches_capped_reference(sigma):
 
 def test_border_estimates_save_point_at_calls(monkeypatch):
     # the estimates leave the result as it is and cut the boundary
-    # evaluations at least threefold against plain bisection; (6, 29),
-    # (24, 20), (30, 35) and (36, 36) ride the edges, where d lies up to
-    # 12 ulps under the estimate's top of the bracket
+    # evaluations at least tenfold against plain bisection, vertex chords
+    # included: every chord of (48, 8) ends on a vertex; (6, 29), (24, 20),
+    # (30, 35) and (36, 36) ride the edges, where d lies up to 12 ulps
+    # under the estimate's top of the bracket, and (108, 9) and (210, 35)
+    # hold the widest ragged runs at a vertex
     calls = [0]
     perimeter = chp._perimeter
     bisect = chp._bisect
@@ -298,12 +301,12 @@ def test_border_estimates_save_point_at_calls(monkeypatch):
 
         return counted_point_at, corner
 
-    def plain_bisect(below, lo, hi, tol=0.0, estimate=None):
+    def plain_bisect(below, lo, hi, tol=0.0, estimate=None, window=16):
         return bisect(below, lo, hi, tol)
 
     timed = ((12, 8), (48, 8), (12, 20))
     monkeypatch.setattr(chp, "_perimeter", counted_perimeter)
-    for sigma, k in timed + ((6, 29), (24, 20), (30, 35), (36, 36)):
+    for sigma, k in timed + ((6, 29), (24, 20), (30, 35), (36, 36), (108, 9), (210, 35)):
         calls[0] = 0
         got = chp._solve_polygon_border(sigma, k)
         fast = calls[0]
@@ -313,7 +316,64 @@ def test_border_estimates_save_point_at_calls(monkeypatch):
             want = chp._solve_polygon_border(sigma, k)
         assert got == want, (sigma, k)
         if (sigma, k) in timed:
-            assert 3 * fast <= calls[0], (sigma, k, fast, calls[0])
+            assert 10 * fast <= calls[0], (sigma, k, fast, calls[0])
+
+
+@pytest.mark.parametrize("sigma, k", [(48, 8), (12, 20)])
+def test_every_chord_end_gets_an_estimate(monkeypatch, sigma, k):
+    # every chord of (48, 8) ends on a vertex, and every tenth of (12, 20);
+    # each chord's bisection (the only ones run with tol 1e-16) starts
+    # from an estimate inside its bracket, the vertex ones with the wide window
+    seen = []
+    bisect = chp._bisect
+
+    def recorded_bisect(below, lo, hi, tol=0.0, estimate=None, window=16):
+        if tol == 1e-16:
+            seen.append((estimate is not None and lo < estimate < hi, window))
+        return bisect(below, lo, hi, tol, estimate, window)
+
+    monkeypatch.setattr(chp, "_bisect", recorded_bisect)
+    chp._solve_polygon_border(sigma, k)
+    assert seen and all(estimated for estimated, _ in seen)
+    assert {window for _, window in seen} == {16, chp._VERTEX_WINDOW} if sigma == 12 else {chp._VERTEX_WINDOW}
+
+
+def _ragged_runs_at_vertices(sigma, k, span):
+    """Length of the ragged run of ``short`` around each vertex chord end of the solved chain.
+
+    The run goes from the first float where the chord is not short to the
+    last where it is, 0 when ``short`` flips once; the scan covers ``span``
+    floats on each side of the end and must see it true at its bottom and
+    false at its top.
+    """
+    d = chp._solve_polygon_border(sigma, k)["d"]
+    arcs = chp._chain_arcs(sigma, k, d)
+    point_at, _ = chp._perimeter(sigma)
+    edge = 2.0 * math.sin(math.pi / sigma)
+    runs = []
+    for s, end in zip(arcs, arcs[1:]):
+        if chp._vertex_index(end, edge) is None:
+            continue
+        px, py = point_at(s)
+        short = []
+        for n in range(-span, span + 1):
+            qx, qy = point_at(chp._float_steps(end, n))
+            short.append(math.hypot(qx - px, qy - py) < d)
+        assert short[0] and not short[-1], (sigma, k, end)
+        first_long = short.index(False)
+        last_short = len(short) - 1 - short[::-1].index(True)
+        runs.append(max(0, last_short - first_long + 1))
+    return runs
+
+
+@pytest.mark.parametrize("sigma, k", [(48, 8), (108, 9), (210, 35), (276, 23)])
+def test_vertex_chord_ends_are_ragged_well_inside_the_window(sigma, k):
+    # the precondition of the vertex chords' replay: at the solved d the
+    # chord length is ragged over at most 129 floats, at (210, 35) and
+    # (276, 23), a quarter of the window or less on every vertex chord end
+    runs = _ragged_runs_at_vertices(sigma, k, 400)
+    assert runs, (sigma, k)
+    assert max(runs) <= chp._VERTEX_WINDOW // 4, (sigma, k, runs)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -334,24 +394,58 @@ def _steps(x, n):
     return x
 
 
-@given(_finite, _finite, _finite, st.integers(0, 2**15 - 1), st.sampled_from([0.0, 1e-16]), st.data())
-def test_bisect_with_estimate_replays_the_plain_path(a, b, c, ragged, tol, data):
+@example(-5e-324, 3)
+@example(5e-324, -3)
+@example(-0.0, 1)
+@example(0.0, -1)
+@example(-1e-320, 4096)
+@example(sys.float_info.max, 2)
+@example(-sys.float_info.max, -2)
+@given(_finite, st.integers(-2100, 2100))
+def test_float_steps_walks_like_nextafter(x, n):
+    # negative floats and walks across zero included, and the sign of a zero landed on
+    assert chp._float_steps(x, n).hex() == _steps(x, n).hex()
+
+
+@given(
+    _finite,
+    _finite,
+    _finite,
+    st.sampled_from([16, chp._VERTEX_WINDOW]),
+    st.integers(0, 2**1023 - 1),
+    st.sampled_from([0.0, 1e-16]),
+    st.data(),
+)
+def test_bisect_with_estimate_replays_the_plain_path(a, b, c, window, ragged, tol, data):
     lo, x0, hi = sorted((a, b, c))
     assume(lo < x0)
-    # x < x0, with arbitrary answers on the 15 floats strictly within 8
-    # ulps of x0: monotone outside a zone narrower than the window
-    zone = {_steps(x0, n): bool(ragged >> (n + 7) & 1) for n in range(-7, 8)}
+    # x < x0, with arbitrary answers on the window - 1 floats strictly
+    # within window / 2 ulps of x0: monotone outside a run narrower than
+    # the window
+    half = window // 2 - 1
+    zone = {}
+    x = _steps(x0, -half)
+    for n in range(2 * half + 1):
+        zone[x] = bool(ragged >> n & 1)
+        x = math.nextafter(x, math.inf)
 
     def below(x):
         return zone.get(x, x < x0)
+
+    # the window's edges are whole float steps, for negative flips and
+    # for edges on the other side of zero too
+    for y in (x0, -x0):
+        assert chp._float_steps(y, -window).hex() == _steps(y, -window).hex()
+        assert chp._float_steps(y, window).hex() == _steps(y, window).hex()
 
     estimate = data.draw(
         st.one_of(
             st.none(),
             st.floats(min_value=lo, max_value=hi),
-            st.integers(-40, 40).map(lambda n: _steps(x0, n)),
+            st.integers(-2 * window, 2 * window).map(lambda n: _steps(x0, n)),
             _finite,
         ),
         label="estimate",
     )
-    assert chp._bisect(below, lo, hi, tol, estimate).hex() == chp._bisect(below, lo, hi, tol).hex()
+    got = chp._bisect(below, lo, hi, tol, estimate, window)
+    assert got.hex() == chp._bisect(below, lo, hi, tol).hex()

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,69 @@ def test_vertex_shifts_refuse_a_split_run_and_a_stray_rotation():
     assert chp._vertex_shifts(counts, blocks, border.vertex_hits, border.vertex_angles) == (0, 1)
     with pytest.raises(InconsistentDna, match="re-traced from vertex 2"):
         chp._vertex_shifts(counts, blocks, (2,), (border.vertex_angles[1] + 0.01,))
+
+
+def _reference_vertex_shifts(degeneracies, blocks, hits, alphas):
+    """_vertex_shifts with a nearest-block scan per (vertex, block) pair, as first written."""
+    ell = len(blocks)
+    first = {sum(degeneracies[:L]): L for L in range(ell)}
+    shifts = []
+    for c, alpha in zip(hits, alphas):
+        L = first.get(c)
+        if L is None:
+            raise InconsistentDna(f"vertex {c} splits a run of equal chord directions")
+        for b, value in enumerate(blocks):
+            if chp._nearest_block(value + (chp.PI_3 if b < L else 0.0) - alpha, blocks) != (b - L) % ell:
+                raise InconsistentDna(f"block {b} re-traced from vertex {c} is not block {(b - L) % ell}")
+        shifts.append(L)
+    return tuple(shifts)
+
+
+def _outcome(shifts, *args):
+    try:
+        return shifts(*args)
+    except InconsistentDna as exc:
+        return str(exc)
+
+
+_NUDGES = st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 0.01]) | st.floats(-3e-9, 3e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(12, 4), (12, 8), (24, 7), (36, 9), (48, 8), (CIRCLE, 9)]), _NUDGES, _NUDGES, st.data())
+def test_vertex_shifts_match_the_nearest_block_scan(cell, block_nudge, angle_nudge, data):
+    # tampered borders: one block and one vertex rotation moved by up to a
+    # few GROUP_TOL, or one block pushed within 2 GROUP_TOL of the one
+    # below it, where one comparison per block no longer decides; the
+    # maps and the InconsistentDna messages are the scan's
+    border = solve_border(*cell)
+    blocks, alphas = list(border.blocks()), list(border.vertex_angles)
+    b = data.draw(st.integers(0, len(blocks) - 1), label="block")
+    if b and data.draw(st.booleans(), label="crowd"):
+        blocks[b] = blocks[b - 1] + abs(block_nudge)
+    else:
+        blocks[b] += block_nudge
+    alphas[data.draw(st.integers(0, len(alphas) - 1), label="vertex")] += angle_nudge
+    args = (border.degeneracies, tuple(blocks), border.vertex_hits, tuple(alphas))
+    assert _outcome(chp._vertex_shifts, *args) == _outcome(_reference_vertex_shifts, *args)
+
+
+def test_circle_vertex_shifts_are_linear_per_vertex():
+    # the circle has n_V = ell = k; a nearest-block scan per (vertex, block)
+    # pair took seconds here, one comparison per pair takes milliseconds
+    k = 300
+    raw = chp._solve_circle_border(k)
+    degs = chp._group_degeneracies(raw["phi"])
+    blocks = chp._blocks(raw["phi"], degs)
+    start = time.perf_counter()
+    shifts = chp._vertex_shifts(degs, blocks, raw["hits"], raw["alphas"])
+    assert time.perf_counter() - start < 1.0
+    assert shifts == tuple(range(k))
+    # a tampered rotation still refuses the border
+    alphas = list(raw["alphas"])
+    alphas[7] += 2.0 * chp.GROUP_TOL
+    with pytest.raises(InconsistentDna, match="re-traced from vertex 7"):
+        chp._vertex_shifts(degs, blocks, raw["hits"], alphas)
 
 
 @pytest.mark.parametrize("sigma", [6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 66, 72, CIRCLE])

@@ -128,6 +128,39 @@ def test_pair_kernel_matches_difference_tensor(n, s, seed, lam_scale, pin_share)
     assert centers.tobytes() == before.tobytes()
 
 
+def test_exp_is_plus_zero_at_and_below_the_cutoff():
+    # the kernel writes these entries as +0.0 without calling exp on them
+    cut = optimizer._EXP_ZERO
+    below = np.array([cut, np.nextafter(cut, -np.inf), -1e4, -np.inf])
+    assert np.exp(cut) == 0.0
+    assert np.exp(below).tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("s", [10.0, 1e3])
+def test_pair_kernel_is_bit_identical_where_weights_underflow(s):
+    # a (12, 5) build shaken by 1e-3: at s = 1e3 all but 518 of the 8,281
+    # log-terms lie at or below the cutoff, so exp runs masked, and 84 of
+    # the weights it computes are subnormal; at s = 10 it runs unmasked
+    cfg = build_chp(12, 5)
+    centers = cfg.centers + np.random.default_rng(2).normal(scale=1e-3, size=cfg.centers.shape)
+    lam = packing_radius(centers) ** 2
+    n = len(centers)
+    pinned = np.arange(0, n, 3)
+    value, state = _reference_evaluate(centers, s, lam)
+    w = state[0].copy()
+    grad = _reference_gradient(state, s, pinned)
+    subnormal = np.count_nonzero((w > 0.0) & (w < np.finfo(float).tiny))
+    assert (subnormal > 0) == (s == 1e3)
+    work = optimizer._workspace(n)
+    got_value, got_state = _evaluate(centers, s, lam, work)
+    assert got_value == value
+    assert got_state[0].tobytes() == w.tobytes()
+    assert (2 * np.count_nonzero(work[3]) < n * n) == (s == 1e3)
+    got_value, got_grad = _objective(centers, s, lam, pinned, work)
+    assert got_value == value
+    assert got_grad.tobytes() == grad.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_pair_kernel_rejects_coincident_centers(n):
     # exact coincidence, and two centers so close that r^2 underflows to 0;
