@@ -26,6 +26,15 @@ _S_FACTOR = 1.5  # ratio of consecutive rungs of the s ladder
 _INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
 # exp rounds to exactly +0.0 at and below this; exp(-745.14) is the least subnormal
 _EXP_ZERO = -746.0
+# A line-search step x - a*g moves a free center by at most sqrt(2)*a*|g|_inf
+# exactly, and 2*a*|g|_inf covers that with the relative rounding of a*g and
+# of the reach itself.  What is left is absolute: every free center of a
+# skipped trial lies inside a container of circumradius 1, where the
+# subtraction x - a*g, outside_by (a two-term dot product or a hypot, then a
+# subtraction) and room - reach each round by an ulp or two of 1, under 1e-15
+# in all.  This margin covers those errors a thousand times over in every
+# step, so they cannot add up along a run of skipped trials.
+_ROOM_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,20 @@ def _pinned(n: int, pins: Sequence[int]) -> np.ndarray:
     return np.unique(np.asarray(idx, dtype=np.intp))
 
 
-def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers one evaluation of n centers fills: offsets (2, n, n), r^2, log-terms and a mask (n, n)."""
-    return np.empty((2, n, n)), np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
+def _two_disks(n: int) -> None:
+    """Refuse fewer than two disks, which have no pair to measure or repel."""
+    if n < 2:
+        raise PreconditionViolated("need at least two disks")
+
+
+def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers one evaluation of n centers fills.
+
+    Offsets (2, n, n), then r^2, log-terms and a mask (n, n), then a view
+    of r^2's diagonal.
+    """
+    r2 = np.empty((n, n))
+    return np.empty((2, n, n)), r2, np.empty((n, n)), np.empty((n, n), dtype=bool), r2.reshape(-1)[:: n + 1]
 
 
 def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
@@ -79,14 +99,14 @@ def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
     smallest log r^2, and -inf there means two centers coincide.
     """
     n = len(centers)
-    offsets, r2, terms, live = work if work is not None else _workspace(n)
+    offsets, r2, terms, live, diagonal = work if work is not None else _workspace(n)
     ct = centers.T.copy()
     # copy, then subtract in place: a fifth faster above ~40 centers than one broadcast subtract
     offsets[...] = ct[:, None, :]
     offsets -= ct[:, :, None]
     np.multiply(offsets[0], offsets[0], out=r2)
     r2 += np.multiply(offsets[1], offsets[1], out=terms)
-    r2.flat[:: n + 1] = np.inf
+    diagonal[...] = np.inf
     with np.errstate(divide="ignore"):
         np.log(r2, out=terms)
     low = float(terms.min())
@@ -144,15 +164,52 @@ def _objective(centers: np.ndarray, s: float, lam: float, pinned: np.ndarray, wo
     return value, _gradient(state, s, pinned)
 
 
-def _project_all(centers: np.ndarray, sigma: Sigma, pinned: np.ndarray) -> np.ndarray:
-    bad = geometry.outside_by(sigma, centers) > 0.0
+def _excess(sigma: Sigma, centers: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """``outside_by`` of every center, and -inf on the ``pinned`` rows, which never move."""
+    excess = geometry.outside_by(sigma, centers)
     if len(pinned):
-        bad[pinned] = False
+        excess[pinned] = -math.inf
+    return excess
+
+
+def _room(excess: np.ndarray) -> float:
+    """How far inside the container every center lies, from ``_excess``; negative if some lies outside."""
+    return -float(excess.max())
+
+
+def _project_all(centers: np.ndarray, sigma: Sigma, pinned: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``centers`` with the free rows outside the container projected onto its boundary, and their room.
+
+    When no free row lies outside, ``centers`` itself comes back, with the
+    room ``_room`` reads from this test; otherwise a projected copy comes
+    back, with room -inf.  Pinned rows stay as they are, inside or not.
+    """
+    excess = _excess(sigma, centers, pinned)
+    bad = excess > 0.0
     if not bad.any():
-        return centers
+        return centers, _room(excess)
     out = centers.copy()
     out[bad] = geometry.project_into(sigma, out[bad])
-    return out
+    return out, -math.inf
+
+
+def _step(
+    x: np.ndarray, a: float, g: np.ndarray, gnorm: float, room: float, sigma: Sigma, pinned: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """The line-search trial ``x - a*g`` kept in the container, and its room.
+
+    ``room`` is a lower bound on how far inside the container every free
+    row of ``x`` lies, and ``gnorm`` is ``g``'s largest magnitude.  No free
+    row moves further than the reach ``2*a*gnorm + _ROOM_MARGIN``; when
+    that is below ``room``, ``_project_all`` could only return the trial
+    as it is, so the test is skipped and the trial's room is
+    ``room - reach``.
+    """
+    trial = x - a * g
+    reach = 2.0 * a * gnorm + _ROOM_MARGIN
+    if reach < room:
+        return trial, room - reach
+    return _project_all(trial, sigma, pinned)
 
 
 def minimize(
@@ -167,7 +224,10 @@ def minimize(
     Every evaluation of the call, the start's and each line-search
     trial's, fills one pair workspace; the accepted trial's gradient is
     built from that trial's buffers before the next trial overwrites them.
+    A trial tests containment only when its step could reach the
+    container's boundary from the room the last test measured (``_step``).
     """
+    _two_disks(len(config.centers))
     params = params or OptimizerParams()
     x = config.centers.copy()
     pinned = _pinned(len(x), pins)
@@ -177,6 +237,7 @@ def minimize(
     f, g = _objective(x, s, lam, pinned, work)
     if not math.isfinite(f):
         raise NonFinite(f"objective is {f} at the starting point")
+    room = _room(_excess(sigma, x, pinned))
     alpha = 0.05 * math.sqrt(lam) / max(float(np.abs(g).max()), 1e-300)
     prev_x: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
@@ -195,7 +256,7 @@ def minimize(
         accepted = False
         a = alpha
         for _ in range(70):
-            trial = _project_all(x - a * g, sigma, pinned)
+            trial, trial_room = _step(x, a, g, gnorm, room, sigma, pinned)
             move = trial - x
             move_norm2 = float((move * move).sum())
             if move_norm2 == 0.0:
@@ -210,7 +271,7 @@ def minimize(
         if not accepted:
             break
         prev_x, prev_g, prev_f = x, g, f
-        x, f = trial, f_trial
+        x, f, room = trial, f_trial, trial_room
         g = _gradient(state, s, pinned)
         if abs(prev_f - f) <= _INNER_TOL * max(1.0, abs(prev_f)):
             break
@@ -219,7 +280,7 @@ def minimize(
     out = PackingConfiguration(
         sigma=sigma,
         centers=x,
-        diameter=packing_radius(x) if len(x) > 1 else config.diameter,
+        diameter=packing_radius(x),
         meta=dict(config.meta),
     )
     return out
@@ -241,12 +302,18 @@ def ladder(
     params: Optional[OptimizerParams] = None,
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
-    """Run minimize along the whole s schedule, re-deriving lambda per rung."""
+    """Run minimize along the whole s schedule, re-deriving lambda per rung.
+
+    lambda is the squared minimum distance of the rung's start: measured
+    on ``config``, then the ``diameter`` the rung before measured.
+    """
+    _two_disks(len(config.centers))
     params = params or OptimizerParams()
     current = config
+    d = packing_radius(config.centers)
     for rung, s in enumerate(_rungs(params)):
-        lam = packing_radius(current.centers) ** 2
-        current = minimize(current, s, lam, pins, params)
+        current = minimize(current, s, d ** 2, pins, params)
+        d = current.diameter
         if record is not None:
             record(rung, s, current)
     return current
@@ -255,8 +322,7 @@ def ladder(
 def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -> PackingConfiguration:
     """Energy-ladder packing from a random start; deterministic per seed."""
     geometry.check_sigma(sigma)
-    if n < 2:
-        raise PreconditionViolated("need at least two disks")
+    _two_disks(n)
     params = params or OptimizerParams()
     rng = _rng(params.seed, 0xA1)
     pts = np.empty((n, 2))
@@ -321,8 +387,7 @@ def algorithm2(
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
     """One shake trial: perturb, re-run the ladder, keep only improvements."""
-    if config.n_disks < 2:
-        raise PreconditionViolated("need at least two disks")
+    _two_disks(config.n_disks)
     params = params or OptimizerParams()
     base = packing_radius(config.centers)
     x = config.centers.copy()
@@ -333,10 +398,10 @@ def algorithm2(
         ang = gen.uniform(0.0, 2.0 * math.pi)
         x[i, 0] += r * math.cos(ang)
         x[i, 1] += r * math.sin(ang)
-    x = _project_all(x, config.sigma, pinned)
+    x = _project_all(x, config.sigma, pinned)[0]
     shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
     out = ladder(shaken, pins, params, record)
-    if packing_radius(out.centers) > base:
+    if out.diameter > base:
         out.meta = dict(config.meta)
         out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})
         result = out

@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
 from chp_pack.errors import CoincidentPoints, PreconditionViolated
-from chp_pack.geometry import outside_by
+from chp_pack.geometry import CIRCLE, interior_point, outside_by, vertex_angle
 from chp_pack.optimizer import (
     OptimizerParams,
     _evaluate,
@@ -244,19 +244,19 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
     # evaluation
     events = []
     workspaces = set()
-    evaluate, project_all = optimizer._evaluate, optimizer._project_all
+    evaluate, step = optimizer._evaluate, optimizer._step
 
     def counted_evaluate(centers, s, lam, work=None):
         events.append("evaluate")
         workspaces.add(id(work))
         return evaluate(centers, s, lam, work)
 
-    def counted_project_all(*args):
+    def counted_step(*args):
         events.append("trial")
-        return project_all(*args)
+        return step(*args)
 
     monkeypatch.setattr(optimizer, "_evaluate", counted_evaluate)
-    monkeypatch.setattr(optimizer, "_project_all", counted_project_all)
+    monkeypatch.setattr(optimizer, "_step", counted_step)
     cfg = random_instance(np.random.default_rng(4))
     lam = packing_radius(cfg.centers) ** 2
     out = minimize(cfg, 10.0, lam, (), OptimizerParams(max_inner_iters=30))
@@ -276,6 +276,96 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
         for c in (0, 1):
             fd = finite_difference(out.centers, 10.0, lam, i, c, h)
             assert abs(g[i, c] - fd) <= 1e-5 * max(scale, abs(fd))
+
+
+def _skip_rule_case(rng, sigma, n, gap, near_vertex, pin_share):
+    """Free centers inside the container, some ``gap`` inside its boundary, and pins anywhere."""
+    x = np.array([interior_point(t, u, sigma) for t, u in rng.uniform(0.0, 2.0 * math.pi, (n, 2))])
+    u = rng.uniform(0.0, 2.0 * math.pi, n)
+    if near_vertex and sigma != CIRCLE:
+        u = vertex_angle(sigma) + 2.0 * math.pi * rng.integers(0, sigma, n) / sigma
+    near = rng.uniform(size=n) < 0.5
+    near[0] = True
+    boundary = np.array([interior_point(0.5 * math.pi, v, sigma) for v in u])
+    x[near] = boundary[near] * (1.0 - gap)
+    # row 0 stays free; the pins may lie outside, as a border ring can by an ulp
+    pinned = 1 + np.flatnonzero(rng.uniform(size=n - 1) < pin_share)
+    x[pinned] = rng.uniform(-1.5, 1.5, (len(pinned), 2))
+    # every step heads outward along a diagonal, the longest move a*|g|_inf allows
+    g = -np.sign(x) * rng.uniform(0.1, 1.0, (n, 1)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    g[pinned] = 0.0
+    return x, g, pinned
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma=st.sampled_from([3, 6, 12, 15, 60, CIRCLE]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    gap=st.floats(-15.0, -3.0).map(lambda e: 10.0**e),
+    near_vertex=st.booleans(),
+    pin_share=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 0.999),
+)
+def test_skipped_containment_tests_could_move_no_row(sigma, seed, n, gap, near_vertex, pin_share, share):
+    # three steps in a row, each up to 0.999 of the room the last one left:
+    # wherever _step skips the test, the test would have returned the trial
+    # as it is, and the room _step passes on is no more than the test measures
+    rng = np.random.default_rng(seed)
+    x, g, pinned = _skip_rule_case(rng, sigma, n, gap, near_vertex, pin_share)
+    free = np.setdiff1d(np.arange(n), pinned)
+    assume((outside_by(sigma, x[free]) <= 0.0).all())
+    room = optimizer._room(optimizer._excess(sigma, x, pinned))
+    assert room >= 0.0
+    for _ in range(3):
+        gnorm = float(np.abs(g).max())
+        a = share * max(room - optimizer._ROOM_MARGIN, gap) / (2.0 * gnorm)
+        trial = x - a * g
+        tested, tested_room = optimizer._project_all(trial, sigma, pinned)
+        stepped, stepped_room = optimizer._step(x, a, g, gnorm, room, sigma, pinned)
+        assert stepped.tobytes() == tested.tobytes()
+        assert tested[pinned].tobytes() == x[pinned].tobytes()
+        if 2.0 * a * gnorm + optimizer._ROOM_MARGIN >= room:
+            assert stepped_room == tested_room
+            break
+        assert tested is trial
+        assert stepped_room <= tested_room
+        x, room = stepped, stepped_room
+        g = g * rng.uniform(0.5, 1.0, (n, 1))
+
+
+def test_skipped_containment_tests_leave_searches_unchanged(monkeypatch):
+    # the short searches of _searches_through, with and without the skip:
+    # the same bytes and evaluations, and fewer containment tests than trials
+    step, project_all = optimizer._step, optimizer._project_all
+
+    def run(skip):
+        counts = {"trial": 0, "test": 0}
+
+        def counted_step(*args):
+            counts["trial"] += 1
+            return step(*args)
+
+        def counted_project_all(*args):
+            counts["test"] += 1
+            return project_all(*args)
+
+        monkeypatch.setattr(optimizer, "_step", counted_step)
+        monkeypatch.setattr(optimizer, "_project_all", counted_project_all)
+        if not skip:
+            monkeypatch.setattr(optimizer, "_room", lambda excess: -math.inf)
+        out, evaluations = _searches_through(monkeypatch, optimizer._evaluate, optimizer._gradient)
+        monkeypatch.undo()
+        return out, evaluations, counts
+
+    shipped, shipped_evaluations, shipped_counts = run(skip=True)
+    plain, plain_evaluations, plain_counts = run(skip=False)
+    assert shipped == plain
+    assert shipped_evaluations == plain_evaluations
+    assert shipped_counts["trial"] == plain_counts["trial"]
+    # algorithm2 tests its shaken start once more
+    assert plain_counts["test"] == plain_counts["trial"] + 1
+    assert shipped_counts["test"] < shipped_counts["trial"]
 
 
 def test_minimize_respects_container():
@@ -339,6 +429,21 @@ def test_algorithm2_needs_two_disks():
     one = PackingConfiguration(sigma=12, centers=np.zeros((1, 2)), diameter=0.5, meta={})
     with pytest.raises(PreconditionViolated, match="two disks"):
         algorithm2(one, OptimizerParams(seed=1))
+
+
+def test_minimize_and_ladder_need_two_disks(monkeypatch):
+    # refused before any evaluation, with no floating-point warning on the way
+    def evaluate(*args):
+        raise AssertionError("evaluated one disk")
+
+    monkeypatch.setattr(optimizer, "_evaluate", evaluate)
+    one = PackingConfiguration(sigma=12, centers=np.zeros((1, 2)), diameter=0.5, meta={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolated, match="two disks"):
+            minimize(one, 10.0, 0.25)
+        with pytest.raises(PreconditionViolated, match="two disks"):
+            ladder(one, params=OptimizerParams(s_final=1e3))
 
 
 def test_algorithm2_never_degrades():
