@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
 from . import geometry
@@ -181,7 +182,8 @@ def _bisect(
     bracket, pins a flip ``x`` to adjacent floats.  The loop above is then
     replayed from the original bracket and ``tol``, answering true below
     and false above a window of ``window`` floats on each side of ``x``,
-    and calling ``below`` inside it.  The precondition: ``below`` is true
+    and calling ``below`` inside it, unless stepping out or pinning the
+    flip already asked that float.  The precondition: ``below`` is true
     below and false above some run of at most ``window`` consecutive
     floats, within which it may answer anything.  Every flip then lies in
     or next to that run, so the window holds all of it, every answer of
@@ -191,18 +193,30 @@ def _bisect(
     estimate, or with one outside the open bracket, the plain loop runs.
     """
     lo_edge, hi_edge = -math.inf, math.inf
+    ask = below
     if estimate is not None and lo < estimate < hi:
+        # every answer, keyed on the float and its sign, since -0.0 == +0.0
+        # and a predicate may tell them apart
+        answers: Dict[Tuple[float, float], bool] = {}
+
+        def ask(t: float) -> bool:
+            key = t, math.copysign(1.0, t)
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = below(t)
+            return answer
+
         x, step = estimate, math.ulp(estimate)
-        inside = below(x)
+        inside = ask(x)
         while True:
             y = x + step if inside else x - step
             if not lo < y < hi:
                 y = hi if inside else lo
                 break
-            if below(y) != inside:
+            if ask(y) != inside:
                 break
             x, step = y, 2.0 * step
-        flip = _bisect(below, x, y) if inside else _bisect(below, y, x)
+        flip = _bisect(ask, x, y) if inside else _bisect(ask, y, x)
         lo_edge, hi_edge = _float_steps(flip, -window), _float_steps(flip, window)
 
     # halving each end first cannot overflow, and for normal floats it
@@ -210,7 +224,7 @@ def _bisect(
     # max(1.0, hi), which costs a quarter of the border solve as a call
     mid = 0.5 * lo + 0.5 * hi
     while lo < mid < hi and hi - lo > tol * (hi if hi > 1.0 else 1.0):
-        if mid < lo_edge or (mid <= hi_edge and below(mid)):
+        if mid < lo_edge or (mid <= hi_edge and ask(mid)):
             lo = mid
         else:
             hi = mid
@@ -318,7 +332,10 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     chain gives: k _chord_end calls per trial length, where _chain_arcs
     bisects on every chord end.  A chord end that _chord_end misses
     counts as short; that choice steers only the cost, since the replay
-    of _bisect makes d the plain bisection's whatever the estimate.
+    of _bisect makes d the plain bisection's whatever the estimate.  The
+    chain at d is the one that search evaluated, kept by its predicate; it
+    is worked out again only where the search never asked d itself, as
+    when d is the bracket's end.
 
     When 6k/sigma is an integer the chords ride the edges, every arc
     equals its chord and d = target/k = hi up to rounding, so the closed
@@ -352,9 +369,14 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     hi = target / k
     lo = 0.5 * hi
     estimate = math.nextafter(hi, lo) if (6 * k) % sigma == 0 else _bisect(closed_form_short, lo, hi)
-    d = _bisect(lambda t: _chain_arcs(sigma, k, t)[-1] < target, lo, hi, estimate=estimate)
+    chains: Dict[float, List[float]] = {}
 
-    arcs = _chain_arcs(sigma, k, d)
+    def short(t: float) -> bool:
+        arcs = chains[t] = _chain_arcs(sigma, k, t)
+        return arcs[-1] < target
+
+    d = _bisect(short, lo, hi, estimate=estimate)
+    arcs = chains[d] if d in chains else _chain_arcs(sigma, k, d)
     chain = [point_at(s) for s in arcs]
     chain[0] = geometry.fundamental_vertex(sigma)
     # the march must consume exactly one sixth of the perimeter; for
@@ -599,7 +621,8 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     identity on it.  A map that sends the newest letter lower makes a
     smaller member of the class with this prefix, so the prefix is dropped;
     one that sends it higher makes only larger members from here on, so it
-    is no longer carried.
+    is no longer carried.  Once no map is carried and the letters left are
+    distinct, every arrangement of them is a class, emitted in one step.
 
     Raises CapExceeded when the configuration count passes ``cap``.
     """
@@ -618,8 +641,15 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     stack = [("", (), border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
     while stack:
         letters, values, remaining, live = stack.pop()
-        if len(letters) == k:
-            reps.append(Dna(values=values, letters=letters))
+        if not live and max(remaining) <= 1:
+            # no map is carried and the letters left are distinct, as at
+            # every leaf (only the identity fixes a prefix that holds every
+            # letter): the subtree is every arrangement of those letters,
+            # which permutations of them in ascending order yield in
+            # lexicographic order
+            free = [b for b in range(ell) if remaining[b]]
+            for tail, more in zip(permutations([names[b] for b in free]), permutations([blocks[b] for b in free])):
+                reps.append(Dna(values=values + more, letters=letters + "".join(tail)))
             continue
         for b in reversed(range(ell)):
             if not remaining[b]:

@@ -429,7 +429,10 @@ def test_bisect_with_estimate_replays_the_plain_path(a, b, c, window, ragged, to
         zone[x] = bool(ragged >> n & 1)
         x = math.nextafter(x, math.inf)
 
+    asked = []
+
     def below(x):
+        asked.append((x, math.copysign(1.0, x)))
         return zone.get(x, x < x0)
 
     # the window's edges are whole float steps, for negative flips and
@@ -448,4 +451,22 @@ def test_bisect_with_estimate_replays_the_plain_path(a, b, c, window, ragged, to
         label="estimate",
     )
     got = chp._bisect(below, lo, hi, tol, estimate, window)
+    # what stepping out and pinning the flip learned, the replay does not ask again
+    assert len(asked) == len(set(asked))
     assert got.hex() == chp._bisect(below, lo, hi, tol).hex()
+
+
+@pytest.mark.parametrize("estimate", [-0.0, 0.0])
+def test_bisect_asks_each_zero_for_its_own_answer(estimate):
+    # below at -0.0 and not at +0.0: an answer learned at one zero and
+    # replayed at the other would move the result
+    asked = []
+
+    def below(x):
+        asked.append((x, math.copysign(1.0, x)))
+        return math.copysign(1.0, x) < 0.0
+
+    got = chp._bisect(below, -1.0, 1.0, estimate=estimate)
+    assert len(asked) == len(set(asked))
+    assert {(estimate, math.copysign(1.0, estimate)), (0.0, 1.0)} <= set(asked)
+    assert got.hex() == chp._bisect(below, -1.0, 1.0).hex()

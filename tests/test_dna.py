@@ -126,9 +126,13 @@ def test_enumerate_sorted_distinct():
     assert len(out) == 10
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    # the count is checked before any class is built
+    built = []
+    monkeypatch.setattr(chp, "Dna", lambda **fields: built.append(fields))
     with pytest.raises(CapExceeded):
         enumerate_dnas(30, 8, cap=1000)  # 20160 classes
+    assert not built
 
 
 def test_count_examples():
@@ -499,3 +503,42 @@ def test_orderly_generation_matches_the_reference_enumeration():
         want = _reference_classes(border)
         assert [d.letters for d in got] == [chp._letters_of(p) for p in want], (sigma, k)
         assert [d.values for d in got] == [tuple(blocks[b] for b in p) for p in want], (sigma, k)
+
+
+def _reference_walk(sigma, k):
+    """enumerate_dnas' orderly generation, one node at a time to every leaf."""
+    border = solve_border(sigma, k)
+    blocks = border.blocks()
+    ell = len(blocks)
+    names = chp._letters_of(range(ell))
+    reps = []
+    stack = [("", (), border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
+    while stack:
+        letters, values, remaining, live = stack.pop()
+        if len(letters) == k:
+            reps.append((letters, values))
+            continue
+        for b in reversed(range(ell)):
+            if not remaining[b]:
+                continue
+            kept = []
+            for m in live:
+                if m[b] < b:
+                    break
+                if m[b] == b:
+                    kept.append(m)
+            else:
+                left = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
+                stack.append((letters + names[b], values + (blocks[b],), left, kept))
+    return reps
+
+
+def test_bulk_emission_matches_the_node_by_node_walk():
+    # every cell of sigma 6..60 and the circle at k <= 8 with at most 5,040
+    # classes, a large cell of nine distinct letters, a deep cell of repeated
+    # letters, and one class of 1,100 equal letters
+    cells = [(s, k) for s in [*range(6, 61, 6), CIRCLE] for k in range(1, 9)]
+    cells = [c for c in cells if count_configurations(CountInput.from_border(solve_border(*c))) <= 5040]
+    for sigma, k in cells + [(36, 9), (12, 12), (6, 1100)]:
+        got = enumerate_dnas(sigma, k)
+        assert [(d.letters, d.values) for d in got] == _reference_walk(sigma, k), (sigma, k)
