@@ -145,10 +145,15 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
     if radius[finish] > _EXTRACT_TOL:
         raise NoPath("no disk at the origin")
 
-    adjacency: Dict[int, List[int]] = {}
-    for i, j in geometry.contact_pairs(centers, d, _EXTRACT_TOL):
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
+    # the contact graph in CSR form: directed edges sorted by tail, then head,
+    # so each disk's neighbours come in ascending order, with their offsets
+    n = len(centers)
+    pairs = geometry.contact_pairs(centers, d, _EXTRACT_TOL)
+    edges = np.concatenate((pairs, pairs[:, ::-1]))
+    edges = edges[np.argsort(edges[:, 0] * n + edges[:, 1])]
+    starts = np.searchsorted(edges[:, 0], np.arange(n + 1)).tolist()
+    steps = centers[edges[:, 1]] - centers[edges[:, 0]]
+    heads, dx, dy, reach = edges[:, 1].tolist(), steps[:, 0].tolist(), steps[:, 1].tolist(), radius.tolist()
 
     value_paths: List[Tuple[float, ...]] = []
 
@@ -158,11 +163,11 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
                 value_paths.append(tuple(values))
             return
         remaining = k - depth
-        for nxt in adjacency.get(node, ()):
-            if radius[nxt] > remaining * d * (1.0 + 10.0 * _EXTRACT_TOL):
+        for e in range(starts[node], starts[node + 1]):
+            nxt = heads[e]
+            if reach[nxt] > remaining * d * (1.0 + 10.0 * _EXTRACT_TOL):
                 continue
-            dx, dy = centers[nxt] - centers[node]
-            values.append(math.atan2(dy, dx))
+            values.append(math.atan2(dy[e], dx[e]))
             dfs(nxt, depth + 1, values)
             values.pop()
 

@@ -219,22 +219,23 @@ def min_distance(centers: np.ndarray) -> float:
     return float(dist[:, 1].min())
 
 
-def contact_pairs(centers: np.ndarray, d: float, tol: float) -> List[Tuple[int, int]]:
-    """Sorted index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``.
+def contact_pairs(centers: np.ndarray, d: float, tol: float) -> np.ndarray:
+    """Index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``.
 
-    Both paths keep a pair by the same ``hypot`` test; the k-d tree only
-    proposes the candidates above ``_DENSE_MAX`` points.
+    Returns an ``(m, 2)`` ``np.intp`` array whose rows are sorted
+    lexicographically; ``(0, 2)`` when no pair qualifies.  Both paths keep
+    a pair by the same ``hypot`` test; above ``_DENSE_MAX`` points a k-d
+    tree proposes the candidates, at a radius a little above ``d(1+tol)``
+    because its squared-distance test rounds differently from ``hypot``.
     """
     n = len(centers)
     lo, hi = d * (1.0 - tol), d * (1.0 + tol)
     if n <= _DENSE_MAX:
         gap = np.hypot(*_pair_offsets(centers, centers))
-        rows, cols = np.nonzero(np.triu((gap >= lo) & (gap <= hi), 1))
-        return list(zip(rows.tolist(), cols.tolist()))
+        return np.argwhere(np.triu((gap >= lo) & (gap <= hi), 1))
     from scipy.spatial import cKDTree
 
-    pairs = cKDTree(centers).query_pairs(hi, output_type="ndarray")
+    pairs = cKDTree(centers).query_pairs(hi * (1.0 + 1e-12), output_type="ndarray")
     gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
     pairs = pairs[(gap >= lo) & (gap <= hi)]
-    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
-    return [(i, j) for i, j in pairs.tolist()]
+    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]

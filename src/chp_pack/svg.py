@@ -80,7 +80,7 @@ def render_svg(config: PackingConfiguration, contacts: bool = False, fundamental
     # faster than numpy scalars, to the same text
     points = [(_f(x), _f(y)) for x, y in centers.tolist()]
     if contacts:
-        for i, j in geometry.contact_pairs(centers, config.diameter, 1e-6):
+        for i, j in geometry.contact_pairs(centers, config.diameter, 1e-6).tolist():
             (x1, y1), (x2, y2) = points[i], points[j]
             parts.append(
                 f'<line class="contact" x1="{x1}" y1="{y1}" '

@@ -108,14 +108,9 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
 
 def contact_count_histogram(config: PackingConfiguration) -> Dict[int, int]:
     """Histogram mapping contacts-per-disk to the number of such disks."""
-    counts = np.zeros(config.n_disks, dtype=int)
-    for i, j in geometry.contact_pairs(config.centers, config.diameter, TOL):
-        counts[i] += 1
-        counts[j] += 1
-    hist: Dict[int, int] = {}
-    for c in counts.tolist():
-        hist[c] = hist.get(c, 0) + 1
-    return dict(sorted(hist.items()))
+    pairs = geometry.contact_pairs(config.centers, config.diameter, TOL)
+    contacts, disks = np.unique(np.bincount(pairs.ravel(), minlength=config.n_disks), return_counts=True)
+    return dict(zip(contacts.tolist(), disks.tolist()))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 from chp_pack import (
     CIRCLE,
     InconsistentDna,
+    NoPath,
     build_chp,
     builder,
     canonicalize_dna,
     chp_density,
     disk_count,
     enumerate_dnas,
+    geometry,
     solve_border,
     validate_config,
 )
-from chp_pack.builder import extract_dna
+from chp_pack.builder import PackingConfiguration, extract_dna
 from chp_pack.errors import AmbiguousStart, ConstructionFailed, PreconditionViolated
 from chp_pack.geometry import fundamental_vertex
 
@@ -190,20 +192,11 @@ def test_extract_dna_round_trip():
 
 
 def test_extract_dna_tolerates_noise():
-    rng = np.random.default_rng(42)
-    config = build_chp(12, 4, "abab")
-    jitter = rng.uniform(-1e-8, 1e-8, config.centers.shape)
-    noisy = config.centers + jitter
-    from chp_pack.builder import PackingConfiguration
-
-    cfg = PackingConfiguration(sigma=config.sigma, centers=noisy, diameter=config.diameter, meta={})
-    assert extract_dna(cfg, 12, 4).letters == "abab"
+    assert extract_dna(_noisy(build_chp(12, 4, "abab"), 42), 12, 4).letters == "abab"
 
 
 def test_extract_dna_requires_start_disk():
     config = build_chp(12, 3)
-    from chp_pack.builder import PackingConfiguration
-
     shifted = PackingConfiguration(
         sigma=config.sigma,
         centers=config.centers + np.array([0.002, 0.0]),
@@ -219,6 +212,115 @@ def test_extract_dna_refuses_another_sigma():
     for sigma in (12, 24, CIRCLE):
         with pytest.raises(PreconditionViolated, match=f"sigma {sigma!r} .* sigma 18"):
             extract_dna(config, sigma, 3)
+
+
+def _reference_extract_dna(config, sigma, k):
+    """extract_dna's walk over a dict of neighbour lists, one contact pair at a time."""
+    border = solve_border(sigma, k)
+    d, centers = config.diameter, config.centers
+    tol = builder._EXTRACT_TOL
+    near = np.flatnonzero(np.hypot(*(centers - np.array(border.chain[0])).T) <= tol)
+    if len(near) != 1:
+        raise AmbiguousStart(f"{len(near)} disks at P1 within tolerance")
+    radius = np.hypot(centers[:, 0], centers[:, 1])
+    finish = int(np.argmin(radius))
+    if radius[finish] > tol:
+        raise NoPath("no disk at the origin")
+    adjacency = {}
+    for i, j in geometry.contact_pairs(centers, d, tol).tolist():
+        adjacency.setdefault(i, []).append(j)
+        adjacency.setdefault(j, []).append(i)
+    value_paths = []
+
+    def dfs(node, depth, values):
+        if depth == k:
+            if node == finish:
+                value_paths.append(tuple(values))
+            return
+        for nxt in adjacency.get(node, ()):
+            if radius[nxt] > (k - depth) * d * (1.0 + 10.0 * tol):
+                continue
+            dx, dy = centers[nxt] - centers[node]
+            values.append(math.atan2(dy, dx))
+            dfs(nxt, depth + 1, values)
+            values.pop()
+
+    dfs(int(near[0]), 0, [])
+    if not value_paths:
+        raise NoPath(f"no {k}-step contact path from P1 to the center")
+    reps = {canonicalize_dna(builder._dna_from_noisy_values(v, border), border).letters for v in value_paths}
+    if len(reps) != 1:
+        raise InconsistentDna(f"contact paths disagree after canonicalization: {sorted(reps)}")
+    return reps.pop()
+
+
+def _outcome(extract, config, sigma, k):
+    try:
+        return extract(config, sigma, k)
+    except (AmbiguousStart, NoPath, InconsistentDna) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _with_centers(config, centers):
+    return PackingConfiguration(sigma=config.sigma, centers=centers, diameter=config.diameter)
+
+
+def _noisy(config, seed):
+    return _with_centers(config, config.centers + np.random.default_rng(seed).uniform(-1e-8, 1e-8, config.centers.shape))
+
+
+def _path_off_the_blocks():
+    # P1, two disks and the origin, d apart along a path whose first step
+    # is 0.3 rad off the straight line to the center: no block has it
+    sigma, k, d = 12, 3, 0.4
+    p1 = np.array(solve_border(sigma, k).chain[0])
+    u = math.atan2(-p1[1], -p1[0]) + 0.3
+    q1 = p1 + d * np.array([math.cos(u), math.sin(u)])
+    h = math.sqrt(d * d - 0.25 * (q1 @ q1))
+    q2 = 0.5 * q1 + h * np.array([-q1[1], q1[0]]) / math.hypot(*q1)
+    return PackingConfiguration(sigma=sigma, centers=[p1, q1, q2, (0.0, 0.0)], diameter=d)
+
+
+def _extraction_cases():
+    for sigma, k, step in ((12, 8, 1), (18, 10, 1000), (CIRCLE, 9, 1000)):
+        for dna in enumerate_dnas(sigma, k)[::step]:
+            config = build_chp(sigma, k, dna)
+            yield sigma, k, config, dna.letters
+            yield sigma, k, _noisy(config, 42), dna.letters
+    abab, aabb = build_chp(12, 4, "abab"), build_chp(12, 4, "aabb")
+    yield 12, 4, _noisy(abab, 42), "abab"
+    # the two builds overlaid, each disk once: their paths disagree
+    both = np.concatenate((abab.centers, aabb.centers))
+    once = [i for i in range(len(both)) if np.hypot(*(both[:i] - both[i]).T).min(initial=1.0) > 1e-9]
+    yield 12, 4, _with_centers(abab, both[once]), None
+    # the center's neighbours removed: no path reaches it
+    r = np.hypot(*abab.centers.T)
+    yield 12, 4, _with_centers(abab, abab.centers[(r < 1e-9) | (r > 1.5 * abab.diameter)]), None
+    yield 12, 3, _path_off_the_blocks(), None
+    # the center's disk, built last, removed
+    config = build_chp(12, 3)
+    yield 12, 3, _with_centers(config, config.centers[:-1]), None
+
+
+def test_extract_dna_matches_the_reference_walk():
+    failures = []
+    for sigma, k, config, letters in _extraction_cases():
+        want = _outcome(_reference_extract_dna, config, sigma, k)
+        got = _outcome(lambda *a: extract_dna(*a).letters, config, sigma, k)
+        assert got == want, (sigma, k, letters)
+        if letters is not None:
+            assert got == letters
+        else:
+            failures.append(" ".join(got))
+    # every failure of the walk is reached: no origin disk, no path, a
+    # direction off the blocks and disagreeing paths
+    assert failures == [
+        "InconsistentDna contact paths disagree after canonicalization: ['aabb', 'abab']",
+        "NoPath no 4-step contact path from P1 to the center",
+        failures[2],
+        "NoPath no disk at the origin",
+    ]
+    assert failures[2].startswith("NoPath path direction") and failures[2].endswith("matches no building block")
 
 
 # cells where long runs of one letter bend a shell inside the corner of the

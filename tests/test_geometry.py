@@ -126,13 +126,15 @@ def test_vectorized_primitives_match_scalar_scans(sigma):
     pts = rng.uniform(-1.2, 1.2, (300, 2))
     d, tol = 0.1, 0.2
     brute = [
-        (i, j)
+        [i, j]
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
         if d * (1.0 - tol) <= float(np.hypot(*(pts[i] - pts[j]))) <= d * (1.0 + tol)
     ]
     assert brute
-    assert geometry.contact_pairs(pts, d, tol) == brute
+    pairs = geometry.contact_pairs(pts, d, tol)
+    assert pairs.dtype == np.intp and pairs.shape == (len(brute), 2)
+    assert pairs.tolist() == brute
     excess = geometry.outside_by(sigma, pts)
     for tol in (0.0, 1e-3):
         inside = [_scalar_inside(sigma, (x, y), tol) for x, y in pts]
@@ -204,3 +206,29 @@ def test_min_distance_matches_difference_tensor():
         dist = np.hypot(diff[..., 0], diff[..., 1])
         dist[np.arange(n), np.arange(n)] = np.inf
         assert geometry.min_distance(pts) == float(dist.min())
+
+
+@pytest.mark.parametrize("dense_max", [geometry._DENSE_MAX, 0], ids=["dense", "tree"])
+def test_contact_pairs_without_contacts(dense_max, monkeypatch):
+    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    pairs = geometry.contact_pairs(pts, 0.1, 1e-6)
+    assert pairs.dtype == np.intp and pairs.shape == (0, 2)
+
+
+@pytest.mark.parametrize("dense_max", [geometry._DENSE_MAX, 0], ids=["dense", "tree"])
+def test_contact_pairs_keep_a_pair_at_the_upper_bound(dense_max, monkeypatch):
+    # hypot puts this pair at d(1 + tol) to the bit, while the k-d tree's
+    # squared-distance test alone puts it outside
+    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
+    pts = np.array([[0.3, -0.2], [0.26927048491509153, -0.10483846941827606]])
+    assert geometry.contact_pairs(pts, 0.1, 1e-6).tolist() == [[0, 1]]
+    # and a random scan of pairs at that distance agrees with the hypot test
+    rng = np.random.default_rng(3)
+    hi = 0.1 * (1.0 + 1e-6)
+    for _ in range(200):
+        a = rng.uniform(-1.0, 1.0, 2)
+        u = rng.uniform(0.0, 2.0 * math.pi)
+        pair = np.array([a, a + hi * np.array([math.cos(u), math.sin(u)])])
+        kept = float(np.hypot(*(pair[1] - pair[0]))) <= hi
+        assert geometry.contact_pairs(pair, 0.1, 1e-6).tolist() == ([[0, 1]] if kept else [])

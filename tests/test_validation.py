@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -102,6 +103,48 @@ def test_contact_histogram_hexagon():
     # 19 interior disks with six touching neighbors, 12 edge disks with
     # four, 6 corner disks with three
     assert hist == {3: 6, 4: 12, 6: 19}
+
+
+def _reference_histogram(config):
+    """contact_count_histogram as one loop over the contact pairs."""
+    counts = [0] * config.n_disks
+    for i, j in geometry.contact_pairs(config.centers, config.diameter, TOL).tolist():
+        counts[i] += 1
+        counts[j] += 1
+    hist = {}
+    for c in counts:
+        hist[c] = hist.get(c, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+@pytest.mark.parametrize("dense_max", [1000, 0], ids=["dense", "tree"])
+def test_contact_histogram_matches_the_counting_loop(dense_max, monkeypatch):
+    # (12, 20) has 1,261 disks and takes the tree path either way
+    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
+    configs = [
+        _cfg([[0.1, -0.2]], diameter=0.5),
+        _cfg([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], diameter=0.1),
+        build_chp(12, 2),
+        build_chp(12, 8, enumerate_dnas(12, 8)[-1]),
+        build_chp(CIRCLE, 9),
+        build_chp(12, 20),
+    ]
+    for config in configs:
+        hist = contact_count_histogram(config)
+        assert hist == _reference_histogram(config)
+        assert list(hist) == sorted(hist)
+        assert all(type(c) is int and type(n) is int for c, n in hist.items())
+    assert contact_count_histogram(configs[1]) == {0: 3}
+
+
+def test_tree_path_report_is_json():
+    # 271 disks: the contact scan takes the k-d tree path
+    config = build_chp(12, 9)
+    assert config.n_disks > geometry._DENSE_MAX
+    text = json.dumps(validate_config(config).to_json_dict())
+    assert json.loads(text)["contact_count_histogram"] == {
+        str(c): n for c, n in _reference_histogram(config).items()
+    }
 
 
 def test_validate_config_report():
@@ -263,6 +306,8 @@ def test_dense_and_tree_paths_agree(k, monkeypatch):
 
     def results():
         pairs = [geometry.contact_pairs(pts, d, tol) for pts in (centers, noisy) for tol in (TOL, 1e-6)]
+        assert all(p.dtype == np.intp and p.ndim == 2 and p.shape[1] == 2 for p in pairs)
+        pairs = [p.tolist() for p in pairs]
         return pairs, [validation._matching_residual(a, b, tol) for a, b, tol in matchings]
 
     own = results()
@@ -284,4 +329,6 @@ def test_small_configurations_validate_without_scipy(monkeypatch):
     for name in ("scipy", "scipy.spatial", "scipy.optimize"):
         monkeypatch.setitem(sys.modules, name, None)
     assert validate_config(config) == report
-    assert geometry.contact_pairs(config.centers, config.diameter, TOL) == pairs
+    again = geometry.contact_pairs(config.centers, config.diameter, TOL)
+    assert again.dtype == np.intp and again.shape == pairs.shape == (len(pairs), 2)
+    assert again.tolist() == pairs.tolist()
