@@ -111,7 +111,8 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     excess = float(geometry.outside_by(sigma, arr).max())
     if excess > 1e-9:
         raise ConstructionFailed(f"a disk leaves the container by {excess:.3e}")
-    if geometry.min_distance(arr) < d * (1.0 - 1e-9):
+    reach = d * (1.0 - 1e-9)
+    if (geometry._near_pairs(arr, reach)[2] < reach).any():
         raise ConstructionFailed("overlap in assembled configuration")
     return PackingConfiguration(
         sigma=sigma,

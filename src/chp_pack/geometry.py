@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,9 +32,6 @@ CIRCLE = "circle"
 Sigma = Union[int, str]
 
 TWO_PI = 2.0 * math.pi
-
-# dense pair distances up to this many points, a k-d tree above
-_DENSE_MAX = 200
 
 _S3 = math.sqrt(3.0) / 2.0
 # exact unit rotations by multiples of 60 degrees, for bit-stable replication
@@ -206,36 +203,87 @@ def _pair_offsets(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return bx[None, :] - ax[:, None], by[None, :] - ay[:, None]
 
 
-def min_distance(centers: np.ndarray) -> float:
-    """Minimum pairwise distance of at least two points."""
-    n = len(centers)
-    if n <= _DENSE_MAX:
-        dist = np.hypot(*_pair_offsets(centers, centers))
-        dist.flat[:: n + 1] = np.inf
-        return float(dist.min())
-    from scipy.spatial import cKDTree
+def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of rows at most ``reach`` apart, found by a cell list.
 
-    dist, _ = cKDTree(centers).query(centers, k=2)
-    return float(dist[:, 1].min())
+    With ``b`` None, the pairs of distinct rows of ``a``, each once and
+    in no set order; otherwise each row ``i`` of ``a`` with each row
+    ``j`` of ``b``.  Returns ``(i, j, gap)``, where ``gap`` is the
+    ``hypot`` distance, which alone decides ``gap <= reach``.
+
+    The rows are sorted by the id ``cx * ny + cy`` of a square cell of
+    side at least ``reach``, so a pair within reach shares a cell or
+    lies in two adjacent ones, and each row's candidates are a few runs
+    of consecutive ids, all bounded by one ``searchsorted`` (Allen &
+    Tildesley, *Computer Simulation of Liquids*, ch. 5).  The side is a
+    little above ``reach``, so rounding in the ids loses no pair, and at
+    least 2**-30 of the points' span, so the ids fit in int64; a larger
+    cell only adds candidates.
+    """
+    x, y = (a if b is None else np.concatenate((a, b))).T.copy()
+    x0, y0 = x.min(), y.min()
+    side = max(reach, max(x.max() - x0, y.max() - y0) * 2.0**-30) * (1.0 + 1e-6) or 1.0
+    cx = ((x - x0) / side).astype(np.int64)
+    cy = ((y - y0) / side).astype(np.int64)
+    # a free row above the top one, so that cy + 1 never reaches the next column
+    ny = int(cy.max()) + 2
+    ids = cx * ny + cy
+    if b is None:
+        order = ids.argsort()
+        ids = ids[order]
+        # later rows of the own cell and the cell above it, then the three cells of the next column
+        ends = np.searchsorted(ids, ids + np.array([[2], [ny - 1], [ny + 2]]))
+        start = np.concatenate((np.arange(1, len(ids) + 1), ends[1]))
+        stop = np.concatenate((ends[0], ends[2]))
+        owner = np.concatenate((order, order))
+        bx, by = x, y
+    else:
+        n = len(a)
+        order = ids[n:].argsort()
+        # the three cells of the column before, of the own column and of the column after
+        ends = np.searchsorted(ids[n:][order], ids[:n, None] + np.array([-ny - 1, -ny + 2, -1, 2, ny - 1, ny + 2]))
+        start, stop = ends[:, 0::2].T.ravel(), ends[:, 1::2].T.ravel()
+        owner = np.tile(np.arange(n), 3)
+        bx, by = x[n:], y[n:]
+    count = stop - start
+    i = np.repeat(owner, count)
+    j = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(i))]
+    gap = np.hypot(bx[j] - x[i], by[j] - y[i])
+    keep = np.flatnonzero(gap <= reach)
+    return i[keep], j[keep], gap[keep]
+
+
+def min_distance(centers: np.ndarray) -> float:
+    """Minimum pairwise ``hypot`` distance of at least two points.
+
+    The scan's reach starts at Oler's bound: n points at mutual distance
+    at least r inside a w x h box obey n <= 2wh/(sqrt(3) r^2) + (w+h)/r + 1,
+    so no minimum exceeds the root r of that equality.  Rounding can put
+    the computed root just under a minimum that equals it, so the reach
+    doubles while no pair lies within it; past w + h every pair does.
+    Every pair within the reach is found, so the minimum is exact.  A nan
+    coordinate gives nan.
+    """
+    n = len(centers)
+    w, h = np.ptp(centers, axis=0).tolist()
+    reach = (w + h + math.sqrt((w + h) ** 2 + 8.0 / math.sqrt(3.0) * (n - 1) * w * h)) / (2 * (n - 1))
+    gap = _near_pairs(centers, reach)[2]
+    while not len(gap) and reach < w + h:
+        reach = 2.0 * reach or w + h
+        gap = _near_pairs(centers, reach)[2]
+    return float(gap.min()) if len(gap) else math.nan
 
 
 def contact_pairs(centers: np.ndarray, d: float, tol: float) -> np.ndarray:
     """Index pairs ``(i, j)``, ``i < j``, with ``d(1-tol) <= |c_i - c_j| <= d(1+tol)``.
 
     Returns an ``(m, 2)`` ``np.intp`` array whose rows are sorted
-    lexicographically; ``(0, 2)`` when no pair qualifies.  Both paths keep
-    a pair by the same ``hypot`` test; above ``_DENSE_MAX`` points a k-d
-    tree proposes the candidates, at a radius a little above ``d(1+tol)``
-    because its squared-distance test rounds differently from ``hypot``.
+    lexicographically; ``(0, 2)`` when no pair qualifies.  The distance
+    is ``hypot``'s, and one cell-list scan at reach ``d(1+tol)`` finds
+    every pair that can pass.
     """
-    n = len(centers)
-    lo, hi = d * (1.0 - tol), d * (1.0 + tol)
-    if n <= _DENSE_MAX:
-        gap = np.hypot(*_pair_offsets(centers, centers))
-        return np.argwhere(np.triu((gap >= lo) & (gap <= hi), 1))
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(centers).query_pairs(hi * (1.0 + 1e-12), output_type="ndarray")
-    gap = np.hypot(*(centers[pairs[:, 0]] - centers[pairs[:, 1]]).T)
-    pairs = pairs[(gap >= lo) & (gap <= hi)]
-    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    i, j, gap = _near_pairs(centers, d * (1.0 + tol))
+    keep = gap >= d * (1.0 - tol)
+    lo, hi = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+    order = (lo * len(centers) + hi).argsort()
+    return np.stack((lo[order], hi[order]), axis=1)

@@ -39,10 +39,11 @@ def density(config: PackingConfiguration) -> float:
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
     """Max pair distance of the min-sum bijection a -> b, or None past tol.
 
-    One nearest-target search, dense up to ``geometry._DENSE_MAX`` points
-    and a k-d query above, finds each point's nearest target.  Any
-    bijection's max is at least every row's nearest distance, so one
-    above tol rules all of them out.  When the nearest targets form a
+    One cell-list scan at reach tol (``geometry._near_pairs``) gives each
+    point its targets within tol, and the nearest of them (least
+    ``hypot`` distance, then least index).  Any bijection's max is at
+    least every row's nearest distance, so a row with no target within
+    tol rules all of them out.  When the nearest targets form a
     bijection, every row sits at its own minimum, so that map is the
     min-sum assignment; only a shared nearest target calls the optimal
     assignment.
@@ -51,20 +52,15 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
         return None
     if len(a) == 0:
         return 0.0
-    if len(b) <= geometry._DENSE_MAX:
-        cost = np.hypot(*geometry._pair_offsets(a, b))
-        idx = cost.argmin(axis=1)
-        dist = cost[np.arange(len(a)), idx]
-    else:
-        from scipy.spatial import cKDTree
-
-        dist, idx = cKDTree(b).query(a)
-    if dist.max() > tol:
+    i, j, gap = geometry._near_pairs(a, tol, b)
+    order = np.lexsort((j, gap, i))
+    rows, first = np.unique(i[order], return_index=True)
+    if len(rows) < len(a):
         return None
-    if len(np.unique(idx)) < len(b):
+    nearest = order[first]
+    if len(np.unique(j[nearest])) < len(b):
         return _assignment_residual(a, b, tol)
-    worst = float(np.hypot(b[idx, 0] - a[:, 0], b[idx, 1] - a[:, 1]).max())
-    return worst if worst <= tol else None
+    return float(gap[nearest].max())
 
 
 def _assignment_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
@@ -109,7 +105,12 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
 def contact_count_histogram(config: PackingConfiguration) -> Dict[int, int]:
     """Histogram mapping contacts-per-disk to the number of such disks."""
     pairs = geometry.contact_pairs(config.centers, config.diameter, TOL)
-    contacts, disks = np.unique(np.bincount(pairs.ravel(), minlength=config.n_disks), return_counts=True)
+    return _histogram(pairs.ravel(), config.n_disks)
+
+
+def _histogram(ends: np.ndarray, n: int) -> Dict[int, int]:
+    """Contact-count histogram of ``n`` disks from the contact pairs' ends, in any order."""
+    contacts, disks = np.unique(np.bincount(ends, minlength=n), return_counts=True)
     return dict(zip(contacts.tolist(), disks.tolist()))
 
 
@@ -139,16 +140,24 @@ def validate_config(config: PackingConfiguration) -> ValidationReport:
     """Assemble the full certification report for ``config``.
 
     With fewer than two disks there is no pair to separate: ``min_distance``
-    is None and validity rests on containment alone.
+    is None and validity rests on containment alone.  One pair scan at
+    reach d(1 + TOL) serves both the contacts and, whenever it finds a
+    pair, the minimum distance.
     """
-    min_dist = packing_radius(config) if config.n_disks > 1 else None
+    d = config.diameter
+    i, j, gap = geometry._near_pairs(config.centers, d * (1.0 + TOL))
+    if config.n_disks < 2:
+        min_dist = None
+    else:
+        min_dist = float(gap.min()) if len(gap) else packing_radius(config)
     violation = float(max(0.0, geometry.outside_by(config.sigma, config.centers).max()))
-    valid = (min_dist is None or min_dist >= config.diameter * (1.0 - TOL)) and violation <= TOL
+    valid = (min_dist is None or min_dist >= d * (1.0 - TOL)) and violation <= TOL
+    touching = gap >= d * (1.0 - TOL)
     return ValidationReport(
         min_distance=min_dist,
         worst_containment_violation=violation,
         density=density(config),
         is_valid=valid,
         symmetry_residual=symmetry_residual(config),
-        contact_count_histogram=contact_count_histogram(config),
+        contact_count_histogram=_histogram(np.concatenate((i[touching], j[touching])), config.n_disks),
     )

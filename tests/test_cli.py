@@ -414,7 +414,7 @@ import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import chp_pack.cli
 from chp_pack import CIRCLE, CountInput, OptimizerParams, algorithm1, algorithm2, build_chp, chp_density
-from chp_pack import count_configurations, enumerate_dnas, seed_guided, solve_border
+from chp_pack import count_configurations, enumerate_dnas, extract_dna, seed_guided, solve_border, validate_config
 from chp_pack.configio import dumps_config
 from chp_pack.svg import render_svg
 
@@ -426,6 +426,12 @@ for sigma in (12, CIRCLE):
 config = build_chp(12, 4)
 dumps_config(config)
 render_svg(config)
+# the pair scans need no scipy at any size: 271 and 817 disks
+for sigma, k in ((12, 9), (CIRCLE, 16)):
+    config = build_chp(sigma, k)
+    validate_config(config)
+    extract_dna(config, sigma, k)
+    render_svg(config, contacts=True)
 params = OptimizerParams(s_final=1e3)
 algorithm1(12, 7, params)
 start, pins = seed_guided(12, 2, 0.1, 0.97)
@@ -434,8 +440,9 @@ algorithm2(start, params, pins)
 
 
 def test_tables_counts_builds_and_searches_run_without_scipy():
-    # scipy serves only the k-d tree and the optimal assignment; nothing
-    # here calls them, so the package and the CLI must import without it
+    # scipy serves only the optimal assignment's fallback for a shared
+    # nearest target; nothing here reaches it, so the package, the CLI and
+    # every pair scan must run without it
     src = str(Path(chp_pack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True)

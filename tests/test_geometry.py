@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pair_oracles import PAIR_ORACLES, dense_min, dense_pairs, point_sets
 
 from chp_pack import geometry, optimizer
 from chp_pack.builder import PackingConfiguration
@@ -200,29 +203,25 @@ def test_array_projection_matches_scalar_scan(sigma):
 
 def test_min_distance_matches_difference_tensor():
     rng = np.random.default_rng(17)
-    for n in (2, 3, 19, 91, 200):
+    for n in (2, 3, 19, 91, 200, 201, 500):
         pts = rng.uniform(-1.0, 1.0, (n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        dist[np.arange(n), np.arange(n)] = np.inf
-        assert geometry.min_distance(pts) == float(dist.min())
+        assert geometry.min_distance(pts) == dense_min(pts)
 
 
-@pytest.mark.parametrize("dense_max", [geometry._DENSE_MAX, 0], ids=["dense", "tree"])
-def test_contact_pairs_without_contacts(dense_max, monkeypatch):
-    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
+@pytest.mark.parametrize("oracle", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
+def test_contact_pairs_without_contacts(oracle):
     pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
     pairs = geometry.contact_pairs(pts, 0.1, 1e-6)
     assert pairs.dtype == np.intp and pairs.shape == (0, 2)
+    assert pairs.tolist() == oracle(pts, 0.1, 1e-6).tolist() == []
 
 
-@pytest.mark.parametrize("dense_max", [geometry._DENSE_MAX, 0], ids=["dense", "tree"])
-def test_contact_pairs_keep_a_pair_at_the_upper_bound(dense_max, monkeypatch):
-    # hypot puts this pair at d(1 + tol) to the bit, while the k-d tree's
+@pytest.mark.parametrize("oracle", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
+def test_contact_pairs_keep_a_pair_at_the_upper_bound(oracle):
+    # hypot puts this pair at d(1 + tol) to the bit, while a k-d tree's
     # squared-distance test alone puts it outside
-    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
     pts = np.array([[0.3, -0.2], [0.26927048491509153, -0.10483846941827606]])
-    assert geometry.contact_pairs(pts, 0.1, 1e-6).tolist() == [[0, 1]]
+    assert geometry.contact_pairs(pts, 0.1, 1e-6).tolist() == oracle(pts, 0.1, 1e-6).tolist() == [[0, 1]]
     # and a random scan of pairs at that distance agrees with the hypot test
     rng = np.random.default_rng(3)
     hi = 0.1 * (1.0 + 1e-6)
@@ -231,4 +230,17 @@ def test_contact_pairs_keep_a_pair_at_the_upper_bound(dense_max, monkeypatch):
         u = rng.uniform(0.0, 2.0 * math.pi)
         pair = np.array([a, a + hi * np.array([math.cos(u), math.sin(u)])])
         kept = float(np.hypot(*(pair[1] - pair[0]))) <= hi
-        assert geometry.contact_pairs(pair, 0.1, 1e-6).tolist() == ([[0, 1]] if kept else [])
+        want = [[0, 1]] if kept else []
+        assert geometry.contact_pairs(pair, 0.1, 1e-6).tolist() == oracle(pair, 0.1, 1e-6).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=point_sets(), tol=st.sampled_from([0.0, 1e-9, 1e-6, 0.1, 0.6]), shrink=st.sampled_from([False, True]))
+def test_pair_scans_match_brute_force(case, tol, shrink):
+    pts, step = case
+    # d(1 + tol) equal to the step, or d itself the step
+    d = step / (1.0 + tol) if shrink else step
+    pairs = geometry.contact_pairs(pts, d, tol)
+    assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert pairs.tolist() == dense_pairs(pts, d, tol).tolist()
+    assert geometry.min_distance(pts) == dense_min(pts)

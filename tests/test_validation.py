@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pair_oracles import MATCHING_ORACLES, PAIR_ORACLES, dense_min, dense_pairs, point_sets
 
 from chp_pack import (
     CIRCLE,
@@ -46,7 +47,7 @@ def test_packing_radius_matches_solver():
 
 
 def test_packing_radius_large_uses_grid_path():
-    # 200 points and fewer take the dense path, more take the k-d tree
+    # every size takes the cell list, which must give hypot's minimum to the bit
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (500, 2))
     for n in (120, 199, 200, 201, 500):
@@ -56,6 +57,18 @@ def test_packing_radius_large_uses_grid_path():
             for j in range(i + 1, n)
         )
         assert packing_radius(pts[:n]) == pytest.approx(brute, abs=1e-15)
+        assert packing_radius(pts[:n]) == brute
+    # a gap that halves to zero: the reach must still grow from 0
+    assert packing_radius(np.array([[0.0, 0.0], [5e-324, 0.0]])) == 5e-324
+    # a nan coordinate ends the search with nan, as a dense scan would give
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(packing_radius(np.array([[0.0, 0.0], [math.nan, 1.0], [2.0, 2.0]])))
+
+
+def test_validate_reports_the_hypot_minimum():
+    # a k-d tree's sqrt of the squared distance reads 0.05176380902050279 here
+    config = build_chp(12, 20)
+    assert validate_config(config).min_distance == dense_min(config.centers) == 0.051763809020502795
 
 
 def test_density_matches_formula():
@@ -105,10 +118,10 @@ def test_contact_histogram_hexagon():
     assert hist == {3: 6, 4: 12, 6: 19}
 
 
-def _reference_histogram(config):
-    """contact_count_histogram as one loop over the contact pairs."""
+def _reference_histogram(config, oracle=dense_pairs):
+    """contact_count_histogram as one loop over a reference scan's contact pairs."""
     counts = [0] * config.n_disks
-    for i, j in geometry.contact_pairs(config.centers, config.diameter, TOL).tolist():
+    for i, j in oracle(config.centers, config.diameter, TOL).tolist():
         counts[i] += 1
         counts[j] += 1
     hist = {}
@@ -117,10 +130,8 @@ def _reference_histogram(config):
     return dict(sorted(hist.items()))
 
 
-@pytest.mark.parametrize("dense_max", [1000, 0], ids=["dense", "tree"])
-def test_contact_histogram_matches_the_counting_loop(dense_max, monkeypatch):
-    # (12, 20) has 1,261 disks and takes the tree path either way
-    monkeypatch.setattr(geometry, "_DENSE_MAX", dense_max)
+@pytest.mark.parametrize("oracle", PAIR_ORACLES.values(), ids=PAIR_ORACLES.keys())
+def test_contact_histogram_matches_the_counting_loop(oracle):
     configs = [
         _cfg([[0.1, -0.2]], diameter=0.5),
         _cfg([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], diameter=0.1),
@@ -131,16 +142,17 @@ def test_contact_histogram_matches_the_counting_loop(dense_max, monkeypatch):
     ]
     for config in configs:
         hist = contact_count_histogram(config)
-        assert hist == _reference_histogram(config)
+        assert hist == _reference_histogram(config, oracle)
+        assert validate_config(config).contact_count_histogram == hist
         assert list(hist) == sorted(hist)
         assert all(type(c) is int and type(n) is int for c, n in hist.items())
     assert contact_count_histogram(configs[1]) == {0: 3}
 
 
-def test_tree_path_report_is_json():
-    # 271 disks: the contact scan takes the k-d tree path
+def test_report_of_271_disks_is_json():
+    # past the 200 disks where the contact scan once switched to a k-d tree
     config = build_chp(12, 9)
-    assert config.n_disks > geometry._DENSE_MAX
+    assert config.n_disks == 271
     text = json.dumps(validate_config(config).to_json_dict())
     assert json.loads(text)["contact_count_histogram"] == {
         str(c): n for c, n in _reference_histogram(config).items()
@@ -283,6 +295,21 @@ def test_matching_residual_is_the_optimal_assignment(seed, n, grid, scale, tol):
     assert validation._matching_residual(moved, pts, tol) == validation._assignment_residual(moved, pts, tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    case=point_sets(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3]),
+    tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2, 1.0]),
+)
+def test_matching_residual_matches_brute_force(case, seed, scale, tol):
+    pts, step = case
+    rng = np.random.default_rng(seed)
+    moved = rng.permutation(pts) + rng.uniform(-scale, scale, pts.shape) * step
+    want = MATCHING_ORACLES["dense"](moved, pts, tol * step, validation._assignment_residual)
+    assert validation._matching_residual(moved, pts, tol * step) == want
+
+
 def test_equivalent_rejects_classes_without_assignment(monkeypatch):
     # every symmetry image of one class misses the other by more than the
     # tolerance at some disk, so the nearest-target query alone says no
@@ -293,9 +320,9 @@ def test_equivalent_rejects_classes_without_assignment(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [2, 9], ids=["19_disks", "271_disks"])
-def test_dense_and_tree_paths_agree(k, monkeypatch):
-    # one size on each side of geometry._DENSE_MAX, each run through the
-    # path its size takes and through both forced paths
+def test_pair_scans_agree_with_dense_and_tree_oracles(k):
+    # one size on each side of the 200 disks where the library once switched
+    # from a dense scan to a k-d tree; the cell list must match both references
     config = build_chp(12, k)
     centers, d = config.centers, config.diameter
     rng = np.random.default_rng(k)
@@ -304,17 +331,17 @@ def test_dense_and_tree_paths_agree(k, monkeypatch):
     noisy = centers + rng.uniform(-1e-7, 1e-7, centers.shape)
     matchings = [(rotated, centers, 1e-6), (rotated + rng.uniform(-5e-7, 5e-7, centers.shape), centers, 1e-6), (rotated, noisy, 1e-9)]
 
-    def results():
-        pairs = [geometry.contact_pairs(pts, d, tol) for pts in (centers, noisy) for tol in (TOL, 1e-6)]
+    def results(contact_pairs, matching_residual):
+        pairs = [contact_pairs(pts, d, tol) for pts in (centers, noisy) for tol in (TOL, 1e-6)]
         assert all(p.dtype == np.intp and p.ndim == 2 and p.shape[1] == 2 for p in pairs)
         pairs = [p.tolist() for p in pairs]
-        return pairs, [validation._matching_residual(a, b, tol) for a, b, tol in matchings]
+        return pairs, [matching_residual(a, b, tol) for a, b, tol in matchings]
 
-    own = results()
-    monkeypatch.setattr(geometry, "_DENSE_MAX", 0)
-    tree = results()
-    monkeypatch.setattr(geometry, "_DENSE_MAX", len(centers))
-    dense = results()
+    own = results(geometry.contact_pairs, validation._matching_residual)
+    tree, dense = (
+        results(PAIR_ORACLES[name], lambda a, b, tol: MATCHING_ORACLES[name](a, b, tol, validation._assignment_residual))
+        for name in ("tree", "dense")
+    )
     assert own == tree == dense
     pairs, residuals = own
     # the noise breaks contacts at TOL that 1e-6 still finds
