@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import geometry
-from .chp import PI_3, BorderSolution, Dna, _letters_of, _nearest_block, _seq_of, canonicalize_dna, dna_from_letters, dna_from_values, solve_border
+from .chp import PI_3, BorderSolution, Dna, _dna_seq, _letters_of, _nearest_block, canonicalize_dna, solve_border
 from .errors import AmbiguousStart, ConstructionFailed, InconsistentDna, NoPath, PreconditionViolated
 from .geometry import Point2, Sigma
 
@@ -55,33 +55,30 @@ class PackingConfiguration:
 def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> PackingConfiguration:
     """Construct the packing selected by ``dna`` (lowest-letter order when None).
 
-    The border ring is the border chain.  Shell k - j starts at point j
-    of the DNA path from P1 and takes one chord per letter not yet read
-    there, in ascending letter order, each letter's direction turned by
-    -pi/3; the origin closes the path.  Every row is replicated by the
-    six exact rotations, so a build costs O(N) for N = disk_count(k)
-    disks, plus one O(N log N) overlap check of the result.
+    ``dna`` is a letter string or a Dna; letter b reads its chord direction
+    as border.blocks()[b].  The border ring is the border chain.  Shell
+    k - j starts at point j of the DNA path from P1 and takes one chord
+    per letter not yet read there, in ascending letter order, each
+    letter's direction turned by -pi/3; the origin closes the path.
+    Every row is replicated by the six exact rotations, so a build costs
+    O(N) for N = disk_count(k) disks, plus one O(N log N) overlap check
+    of the result.
 
     Raises ConstructionFailed when the DNA path misses the center, when
     a disk leaves the container, or when two disks overlap.
     """
     border = solve_border(sigma, k)
     if dna is None:
-        letters = "".join(
-            chr(ord("a") + b) * n for b, n in enumerate(border.degeneracies)
-        )
-        dna = dna_from_letters(letters, border)
-    elif isinstance(dna, str):
-        dna = dna_from_letters(dna, border)
-    else:
-        dna = dna_from_values(dna.values, border)
-
+        dna = "".join(chr(ord("a") + b) * n for b, n in enumerate(border.degeneracies))
+    seq = _dna_seq(dna, border)
+    blocks = border.blocks()
     d = border.d
 
     # DNA path from P1; its points seed every inner shell's corner
     seeds: List[Point2] = []
     x, y = border.chain[0]
-    for v in dna.values:
+    for b in seq:
+        v = blocks[b]
         x += d * math.cos(v)
         y += d * math.sin(v)
         seeds.append((x, y))
@@ -93,8 +90,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
     # there, ascending, turned by -pi/3.  That is the rest of the path
     # turned by -pi/3, so the last chord ends on the next sector's start,
     # which the rotations supply; the row stops before it.
-    chords = [(d * math.cos(v - PI_3), d * math.sin(v - PI_3)) for v in border.blocks()]
-    seq = _seq_of(dna.letters)
+    chords = [(d * math.cos(v - PI_3), d * math.sin(v - PI_3)) for v in blocks]
     sector_rows: List[List[Point2]] = [list(border.chain[:-1])]
     for j in range(1, k):
         x, y = seeds[j - 1]
@@ -118,7 +114,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
         sigma=sigma,
         centers=arr,
         diameter=d,
-        meta={"mode": "deterministic", "k": k, "dna": dna.letters},
+        meta={"mode": "deterministic", "k": k, "dna": _letters_of(seq)},
     )
 
 
@@ -176,20 +172,20 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
     if not value_paths:
         raise NoPath(f"no {k}-step contact path from P1 to the center")
 
-    reps = set()
-    canon: Optional[Dna] = None
-    for values in value_paths:
-        dna = _dna_from_noisy_values(values, border)
-        rep = canonicalize_dna(dna, border)
-        reps.add(rep.letters)
-        canon = rep
+    reps = {canonicalize_dna(_dna_from_noisy_values(values, border), border) for values in value_paths}
     if len(reps) != 1:
-        raise InconsistentDna(f"contact paths disagree after canonicalization: {sorted(reps)}")
-    assert canon is not None
-    return canon
+        raise InconsistentDna(f"contact paths disagree after canonicalization: {sorted(r.letters for r in reps)}")
+    return reps.pop()
 
 
-def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution) -> Dna:
+def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution) -> str:
+    """The letters of the building blocks nearest a contact path's directions.
+
+    This is the one place that maps angles to letters.  Raises NoPath when a
+    direction misses every block by more than 10 _EXTRACT_TOL or 0.45 of
+    the smallest gap between blocks, whichever is less; canonicalize_dna
+    checks the letter multiset.
+    """
     blocks = border.blocks()
     gap = min(
         [abs(blocks[i + 1] - blocks[i]) for i in range(len(blocks) - 1)],
@@ -202,4 +198,4 @@ def _dna_from_noisy_values(values: Sequence[float], border: BorderSolution) -> D
         if b is None:
             raise NoPath(f"path direction {v:.6f} matches no building block")
         seq.append(b)
-    return dna_from_letters(_letters_of(seq), border)
+    return _letters_of(seq)

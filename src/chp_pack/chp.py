@@ -470,14 +470,9 @@ def solve_border(sigma: Sigma, k: int) -> BorderSolution:
 
 @dataclass(frozen=True)
 class Dna:
-    """An ordered sequence of chord directions xi_1..xi_k with its letters."""
+    """A DNA: its k letters, letter b naming the border's building block blocks()[b]."""
 
-    values: Tuple[float, ...]
     letters: str
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
 
 
 def _letters_of(seq: Sequence[int]) -> str:
@@ -501,24 +496,12 @@ def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
         counts[b] += 1
     if tuple(counts) != border.degeneracies:
         raise InconsistentDna(f"letter multiplicities {tuple(counts)} != {border.degeneracies}")
-    return Dna(values=tuple(blocks[b] for b in seq), letters=letters)
+    return Dna(letters=letters)
 
 
-def dna_from_values(values: Sequence[float], border: BorderSolution) -> Dna:
-    """Resolve an angle sequence against the border's building blocks."""
-    blocks = border.blocks()
-    seq: List[int] = []
-    for v in values:
-        b = _nearest_block(v, blocks)
-        if b is None:
-            raise InconsistentDna(f"angle {v!r} matches no building block")
-        seq.append(b)
-    counts = [0] * len(blocks)
-    for b in seq:
-        counts[b] += 1
-    if tuple(counts) != border.degeneracies:
-        raise InconsistentDna(f"value multiset does not match degeneracies {border.degeneracies}")
-    return Dna(values=tuple(blocks[b] for b in seq), letters=_letters_of(seq))
+def _dna_seq(dna: Union[Dna, str], border: BorderSolution) -> Tuple[int, ...]:
+    """The block indices of a DNA given as a Dna or as its letters, checked against the border."""
+    return _seq_of(dna_from_letters(dna.letters if isinstance(dna, Dna) else dna, border).letters)
 
 
 def _nearest_block(value: float, blocks: Sequence[float], tol: float = GROUP_TOL) -> Union[int, None]:
@@ -603,11 +586,7 @@ def _orbit(seq: Sequence[int], maps: Sequence[Tuple[int, ...]]) -> Set[Tuple[int
 
 def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
     """Lexicographically smallest DNA over vertex rotations and reflection."""
-    if isinstance(dna, str):
-        dna = dna_from_letters(dna, border)
-    else:
-        dna = dna_from_values(dna.values, border)
-    best = min(_orbit(_seq_of(dna.letters), border.letter_maps))
+    best = min(_orbit(_dna_seq(dna, border), border.letter_maps))
     return dna_from_letters(_letters_of(best), border)
 
 
@@ -630,26 +609,24 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
     total = count_configurations(CountInput.from_border(border))
     if total > cap:
         raise CapExceeded(f"{total} configurations exceed cap {cap}")
-    blocks = border.blocks()
-    ell = len(blocks)
+    ell = len(border.degeneracies)
     names = _letters_of(range(ell))
     reps: List[Dna] = []
     # depth first without recursion, since k may exceed the recursion
-    # limit: each entry is a prefix, its values, the letter counts it
-    # leaves and its carried maps, and children go on in descending
-    # order so that the smallest comes off first
-    stack = [("", (), border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
+    # limit: each entry is a prefix, the letter counts it leaves and its
+    # carried maps, and children go on in descending order so that the
+    # smallest comes off first
+    stack = [("", border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
     while stack:
-        letters, values, remaining, live = stack.pop()
+        letters, remaining, live = stack.pop()
         if not live and max(remaining) <= 1:
             # no map is carried and the letters left are distinct, as at
             # every leaf (only the identity fixes a prefix that holds every
             # letter): the subtree is every arrangement of those letters,
             # which permutations of them in ascending order yield in
             # lexicographic order
-            free = [b for b in range(ell) if remaining[b]]
-            for tail, more in zip(permutations([names[b] for b in free]), permutations([blocks[b] for b in free])):
-                reps.append(Dna(values=values + more, letters=letters + "".join(tail)))
+            for tail in permutations([names[b] for b in range(ell) if remaining[b]]):
+                reps.append(Dna(letters=letters + "".join(tail)))
             continue
         for b in reversed(range(ell)):
             if not remaining[b]:
@@ -662,7 +639,7 @@ def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
                     kept.append(m)
             else:
                 left = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
-                stack.append((letters + names[b], values + (blocks[b],), left, kept))
+                stack.append((letters + names[b], left, kept))
     return reps
 
 

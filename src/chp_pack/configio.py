@@ -82,11 +82,21 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _float(value: Union[int, float], field: str) -> float:
+    """A JSON number as a float; an integer past the float range is a ParseError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"field {field!r}: integer outside the float range") from None
+
+
 def loads_config(text: str) -> PackingConfiguration:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     version = _require(doc, "schema_version")
@@ -103,8 +113,8 @@ def loads_config(text: str) -> PackingConfiguration:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"field 'n_disks': expected a positive integer, got {n!r}")
     diameter = _require(doc, "diameter")
-    if not isinstance(diameter, (int, float)) or isinstance(diameter, bool) or not diameter > 0:
-        raise ParseError(f"field 'diameter': expected a positive number, got {diameter!r}")
+    if not isinstance(diameter, (int, float)) or isinstance(diameter, bool) or not 0 < _float(diameter, "diameter") < math.inf:
+        raise ParseError(f"field 'diameter': expected a positive finite number, got {diameter!r}")
 
     raw = _require(doc, "centers")
     if not isinstance(raw, list) or len(raw) != n:
@@ -116,7 +126,7 @@ def loads_config(text: str) -> PackingConfiguration:
             isinstance(c, bool) or not isinstance(c, (int, float)) for c in item
         ):
             raise ParseError(f"field 'centers[{i}]': expected [x, y] numbers, got {item!r}")
-        centers[i] = (float(item[0]), float(item[1]))
+        centers[i] = (_float(item[0], f"centers[{i}]"), _float(item[1], f"centers[{i}]"))
     if not np.all(np.isfinite(centers)):
         raise ParseError("field 'centers': coordinates must be finite")
 

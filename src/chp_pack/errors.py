@@ -15,7 +15,9 @@ class NoSolution(ChpError):
 
 
 class InconsistentDna(ChpError):
-    """Raised when a direction sequence does not match the border multiset."""
+    """Raised when DNA letters do not spell the border's letter multiset, when
+    a packing's contact paths disagree on its DNA, or when a vertex rotation
+    of the border does not shift its letters."""
 
 
 class ConstructionFailed(ChpError):

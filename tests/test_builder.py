@@ -143,6 +143,13 @@ def test_build_is_deterministic():
     b = build_chp(18, 4, "abcd")
     assert np.array_equal(a.centers, b.centers)
     assert a.diameter == b.diameter
+    # a Dna and its letters are the same input, to build and to canonicalize
+    for sigma, k in ((12, 8), (CIRCLE, 5)):
+        border = solve_border(sigma, k)
+        for dna in enumerate_dnas(sigma, k)[::7]:
+            a, b = build_chp(sigma, k, dna), build_chp(sigma, k, dna.letters)
+            assert a.centers.tobytes() == b.centers.tobytes() and a.meta == b.meta, (sigma, k, dna.letters)
+            assert canonicalize_dna(dna, border) == canonicalize_dna(dna.letters, border) == dna
 
 
 def test_hexagon_is_triangular_lattice():

@@ -220,6 +220,18 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
         assert json.loads(err)["error"] == "ParseError"
     assert not (tmp_path / "out.json").exists()
 
+    # a 401-digit integer for the diameter or a coordinate, and one of
+    # 5,000 digits, past the interpreter's limit on parsing an integer
+    for doc in (dict(built, diameter=10**400), dict(built, centers=[[0, 10**400]] * len(built["centers"]))):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(["validate", "-i", str(bad)], capsys)
+        assert code == 3
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "ParseError"
+    bad.write_text(dumps_config(build_chp(12, 1)).replace('"diameter": ', '"diameter": ' + "9" * 5000 + ", \"was\": ", 1))
+    code, _, err = run_cli(["validate", "-i", str(bad)], capsys)
+    assert code == 3
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ParseError"
+
 
 def test_sigma_argument_names_the_rule(capsys):
     for bad in ("2", "abc", "-6"):
@@ -368,6 +380,10 @@ def test_config_field_errors():
         ("provenance", []),
         ("dna", 5),
         ("dna", ["a", "b"]),
+        # integers past the float range, and an infinite diameter
+        ("diameter", 10**400),
+        ("diameter", math.inf),
+        ("centers", [[10**400, 0.0]] + doc["centers"][1:]),
     ):
         bad = dict(doc, **{field: value})
         with pytest.raises(ParseError) as info:
@@ -436,14 +452,29 @@ params = OptimizerParams(s_final=1e3)
 algorithm1(12, 7, params)
 start, pins = seed_guided(12, 2, 0.1, 0.97)
 algorithm2(start, params, pins)
+# all ten subcommands through the CLI, writing into the directory named by argv[1]
+built = sys.argv[1] + "/built.json"
+for argv in (
+    ["solve", "--sigma", "12", "--k", "4"],
+    ["density", "--sigma", "12", "--k", "4"],
+    ["count", "--sigma", "12", "--k", "4"],
+    ["enumerate", "--sigma", "12", "--k", "4"],
+    ["tables", "-o", sys.argv[1] + "/tables.csv"],
+    ["build", "--sigma", "12", "--k", "2", "-o", built],
+    ["validate", "-i", built],
+    ["render", "-i", built, "--contacts", "-o", sys.argv[1] + "/built.svg"],
+    ["pack", "--sigma", "12", "--n", "7", "--seed", "1", "-o", sys.argv[1] + "/packed.json"],
+    ["shake", "-i", built, "--pin", "border", "--trials", "1", "-o", sys.argv[1] + "/shaken.json"],
+):
+    assert chp_pack.cli.main(argv) == 0, argv
 """
 
 
-def test_tables_counts_builds_and_searches_run_without_scipy():
+def test_tables_counts_builds_and_searches_run_without_scipy(tmp_path):
     # scipy serves only the optimal assignment's fallback for a shared
     # nearest target; nothing here reaches it, so the package, the CLI and
     # every pair scan must run without it
     src = str(Path(chp_pack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -15,20 +15,24 @@ from chp_pack import (
     canonicalize_dna,
     count_configurations,
     dna_from_letters,
-    dna_from_values,
     enumerate_dnas,
     solve_border,
 )
-from chp_pack import chp
-from chp_pack.errors import PreconditionViolated
+from chp_pack import builder, chp
+from chp_pack.errors import NoPath, PreconditionViolated
+
+
+def _values(dna, border):
+    """The chord directions a DNA's letters name: blocks[b] for each letter b."""
+    blocks = border.blocks()
+    return tuple(blocks[b] for b in chp._seq_of(dna.letters))
 
 
 def test_letters_round_trip():
     border = solve_border(12, 5)
     dna = dna_from_letters("abcac", border)
     assert dna.letters == "abcac"
-    back = dna_from_values(dna.values, border)
-    assert back.letters == dna.letters
+    assert builder._dna_from_noisy_values(_values(dna, border), border) == dna.letters
 
 
 def test_letters_multiset_is_checked():
@@ -43,10 +47,9 @@ def test_values_snap_to_blocks():
     border = solve_border(12, 4)
     blocks = border.blocks()
     noisy = [v + 2e-10 for v in (blocks[0], blocks[0], blocks[1], blocks[1])]
-    dna = dna_from_values(noisy, border)
-    assert dna.letters == "aabb"
-    with pytest.raises(InconsistentDna):
-        dna_from_values([blocks[0] + 0.01] * 4, border)
+    assert builder._dna_from_noisy_values(noisy, border) == "aabb"
+    with pytest.raises(NoPath):
+        builder._dna_from_noisy_values([blocks[0] + 0.01] * 4, border)
 
 
 def _mirror_values(values, sigma):
@@ -72,12 +75,12 @@ def test_reflect_letters_complement():
 def test_reflect_values_dodecagon():
     # angle map xi -> pi - xi - 2*pi/sigma sends pi/3 to pi/2 and back
     border = solve_border(12, 4)
-    dna = dna_from_letters("aabb", border)
-    assert dna.values[0] == pytest.approx(math.pi / 3, abs=1e-12)
-    assert dna.values[2] == pytest.approx(math.pi / 2, abs=1e-12)
-    ref = dna_from_letters(_reflect_letters(dna.letters, border), border)
-    assert ref.values[0] == pytest.approx(math.pi / 2, abs=1e-12)
-    assert ref.values[3] == pytest.approx(math.pi / 3, abs=1e-12)
+    values = _values(dna_from_letters("aabb", border), border)
+    assert values[0] == pytest.approx(math.pi / 3, abs=1e-12)
+    assert values[2] == pytest.approx(math.pi / 2, abs=1e-12)
+    ref = _values(dna_from_letters(_reflect_letters("aabb", border), border), border)
+    assert ref[0] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert ref[3] == pytest.approx(math.pi / 3, abs=1e-12)
     # letter b <-> ell - 1 - b is the angle map on the building blocks
     for sigma, k in ((12, 5), (18, 4), (24, 6), (CIRCLE, 5)):
         blocks = solve_border(sigma, k).blocks()
@@ -89,10 +92,11 @@ def test_reflect_preserves_angle_sum():
     for sigma, k in ((12, 5), (18, 4), (24, 6)):
         border = solve_border(sigma, k)
         for dna in enumerate_dnas(sigma, k):
-            ref = dna_from_letters(_reflect_letters(dna.letters, border), border)
-            assert ref.values == pytest.approx(tuple(_mirror_values(dna.values, sigma)), abs=1e-12)
-            assert sum(ref.values) == pytest.approx(sum(dna.values), abs=1e-9)
-            assert sorted(ref.values) == pytest.approx(sorted(dna.values), abs=1e-9)
+            values = _values(dna, border)
+            ref = _values(dna_from_letters(_reflect_letters(dna.letters, border), border), border)
+            assert ref == pytest.approx(tuple(_mirror_values(values, sigma)), abs=1e-12)
+            assert sum(ref) == pytest.approx(sum(values), abs=1e-9)
+            assert sorted(ref) == pytest.approx(sorted(values), abs=1e-9)
 
 
 def test_canonicalize_examples():
@@ -435,10 +439,8 @@ def test_enumeration_is_the_brute_force_partition(sigma):
                 a, b = find(p), find(q)
                 root[max(a, b)] = min(a, b)
         minima = sorted({find(p) for p in perms})
-        blocks = border.blocks()
         got = enumerate_dnas(sigma, k)
         assert [d.letters for d in got] == [chp._letters_of(m) for m in minima], (sigma, k)
-        assert [d.values for d in got] == [tuple(blocks[b] for b in m) for m in minima], (sigma, k)
         assert len(minima) == count_configurations(CountInput.from_border(border)), (sigma, k)
 
 
@@ -497,26 +499,22 @@ def test_orderly_generation_matches_the_reference_enumeration():
     cells = [(s, k) for s in range(12, 61, 6) for k in range(1, 9)] + [(12, 9), (12, 10)]
     cells = [c for c in cells if count_configurations(CountInput.from_border(solve_border(*c))) <= 2520]
     for sigma, k in cells + [(72, 8), (84, 7), (CIRCLE, 8)]:
-        border = solve_border(sigma, k)
-        blocks = border.blocks()
         got = enumerate_dnas(sigma, k)
-        want = _reference_classes(border)
+        want = _reference_classes(solve_border(sigma, k))
         assert [d.letters for d in got] == [chp._letters_of(p) for p in want], (sigma, k)
-        assert [d.values for d in got] == [tuple(blocks[b] for b in p) for p in want], (sigma, k)
 
 
 def _reference_walk(sigma, k):
     """enumerate_dnas' orderly generation, one node at a time to every leaf."""
     border = solve_border(sigma, k)
-    blocks = border.blocks()
-    ell = len(blocks)
+    ell = len(border.degeneracies)
     names = chp._letters_of(range(ell))
     reps = []
-    stack = [("", (), border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
+    stack = [("", border.degeneracies, [m for m in set(border.letter_maps) if m != tuple(range(ell))])]
     while stack:
-        letters, values, remaining, live = stack.pop()
+        letters, remaining, live = stack.pop()
         if len(letters) == k:
-            reps.append((letters, values))
+            reps.append(letters)
             continue
         for b in reversed(range(ell)):
             if not remaining[b]:
@@ -529,7 +527,7 @@ def _reference_walk(sigma, k):
                     kept.append(m)
             else:
                 left = remaining[:b] + (remaining[b] - 1,) + remaining[b + 1:]
-                stack.append((letters + names[b], values + (blocks[b],), left, kept))
+                stack.append((letters + names[b], left, kept))
     return reps
 
 
@@ -541,4 +539,4 @@ def test_bulk_emission_matches_the_node_by_node_walk():
     cells = [c for c in cells if count_configurations(CountInput.from_border(solve_border(*c))) <= 5040]
     for sigma, k in cells + [(36, 9), (12, 12), (6, 1100)]:
         got = enumerate_dnas(sigma, k)
-        assert [(d.letters, d.values) for d in got] == _reference_walk(sigma, k), (sigma, k)
+        assert [d.letters for d in got] == _reference_walk(sigma, k), (sigma, k)
