@@ -272,7 +272,7 @@ def _cmd_shake(args) -> int:
 def _cmd_validate(args) -> int:
     config = read_config(args.input)
     report = validate_config(config)
-    sys.stdout.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0 if report.is_valid else 3
 
 

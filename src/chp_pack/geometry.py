@@ -190,19 +190,6 @@ def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def _pair_offsets(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Offsets ``(dx, dy)`` from each row of ``a`` to each row of ``b``.
-
-    ``dx[i, j] = b[j, 0] - a[i, 0]``, and ``dy`` likewise.  Each is a
-    contiguous (len(a), len(b)) array built from contiguous copies of the
-    coordinate columns, which is far cheaper than an (n, m, 2) difference
-    tensor and its length-2 inner loop.
-    """
-    ax, ay = a.T.copy()
-    bx, by = b.T.copy()
-    return bx[None, :] - ax[:, None], by[None, :] - ay[:, None]
-
-
 def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of rows at most ``reach`` apart, found by a cell list.
 

@@ -37,16 +37,17 @@ def density(config: PackingConfiguration) -> float:
 
 
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
-    """Max pair distance of the min-sum bijection a -> b, or None past tol.
+    """Max distance of the nearest-target bijection a -> b, or None.
 
     One cell-list scan at reach tol (``geometry._near_pairs``) gives each
     point its targets within tol, and the nearest of them (least
-    ``hypot`` distance, then least index).  Any bijection's max is at
-    least every row's nearest distance, so a row with no target within
-    tol rules all of them out.  When the nearest targets form a
-    bijection, every row sits at its own minimum, so that map is the
-    min-sum assignment; only a shared nearest target calls the optimal
-    assignment.
+    ``hypot`` distance, then least index).  When every row has one and no
+    two rows share it, the nearest targets form a bijection in which
+    every row sits at its own minimum, so it is the min-sum assignment
+    and its max is returned.  A row with no target within tol rules out
+    every bijection: None.  Two rows that share a nearest target lie
+    within 2·tol of each other, which a packing of diameter above 2·tol
+    does only where it overlaps: None as well.
     """
     if len(a) != len(b):
         return None
@@ -59,21 +60,16 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
         return None
     nearest = order[first]
     if len(np.unique(j[nearest])) < len(b):
-        return _assignment_residual(a, b, tol)
+        return None
     return float(gap[nearest].max())
 
 
-def _assignment_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.hypot(*geometry._pair_offsets(a, b))
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
-    return worst if worst <= tol else None
-
-
 def symmetry_residual(config: PackingConfiguration) -> float:
-    """Max matching distance between the centers and their pi/3 rotation; inf past SYMMETRY_TOL."""
+    """Max nearest-target distance from the pi/3 rotation of the centers to the centers.
+
+    inf when some rotated center has no center within SYMMETRY_TOL, or two
+    rotated centers share their nearest one (see ``_matching_residual``).
+    """
     c, s = math.cos(PI_3), math.sin(PI_3)
     rot = config.centers @ np.array([[c, s], [-s, c]])
     res = _matching_residual(rot, config.centers, SYMMETRY_TOL)
@@ -81,7 +77,12 @@ def symmetry_residual(config: PackingConfiguration) -> float:
 
 
 def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
-    """Whether some polygon symmetry (rotation or reflection) maps a onto b."""
+    """Whether some polygon symmetry (rotation or reflection) maps a onto b.
+
+    An image matches when each of its centers has its own nearest center of
+    b within TOL (``_matching_residual``); two centers of a within 2·TOL of
+    each other therefore match nothing.
+    """
     if a.n_disks != b.n_disks or a.sigma != b.sigma:
         return False
     if a.sigma == CIRCLE:
@@ -100,12 +101,6 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
             if _matching_residual(cand, b.centers, TOL) is not None:
                 return True
     return False
-
-
-def contact_count_histogram(config: PackingConfiguration) -> Dict[int, int]:
-    """Histogram mapping contacts-per-disk to the number of such disks."""
-    pairs = geometry.contact_pairs(config.centers, config.diameter, TOL)
-    return _histogram(pairs.ravel(), config.n_disks)
 
 
 def _histogram(ends: np.ndarray, n: int) -> Dict[int, int]:
@@ -131,7 +126,7 @@ class ValidationReport:
             "worst_containment_violation": self.worst_containment_violation,
             "density": self.density,
             "is_valid": self.is_valid,
-            "symmetry_residual": self.symmetry_residual,
+            "symmetry_residual": self.symmetry_residual if math.isfinite(self.symmetry_residual) else None,
             "contact_count_histogram": {str(k): v for k, v in self.contact_count_histogram.items()},
         }
 

@@ -2,8 +2,9 @@
 
 Every reference decides a distance by ``np.hypot``, as the library does.
 The dense ones look at all pairs; the k-d tree ones take their candidates
-from scipy's ``cKDTree`` and decide them the same way.  ``point_sets``
-draws the inputs that are hard for a cell list.
+from scipy's ``cKDTree`` and decide them the same way.  ``min_sum_residual``
+is the optimal assignment that a matching residual is checked against.
+``point_sets`` draws the inputs that are hard for a cell list.
 """
 
 import math
@@ -48,7 +49,8 @@ def dense_min(points):
     return float(gap.min())
 
 
-def _nearest_dense(a, b):
+def nearest_dense(a, b):
+    """Each row's nearest distance and target in ``b``, least index on ties."""
     cost = _gaps(a, b)
     idx = cost.argmin(axis=1)
     return cost[np.arange(len(a)), idx], idx
@@ -62,23 +64,33 @@ def _nearest_tree(a, b):
 
 
 def _matching(nearest):
-    def match(a, b, tol, assignment):
-        """``_matching_residual`` from each row's nearest target; ``assignment`` decides shared ones."""
+    def match(a, b, tol):
+        """``_matching_residual`` from each row's nearest target; a shared one gives None."""
         if len(a) != len(b):
             return None
         if len(a) == 0:
             return 0.0
         dist, idx = nearest(a, b)
-        if dist.max() > tol:
+        if dist.max() > tol or len(np.unique(idx)) < len(b):
             return None
-        if len(np.unique(idx)) < len(b):
-            return assignment(a, b, tol)
         return float(dist.max())
 
     return match
 
 
-MATCHING_ORACLES = {"dense": _matching(_nearest_dense), "tree": _matching(_nearest_tree)}
+MATCHING_ORACLES = {"dense": _matching(nearest_dense), "tree": _matching(_nearest_tree)}
+
+
+def min_sum_residual(a, b, tol):
+    """Max distance of the min-sum bijection a -> b (scipy's ``linear_sum_assignment``), or None past tol."""
+    from scipy.optimize import linear_sum_assignment
+
+    if len(a) == 0:
+        return 0.0
+    cost = _gaps(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    worst = float(cost[rows, cols].max())
+    return worst if worst <= tol else None
 
 
 @st.composite

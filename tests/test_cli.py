@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chp_pack
-from chp_pack import build_chp, seed_guided
+from chp_pack import build_chp, seed_guided, validate_config
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
 from chp_pack.configio import dumps_config, loads_config, read_config
@@ -147,6 +147,49 @@ def test_validate_good_and_corrupt(tmp_path, capsys):
     code, out, _ = run_cli(["validate", "-i", str(bad)], capsys)
     assert code == 3
     assert json.loads(out)["is_valid"] is False
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_validate_prints_strict_json_for_an_asymmetric_packing(tmp_path, capsys):
+    # a packing without the pi/3 symmetry has an infinite residual, which the
+    # report writes as null; the Python field stays inf
+    path = tmp_path / "p.json"
+    code, _, _ = run_cli(["pack", "--sigma", "12", "--n", "8", "--seed", "1", "-o", str(path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["validate", "-i", str(path)], capsys)
+    assert (code, err) == (0, "")
+    report = _strict_json(out)
+    assert report["is_valid"] is True
+    assert report["symmetry_residual"] is None
+    assert validate_config(read_config(path)).symmetry_residual == math.inf
+
+
+def test_validate_duplicated_disk_without_scipy(tmp_path):
+    # two rotated centers share their nearest center: the residual is inf
+    # without an assignment solver, and the report is strict JSON on stdout
+    doc = json.loads(dumps_config(build_chp(12, 1)))
+    origin = min(doc["centers"], key=lambda c: math.hypot(*c))
+    doc["centers"].append(origin)
+    doc["n_disks"] += 1
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    script = "import sys; sys.modules['scipy'] = None; from chp_pack.cli import main; sys.exit(main(['validate', '-i', sys.argv[1]]))"
+    src = str(Path(chp_pack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = _strict_json(proc.stdout)
+    assert report["is_valid"] is False
+    assert report["symmetry_residual"] is None
+    assert report["min_distance"] == 0.0
 
 
 def test_validate_and_shake_single_disk(tmp_path, capsys):
@@ -471,9 +514,8 @@ for argv in (
 
 
 def test_tables_counts_builds_and_searches_run_without_scipy(tmp_path):
-    # scipy serves only the optimal assignment's fallback for a shared
-    # nearest target; nothing here reaches it, so the package, the CLI and
-    # every pair scan must run without it
+    # the runtime needs numpy alone: the package, the CLI and every pair
+    # scan must run with scipy blocked
     src = str(Path(chp_pack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True)
