@@ -190,6 +190,11 @@ def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+def _span_overflows(x0: float, y0: float, x1: float, y1: float) -> bool:
+    """Whether finite coordinates ``x0 <= x1`` and ``y0 <= y1`` lie further apart than the largest float."""
+    return max(x1 - x0, y1 - y0) == math.inf and max(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0) < math.inf
+
+
 def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of rows at most ``reach`` apart, found by a cell list.
 
@@ -205,11 +210,17 @@ def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> 
     Tildesley, *Computer Simulation of Liquids*, ch. 5).  The side is a
     little above ``reach``, so rounding in the ids loses no pair, and at
     least 2**-30 of the points' span, so the ids fit in int64; a larger
-    cell only adds candidates.
+    cell only adds candidates.  Where coordinates differ by more than the
+    largest float, the scan runs on the halved points, which is exact,
+    and the gaps are doubled.
     """
     x, y = (a if b is None else np.concatenate((a, b))).T.copy()
-    x0, y0 = x.min(), y.min()
-    side = max(reach, max(x.max() - x0, y.max() - y0) * 2.0**-30) * (1.0 + 1e-6) or 1.0
+    x0, y0, x1, y1 = float(x.min()), float(y.min()), float(x.max()), float(y.max())
+    if _span_overflows(x0, y0, x1, y1):
+        i, j, gap = _near_pairs(0.5 * a, 0.5 * reach, None if b is None else 0.5 * b)
+        with np.errstate(over="ignore"):
+            return i, j, 2.0 * gap
+    side = max(reach, max(x1 - x0, y1 - y0) * 2.0**-30) * (1.0 + 1e-6) or 1.0
     cx = ((x - x0) / side).astype(np.int64)
     cy = ((y - y0) / side).astype(np.int64)
     # a free row above the top one, so that cy + 1 never reaches the next column
@@ -249,11 +260,16 @@ def min_distance(centers: np.ndarray) -> float:
     the computed root just under a minimum that equals it, so the reach
     doubles while no pair lies within it; past w + h every pair does.
     Every pair within the reach is found, so the minimum is exact.  A nan
-    coordinate gives nan.
+    coordinate gives nan, and a minimum past the largest float gives inf.
     """
+    (x0, y0), (x1, y1) = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
+    if _span_overflows(x0, y0, x1, y1):
+        return 2.0 * min_distance(0.5 * centers)
     n = len(centers)
-    w, h = np.ptp(centers, axis=0).tolist()
-    reach = (w + h + math.sqrt((w + h) ** 2 + 8.0 / math.sqrt(3.0) * (n - 1) * w * h)) / (2 * (n - 1))
+    w, h = x1 - x0, y1 - y0
+    # products, not ** 2, so that a wide span gives inf rather than OverflowError,
+    # and w * h first, so that a zero side gives 0 rather than inf * 0
+    reach = (w + h + math.sqrt((w + h) * (w + h) + 8.0 / math.sqrt(3.0) * (n - 1) * (w * h))) / (2 * (n - 1))
     gap = _near_pairs(centers, reach)[2]
     while not len(gap) and reach < w + h:
         reach = 2.0 * reach or w + h

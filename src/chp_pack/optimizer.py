@@ -1,16 +1,18 @@
 """Stochastic packing search with a hardening pair potential.
 
-Disks repel through (lambda/r^2)^s; raising s along a ladder turns the
-soft repulsion into an effectively hard-disk constraint.  Minimization
-is projected gradient descent working on the log of the energy, which
-has the same minimizers and stays finite at any s.
+Disks repel through (lambda/r^2)^s; a short ladder of rising s finds a
+basin, and ``polish``, a sequence of linear programs, then takes the
+minimum distance to that basin's local maximum, the hard-disk limit the
+soft repulsion only approaches.  Minimization is projected gradient
+descent working on the log of the energy, which has the same minimizers
+and stays finite at any s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +26,6 @@ from .validation import packing_radius
 _M64 = (1 << 64) - 1
 _S_FACTOR = 1.5  # ratio of consecutive rungs of the s ladder
 _INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
-# exp rounds to exactly +0.0 at and below this; exp(-745.14) is the least subnormal
-_EXP_ZERO = -746.0
 # A line-search step x - a*g moves a free center by at most sqrt(2)*a*|g|_inf
 # exactly, and 2*a*|g|_inf covers that with the relative rounding of a*g and
 # of the reach itself.  What is left is absolute: every free center of a
@@ -35,6 +35,16 @@ _EXP_ZERO = -746.0
 # in all.  This margin covers those errors a thousand times over in every
 # step, so they cannot add up along a run of skipped trials.
 _ROOM_MARGIN = 1e-12
+_POLISH_START = 1e-3  # the polish's first trust radius, as a share of the minimum distance
+_POLISH_MAX_LPS = 200
+# An LP counts as solved at this mean complementarity and primal residual, and
+# _IPM_DUAL_TOL dual residual; its entries are O(1).  The dual residual stops
+# falling near 1e-9, and then grows, once the normal matrix's condition passes
+# 1e40; only the primal solution is used.
+_IPM_TOL = 1e-10
+_IPM_DUAL_TOL = 1e-6
+_IPM_MAX_ITERS = 60
+_BLOCK = 16  # block size of the normal equations' substitution
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,7 @@ class OptimizerParams:
     """Schedule, inner iteration cap, shake amplitude and seed of the energy ladder."""
 
     s_initial: float = 10.0
-    s_final: float = 1e8
+    s_final: float = 100.0
     max_inner_iters: int = 5000
     perturb_amplitude: float = 0.01
     seed: int = 0
@@ -78,14 +88,14 @@ def _two_disks(n: int) -> None:
         raise PreconditionViolated("need at least two disks")
 
 
-def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The buffers one evaluation of n centers fills.
 
-    Offsets (2, n, n), then r^2, log-terms and a mask (n, n), then a view
-    of r^2's diagonal.
+    Offsets (2, n, n), then r^2 and log-terms (n, n), then a view of r^2's
+    diagonal.
     """
     r2 = np.empty((n, n))
-    return np.empty((2, n, n)), r2, np.empty((n, n)), np.empty((n, n), dtype=bool), r2.reshape(-1)[:: n + 1]
+    return np.empty((2, n, n)), r2, np.empty((n, n)), r2.reshape(-1)[:: n + 1]
 
 
 def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
@@ -99,7 +109,7 @@ def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
     smallest log r^2, and -inf there means two centers coincide.
     """
     n = len(centers)
-    offsets, r2, terms, live, diagonal = work if work is not None else _workspace(n)
+    offsets, r2, terms, diagonal = work if work is not None else _workspace(n)
     ct = centers.T.copy()
     # copy, then subtract in place: a fifth faster above ~40 centers than one broadcast subtract
     offsets[...] = ct[:, None, :]
@@ -117,18 +127,7 @@ def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
     terms *= s
     m = s * (log_lam - low)
     terms -= m
-    # numpy's exp takes 4-15 ns an entry at or below _EXP_ZERO, where it
-    # is +0.0, against 1 ns above (numpy 2.4 on an AVX-512 x86-64 core).
-    # Once those entries are the majority, as they are for most pairs at
-    # large s, exp runs only on the others (its masked loop costs a call
-    # per run of them), and the maximum turns the log-terms it skipped, all
-    # negative, into that +0.0.
-    np.greater(terms, _EXP_ZERO, out=live)
-    if 2 * np.count_nonzero(live) < n * n:
-        w = np.exp(terms, out=terms, where=live)
-        np.maximum(w, 0.0, out=w)
-    else:
-        w = np.exp(terms, out=terms)
+    w = np.exp(terms, out=terms)
     total = 0.5 * float(w.sum())
     return m + math.log(total), (w, total, r2, offsets)
 
@@ -319,6 +318,239 @@ def ladder(
     return current
 
 
+class Polished(NamedTuple):
+    """What ``polish`` returns: the configuration, why it stopped, and its LP and interior-point counts."""
+
+    config: PackingConfiguration
+    stop: str  # "converged", "stalled", "singular", "lp cap" or "pinned"
+    lps: int
+    iterations: int
+
+
+def _lp_rows(sigma: Sigma, x: np.ndarray, slot: np.ndarray, d: float, delta: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``G z <= h`` of one polish LP over ``z = (y, tau)``, each with at most five nonzeros.
+
+    ``slot[i]`` is disk i's place among the free disks, -1 when pinned;
+    free disk f moves by ``delta * y[2f:2f+2]``, and the minimum distance
+    becomes ``d + delta * tau``.  Returns ``(cols, vals, h)``: row r reads
+    ``sum(vals[r] * z[cols[r]]) <= h[r]``, unused slots holding column tau
+    and value 0.  A pair row (tau first) bounds the distance from below
+    by its linearization, which the norm's convexity makes a lower bound;
+    a pair more than 6 delta above d cannot bind while ``|y| <= 1``, so it
+    is left out.  A wall row keeps the moved center inside the edge's
+    half-plane (the tangent half-plane for the circle) and is needed only
+    within 1.5 delta of it.
+    """
+    tau = 2 * int((slot >= 0).sum())
+    i, j, gap = geometry._near_pairs(x, d + 6.0 * delta)
+    u = (x[j] - x[i]) / gap[:, None]
+    cols = np.full((len(i), 5), tau)
+    vals = np.zeros((len(i), 5))
+    vals[:, 0] = 1.0
+    for end, sign, first in ((slot[i], 1.0, 1), (slot[j], -1.0, 3)):
+        free = end >= 0
+        cols[free, first] = 2 * end[free]
+        cols[free, first + 1] = 2 * end[free] + 1
+        vals[free, first : first + 2] = sign * u[free]
+    h = (gap - d) / delta
+
+    free = np.flatnonzero(slot >= 0)
+    if sigma == CIRCLE:
+        r = np.hypot(x[free, 0], x[free, 1])
+        f = np.flatnonzero(1.0 - r <= 1.5 * delta)
+        normal, room = x[free[f]] / r[f, None], 1.0 - r[f]
+    else:
+        frame = geometry._frame(sigma)
+        room = frame.apothem - x[free] @ frame.normals
+        f, e = np.nonzero(room <= 1.5 * delta)
+        normal, room = frame.normals[:, e].T, room[f, e]
+    wall_cols = np.full((len(f), 5), tau)
+    wall_cols[:, 1], wall_cols[:, 2] = 2 * f, 2 * f + 1
+    wall_vals = np.zeros((len(f), 5))
+    wall_vals[:, 1:3] = normal
+    return np.concatenate((cols, wall_cols)), np.concatenate((vals, wall_vals)), np.concatenate((h, room / delta))
+
+
+def _factor(k: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``k``'s Cholesky factor L, padded by the identity to whole ``_BLOCK``-blocks, and the inverses of its diagonal blocks.
+
+    A numerically singular ``k`` is retried with a growing bump on its
+    diagonal; None when that fails too.  The diagonal blocks are inverted
+    all at once, a row of each per step, so a solve (``_cho_solve``) takes
+    a few matrix-vector products per block and no LAPACK call.
+    """
+    bump = 0.0
+    for _ in range(4):
+        try:
+            factor = np.linalg.cholesky(k + bump * np.eye(len(k)) if bump else k)
+        except np.linalg.LinAlgError:
+            factor = None
+        if factor is not None and np.isfinite(factor).all():
+            break
+        bump = 1e3 * bump if bump else 1e-14 * float(k.diagonal().max())
+    else:
+        return None
+    blocks = -(-len(k) // _BLOCK)
+    padded = np.eye(blocks * _BLOCK)
+    padded[: len(k), : len(k)] = factor
+    diagonal = padded.reshape(blocks, _BLOCK, blocks, _BLOCK)[np.arange(blocks), :, np.arange(blocks), :]
+    inverse = np.zeros_like(diagonal)
+    for i in range(_BLOCK):
+        rest = (diagonal[:, i : i + 1, :i] @ inverse[:, :i, :])[:, 0, :]
+        rest[:, i] -= 1.0
+        inverse[:, i, :] = -rest / diagonal[:, i, i, None]
+    return padded, inverse
+
+
+def _cho_solve(factored: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """``x`` with ``L L^T x = b``, from ``_factor``: forward then back substitution by blocks."""
+    padded, inverse = factored
+    w = np.zeros(len(padded))
+    w[: len(b)] = b
+    for k in range(len(inverse)):
+        lo, hi = k * _BLOCK, (k + 1) * _BLOCK
+        w[lo:hi] = inverse[k] @ (w[lo:hi] - padded[lo:hi, :lo] @ w[:lo])
+    upper = padded.T
+    for k in range(len(inverse) - 1, -1, -1):
+        lo, hi = k * _BLOCK, (k + 1) * _BLOCK
+        w[lo:hi] = inverse[k].T @ (w[lo:hi] - upper[lo:hi, hi:] @ w[hi:])
+    return w[: len(b)]
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """The largest a <= 1 with ``v + a*dv >= 0``."""
+    down = dv < 0.0
+    return min(1.0, float((-v[down] / dv[down]).min())) if down.any() else 1.0
+
+
+def _solve_lp(cols: np.ndarray, vals: np.ndarray, h: np.ndarray, n_cols: int) -> Tuple[np.ndarray, int, bool]:
+    """Maximize ``z[-1]`` subject to ``G z <= h`` (rows ``(cols, vals)``) and ``|z[:-1]| <= 1``.
+
+    Mehrotra's predictor-corrector on the normal equations ``K dz = rhs``,
+    ``K = G^T W G`` plus the box bounds' diagonal, assembled by scatter
+    from each row's five nonzeros and factored once per iteration.  The
+    slacks and duals of the rows, then of ``y <= 1``, then of ``-y <= 1``,
+    are stacked in one vector each.  The box rows start feasible at
+    ``y = 0`` and stay so, so every iterate's ``y`` lies inside the box.
+    Returns the last iterate, the iteration count, and False when it
+    stopped on a normal matrix that ``_factor`` could not factor.  An
+    iterate short of the tolerance is still a move inside the box.
+    """
+    ny = n_cols - 1
+    rows = len(h)
+    flat = (cols[:, :, None] * n_cols + cols[:, None, :]).ravel()
+    outer = (vals[:, :, None] * vals[:, None, :]).reshape(rows, 25)
+    ends = cols.ravel()
+    b = np.concatenate((h, np.ones(2 * ny)))
+
+    def a(z):
+        y = z[:ny]
+        return np.concatenate(((vals * z[cols]).sum(axis=1), y, -y))
+
+    def at(v):
+        out = np.bincount(ends, (vals * v[:rows, None]).ravel(), minlength=n_cols)
+        out[:ny] += v[rows : rows + ny] - v[rows + ny :]
+        return out
+
+    z = np.zeros(n_cols)
+    z[-1] = float(h[vals[:, 0] != 0.0].min()) - 1.0
+    s = np.maximum(b - a(z), 1.0)
+    lam = np.ones(len(b))
+    for it in range(_IPM_MAX_ITERS):
+        rd = at(lam)
+        rd[-1] -= 1.0
+        rp = a(z) + s - b
+        mu = float(s @ lam) / len(b)
+        if mu <= _IPM_TOL and float(np.abs(rp).max()) <= _IPM_TOL and float(np.abs(rd).max()) <= _IPM_DUAL_TOL:
+            return z, it, True
+        w = lam / s
+        k = np.bincount(flat, (w[:rows, None] * outer).ravel(), minlength=n_cols * n_cols).reshape(n_cols, n_cols)
+        k.reshape(-1)[: ny * (n_cols + 1) : n_cols + 1] += w[rows : rows + ny] + w[rows + ny :]
+        # solved as (S K S) (dz / S) = S rhs, S = diag(K)^(-1/2), whose diagonal is 1
+        scale = 1.0 / np.sqrt(k.diagonal())
+        factored = _factor(k * scale * scale[:, None])
+        if factored is None:
+            return z, it, False
+
+        def direction(c):
+            # c is s*lam minus the complementarity target
+            dz = scale * _cho_solve(factored, scale * (-rd - at(w * rp - c / s)))
+            ds = -rp - a(dz)
+            return dz, ds, -(c + lam * ds) / s
+
+        dz, ds, dl = direction(s * lam)
+        ap, ad = _max_step(s, ds), _max_step(lam, dl)
+        target = (float((s + ap * ds) @ (lam + ad * dl)) / len(b) / mu) ** 3 * mu
+        dz, ds, dl = direction(s * lam + ds * dl - target)
+        ap, ad = 0.99 * _max_step(s, ds), 0.99 * _max_step(lam, dl)
+        z, s, lam = z + ap * dz, s + ap * ds, lam + ad * dl
+    return z, _IPM_MAX_ITERS, True
+
+
+def polish(config: PackingConfiguration, pins: Sequence[int] = ()) -> Polished:
+    """Raise the minimum distance to a local maximum by sequential linear programs.
+
+    Each LP (``_lp_rows``, ``_solve_lp``) maximizes the linearized rise
+    ``tau`` over moves of the free disks within a box of half-width
+    ``delta``.  A step is kept only when ``geometry.min_distance`` rises;
+    then delta becomes 4 times the step's largest coordinate when the
+    step lies inside its box, and twice delta when it reaches the box.
+    A rejected step halves delta.  The polish stops on a rejected step
+    whose predicted rise ``tau * delta`` is at most 1e-12 d ("converged"),
+    on a kept rise of at most 4e-16 d ("stalled"), on an LP whose normal
+    matrix cannot be factored ("singular"), after ``_POLISH_MAX_LPS``
+    LPs ("lp cap"), or at once when every disk is pinned ("pinned").
+    Two coincident centers raise ``CoincidentPoints``.  When no step is
+    kept, the input comes back as it is.
+    """
+    _two_disks(len(config.centers))
+    sigma = config.sigma
+    x = config.centers.copy()
+    pinned = _pinned(len(x), pins)
+    slot = np.full(len(x), -1)
+    free = np.setdiff1d(np.arange(len(x)), pinned, assume_unique=True)
+    slot[free] = np.arange(len(free))
+    if not len(free):
+        return Polished(config, "pinned", 0, 0)
+    d = geometry.min_distance(x)
+    if d == 0.0:
+        raise CoincidentPoints("two centers coincide")
+    delta = _POLISH_START * d
+    lps = iterations = 0
+    moved = False
+    stop = "lp cap"
+    while lps < _POLISH_MAX_LPS:
+        cols, vals, h = _lp_rows(sigma, x, slot, d, delta)
+        z, its, factored = _solve_lp(cols, vals, h, 2 * len(free) + 1)
+        lps += 1
+        iterations += its
+        if not factored and its == 0:
+            stop = "singular"
+            break
+        y = z[:-1].reshape(-1, 2)
+        trial = x.copy()
+        trial[free] += delta * y
+        trial = _project_all(trial, sigma, pinned)[0]
+        d_trial = geometry.min_distance(trial)
+        if d_trial > d:
+            rise = d_trial - d
+            x, d, moved = trial, d_trial, True
+            if rise <= 4e-16 * d:
+                stop = "stalled"
+                break
+            # a coordinate within 0.1% of the box's edge counts as reaching it
+            reach = float(np.abs(y).max())
+            delta *= 4.0 * reach if reach < 0.999 else 2.0
+        elif z[-1] * delta <= 1e-12 * d:
+            stop = "converged"
+            break
+        else:
+            delta *= 0.5
+    if moved:
+        config = PackingConfiguration(sigma=sigma, centers=x, diameter=d, meta=dict(config.meta))
+    return Polished(config, stop, lps, iterations)
+
+
 def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -> PackingConfiguration:
     """Energy-ladder packing from a random start; deterministic per seed."""
     geometry.check_sigma(sigma)
@@ -336,7 +568,7 @@ def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -
         diameter=packing_radius(pts),
         meta={"mode": "algorithm1", "seed": params.seed},
     )
-    out = ladder(start, params=params)
+    out = polish(ladder(start, params=params)).config
     out.meta = dict(start.meta)
     return out
 
@@ -400,7 +632,7 @@ def algorithm2(
         x[i, 1] += r * math.sin(ang)
     x = _project_all(x, config.sigma, pinned)[0]
     shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
-    out = ladder(shaken, pins, params, record)
+    out = polish(ladder(shaken, pins, params, record), pinned).config
     if out.diameter > base:
         out.meta = dict(config.meta)
         out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})

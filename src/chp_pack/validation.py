@@ -122,7 +122,7 @@ class ValidationReport:
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
-            "min_distance": self.min_distance,
+            "min_distance": self.min_distance if self.min_distance is not None and math.isfinite(self.min_distance) else None,
             "worst_containment_violation": self.worst_containment_violation,
             "density": self.density,
             "is_valid": self.is_valid,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chp_pack
-from chp_pack import build_chp, seed_guided, validate_config
+from chp_pack import OptimizerParams, build_chp, optimizer, seed_guided, validate_config
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
 from chp_pack.configio import dumps_config, loads_config, read_config
@@ -192,6 +192,31 @@ def test_validate_duplicated_disk_without_scipy(tmp_path):
     assert report["min_distance"] == 0.0
 
 
+def test_validate_centers_whose_differences_overflow(tmp_path):
+    # finite centers 2e308 apart: no warning on stderr, and a strict-JSON
+    # report whose minimum distance, past the largest float, is null
+    doc = {"schema_version": "chp-pack/1", "sigma": 12, "n_disks": 2, "diameter": 0.5, "centers": [[1e308, 0.0], [-1e308, 0.0]]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    script = "import sys; from chp_pack.cli import main; sys.exit(main(['validate', '-i', sys.argv[1]]))"
+    src = str(Path(chp_pack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = _strict_json(proc.stdout)
+    assert report["is_valid"] is False
+    assert report["min_distance"] is None
+    # a pair among them still gets its distance
+    doc["centers"] += [[0.0, 0.0], [0.5, 0.0]]
+    doc["n_disks"] = 4
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = _strict_json(proc.stdout)
+    assert report["min_distance"] == 0.5
+    assert report["contact_count_histogram"] == {"0": 2, "1": 2}
+
+
 def test_validate_and_shake_single_disk(tmp_path, capsys):
     one = tmp_path / "one.json"
     doc = {"schema_version": "chp-pack/1", "sigma": 12, "n_disks": 1, "diameter": 0.5, "centers": [[0.0, 0.0]]}
@@ -342,9 +367,9 @@ def test_shake_emits_rung_csv(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "trial,rung,s,density"
-    assert len(lines) > 10
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
+    # one row per rung of the default ladder, in order
+    rungs = optimizer._rungs(OptimizerParams())
+    assert [row.split(",")[:3] for row in lines[1:]] == [["0", str(r), format(s, ".6g")] for r, s in enumerate(rungs)]
     # densities stay sane along the whole ladder
     for row in lines[1:]:
         val = float(row.split(",")[3])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,3 +245,22 @@ def test_pair_scans_match_brute_force(case, tol, shrink):
     assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
     assert pairs.tolist() == dense_pairs(pts, d, tol).tolist()
     assert geometry.min_distance(pts) == dense_min(pts)
+
+
+def test_pair_scans_of_centers_whose_differences_overflow():
+    # coordinates up to the largest float: no floating-point warning, the
+    # exact minimum (inf past the largest float) and every contact
+    far = [[1e308, 0.0], [-1e308, 0.0]]
+    cases = [
+        (far, math.inf),
+        (far + [[0.0, 0.0], [0.5, 0.0]], 0.5),
+        (far + [[1e308, 1.0]], 1.0),
+        ([[1e200, 1e200], [-1e200, -1e200]], math.hypot(2e200, 2e200)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts, want in cases:
+            pts = np.array(pts)
+            assert geometry.min_distance(pts) == want
+            pairs = geometry.contact_pairs(pts, 0.5, 1e-6).tolist()
+            assert pairs == ([[2, 3]] if want == 0.5 else [])
