@@ -24,7 +24,10 @@ from .geometry import CIRCLE, Sigma
 from .validation import packing_radius
 
 _M64 = (1 << 64) - 1
-_S_FACTOR = 1.5  # ratio of consecutive rungs of the s ladder
+# the ladder's exponents s, rising by 1.5 from 10 and capped at 100, where the polish takes over
+_RUNGS = (10.0, 15.0, 22.5, 33.75, 50.625, 75.9375, 100.0)
+_MAX_INNER_ITERS = 5000  # iterations of one rung's minimize
+_PERTURB = 0.01  # a shake's largest move of a free center, as a share of the minimum distance
 _INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
 # A line-search step x - a*g moves a free center by at most sqrt(2)*a*|g|_inf
 # exactly, and 2*a*|g|_inf covers that with the relative rounding of a*g and
@@ -49,23 +52,21 @@ _BLOCK = 16  # block size of the normal equations' substitution
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Schedule, inner iteration cap, shake amplitude and seed of the energy ladder."""
+    """A search's seed, the one setting it carries.
 
-    s_initial: float = 10.0
-    s_final: float = 100.0
-    max_inner_iters: int = 5000
-    perturb_amplitude: float = 0.01
+    The ladder's schedule is fixed: seven rungs at s = 10, 15, 22.5,
+    33.75, 50.625, 75.9375 and 100 (``_RUNGS``), each of at most
+    ``_MAX_INNER_ITERS`` iterations, and a shake moves each free center by
+    at most ``_PERTURB`` of the minimum distance.  The seed is an ``int``,
+    which provenance records as one; anything else, a float or a bool
+    among them, is refused.
+    """
+
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.s_initial:
-            raise ValueError("s_initial must be positive")
-        if not self.s_initial < self.s_final:
-            raise ValueError("s_initial must be below s_final")
-        if self.s_final > 1e9:
-            raise ValueError("s_final capped at 1e9")
-        if not 0.0 <= self.perturb_amplitude < 0.5:
-            raise ValueError("perturb_amplitude must lie in [0, 0.5)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -216,18 +217,19 @@ def minimize(
     s: float,
     lam: float,
     pins: Sequence[int] = (),
-    params: Optional[OptimizerParams] = None,
 ) -> PackingConfiguration:
     """Projected gradient descent on the log energy at fixed (s, lambda).
 
-    Every evaluation of the call, the start's and each line-search
-    trial's, fills one pair workspace; the accepted trial's gradient is
-    built from that trial's buffers before the next trial overwrites them.
+    One rung of the fixed schedule, which ``ladder`` runs at s = 10, 15,
+    22.5, 33.75, 50.625, 75.9375 and 100; each call takes at most
+    ``_MAX_INNER_ITERS`` = 5000 iterations.  Every evaluation of the call,
+    the start's and each line-search trial's, fills one pair workspace;
+    the accepted trial's gradient is built from that trial's buffers
+    before the next trial overwrites them.
     A trial tests containment only when its step could reach the
     container's boundary from the room the last test measured (``_step``).
     """
     _two_disks(len(config.centers))
-    params = params or OptimizerParams()
     x = config.centers.copy()
     pinned = _pinned(len(x), pins)
     work = _workspace(len(x))
@@ -241,7 +243,7 @@ def minimize(
     prev_x: Optional[np.ndarray] = None
     prev_g: Optional[np.ndarray] = None
 
-    for _ in range(params.max_inner_iters):
+    for _ in range(_MAX_INNER_ITERS):
         gnorm = float(np.abs(g).max())
         if gnorm <= _INNER_TOL * max(1.0, abs(f)):
             break
@@ -285,33 +287,23 @@ def minimize(
     return out
 
 
-def _rungs(params: OptimizerParams) -> List[float]:
-    out = []
-    s = params.s_initial
-    while s < params.s_final:
-        out.append(s)
-        s *= _S_FACTOR
-    out.append(params.s_final)
-    return out
-
-
 def ladder(
     config: PackingConfiguration,
     pins: Sequence[int] = (),
-    params: Optional[OptimizerParams] = None,
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
-    """Run minimize along the whole s schedule, re-deriving lambda per rung.
+    """Run minimize along the fixed schedule, re-deriving lambda per rung.
 
+    The seven rungs are s = 10, 15, 22.5, 33.75, 50.625, 75.9375 and 100
+    (``_RUNGS``); ``record`` sees each rung's index, s and result.
     lambda is the squared minimum distance of the rung's start: measured
     on ``config``, then the ``diameter`` the rung before measured.
     """
     _two_disks(len(config.centers))
-    params = params or OptimizerParams()
     current = config
     d = packing_radius(config.centers)
-    for rung, s in enumerate(_rungs(params)):
-        current = minimize(current, s, d ** 2, pins, params)
+    for rung, s in enumerate(_RUNGS):
+        current = minimize(current, s, d ** 2, pins)
         d = current.diameter
         if record is not None:
             record(rung, s, current)
@@ -568,7 +560,7 @@ def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -
         diameter=packing_radius(pts),
         meta={"mode": "algorithm1", "seed": params.seed},
     )
-    out = polish(ladder(start, params=params)).config
+    out = polish(ladder(start)).config
     out.meta = dict(start.meta)
     return out
 
@@ -626,13 +618,13 @@ def algorithm2(
     pinned = _pinned(len(x), pins)
     for i in np.setdiff1d(np.arange(len(x)), pinned, assume_unique=True):
         gen = _rng(params.seed, (trial << 32) | i)
-        r = params.perturb_amplitude * base * math.sqrt(gen.uniform())
+        r = _PERTURB * base * math.sqrt(gen.uniform())
         ang = gen.uniform(0.0, 2.0 * math.pi)
         x[i, 0] += r * math.cos(ang)
         x[i, 1] += r * math.sin(ang)
     x = _project_all(x, config.sigma, pinned)[0]
     shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
-    out = polish(ladder(shaken, pins, params, record), pinned).config
+    out = polish(ladder(shaken, pins, record), pinned).config
     if out.diameter > base:
         out.meta = dict(config.meta)
         out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})

@@ -209,13 +209,12 @@ def test_a09_accepted_density_never_decreases():
         assert b >= a - 1e-15
 
     if os.environ.get("CHP_PACK_STRETCH"):
-        # near-hard restarts: melt nothing, just nudge and re-jam.
-        # roughly 6 s per trial, so budget about 20 minutes
+        # restarts of the built packing on the fixed ladder: nudge, re-jam,
+        # polish.  About 3.7 s per trial, 12.5 minutes in all on 2 cores
         base = build_chp(24, 6)
         target = chp_density(24, 6)
         best = target
-        params = OptimizerParams(seed=0, perturb_amplitude=0.02,
-                                 s_initial=1e5, max_inner_iters=300)
+        params = OptimizerParams(seed=0)
         state = base
         for t in range(200):
             state = algorithm2(state, params, [], trial=t)

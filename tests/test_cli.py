@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chp_pack
-from chp_pack import OptimizerParams, build_chp, optimizer, seed_guided, validate_config
+from chp_pack import build_chp, seed_guided, validate_config
 from chp_pack.builder import PackingConfiguration
 from chp_pack.cli import main
 from chp_pack.configio import dumps_config, loads_config, read_config
@@ -367,8 +367,8 @@ def test_shake_emits_rung_csv(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "trial,rung,s,density"
-    # one row per rung of the default ladder, in order
-    rungs = optimizer._rungs(OptimizerParams())
+    # one row per rung of the fixed ladder, in order
+    rungs = [10.0, 15.0, 22.5, 33.75, 50.625, 75.9375, 100.0]
     assert [row.split(",")[:3] for row in lines[1:]] == [["0", str(r), format(s, ".6g")] for r, s in enumerate(rungs)]
     # densities stay sane along the whole ladder
     for row in lines[1:]:
@@ -516,7 +516,7 @@ for sigma, k in ((12, 9), (CIRCLE, 16)):
     validate_config(config)
     extract_dna(config, sigma, k)
     render_svg(config, contacts=True)
-params = OptimizerParams(s_final=1e3)
+params = OptimizerParams()
 algorithm1(12, 7, params)
 start, pins = seed_guided(12, 2, 0.1, 0.97)
 algorithm2(start, params, pins)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
+from chp_pack.configio import dumps_config, loads_config
 from chp_pack.errors import CoincidentPoints, PreconditionViolated
 from chp_pack.geometry import CIRCLE, interior_point, outside_by, vertex_angle
 from chp_pack.optimizer import (
@@ -178,7 +179,7 @@ def _searches_through(monkeypatch, evaluate, gradient):
 
     monkeypatch.setattr(optimizer, "_evaluate", counted)
     monkeypatch.setattr(optimizer, "_gradient", gradient)
-    params = OptimizerParams(s_final=1e3, seed=1)
+    params = OptimizerParams(seed=1)
     guided, pins = seed_guided(12, 2, theta=0.1, scale=0.97)
     out = algorithm1(12, 7, params).centers.tobytes() + algorithm2(guided, params, pins).centers.tobytes()
     return out, len(calls)
@@ -225,7 +226,7 @@ def test_minimize_keeps_pins_bit_identical():
     cfg = random_instance(rng)
     pins = [0, 5]
     frozen = cfg.centers[[0, 5]].copy()
-    out = minimize(cfg, 10.0, packing_radius(cfg.centers) ** 2, pins, OptimizerParams())
+    out = minimize(cfg, 10.0, packing_radius(cfg.centers) ** 2, pins)
     assert np.array_equal(out.centers[[0, 5]], frozen)
     assert not np.array_equal(out.centers, cfg.centers)
 
@@ -249,9 +250,10 @@ def test_minimize_evaluates_each_iterate_once(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_evaluate", counted_evaluate)
     monkeypatch.setattr(optimizer, "_step", counted_step)
+    monkeypatch.setattr(optimizer, "_MAX_INNER_ITERS", 30)
     cfg = random_instance(np.random.default_rng(4))
     lam = packing_radius(cfg.centers) ** 2
-    out = minimize(cfg, 10.0, lam, (), OptimizerParams(max_inner_iters=30))
+    out = minimize(cfg, 10.0, lam)
     trials = events.count("trial")
     assert trials >= 30
     assert events.count("evaluate") == 1 + trials
@@ -370,7 +372,7 @@ def test_skipped_containment_tests_leave_searches_unchanged(monkeypatch):
 def test_minimize_respects_container():
     rng = np.random.default_rng(21)
     cfg = random_instance(rng, n=25)
-    out = ladder(cfg, params=OptimizerParams(s_final=1e4))
+    out = ladder(cfg)
     assert (outside_by(cfg.sigma, out.centers) <= 1e-12).all()
 
 
@@ -497,7 +499,7 @@ def test_seed_guided_layout():
 def test_algorithm2_identity_when_everything_pinned():
     config = build_chp(12, 2)
     pins = range(config.n_disks)
-    out = algorithm2(config, OptimizerParams(seed=4, perturb_amplitude=0.0), pins)
+    out = algorithm2(config, OptimizerParams(seed=4), pins)
     assert np.array_equal(out.centers, config.centers)
 
 
@@ -505,7 +507,7 @@ def test_algorithm2_takes_any_pin_sequence():
     # a one-element array is falsy in numpy when its element is 0: the pins
     # must still hold, and every sequence type gives the same bytes
     config, pins = seed_guided(12, 2, theta=0.12, scale=0.95)
-    params = OptimizerParams(seed=2, s_final=1e3)
+    params = OptimizerParams(seed=2)
     groups = ([range(19), list(range(19)), np.arange(19)], [pins, list(pins), np.asarray(pins)], [[0], np.array([0])])
     for same in groups:
         outs = [algorithm2(config, params, p).centers for p in same]
@@ -532,7 +534,7 @@ def test_minimize_and_ladder_need_two_disks(monkeypatch):
         with pytest.raises(PreconditionViolated, match="two disks"):
             minimize(one, 10.0, 0.25)
         with pytest.raises(PreconditionViolated, match="two disks"):
-            ladder(one, params=OptimizerParams(s_final=1e3))
+            ladder(one)
 
 
 def test_algorithm2_never_degrades():
@@ -565,13 +567,12 @@ def test_refine_after_random_start_hexagon():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        OptimizerParams(s_initial=10, s_final=5)
-    with pytest.raises(ValueError):
-        OptimizerParams(s_final=2e9)
-    with pytest.raises(ValueError):
-        OptimizerParams(perturb_amplitude=0.7)
-    # a start at or below 0 never climbs to s_final, so _rungs never ends
-    for s_initial in (0.0, -1.0, -math.inf):
-        with pytest.raises(ValueError):
-            OptimizerParams(s_initial=s_initial)
+    # provenance records the seed as an integer, and loads_config refuses
+    # anything else there: a float or a bool seed would write a file that
+    # cannot be read back, and 1.5 would run exactly as 1
+    for seed in (1.5, 1.0, True, False, "1", None, np.int64(1)):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerParams(seed=seed)
+    for seed in (0, 7, -1):
+        config = algorithm1(12, 2, OptimizerParams(seed=seed))
+        assert loads_config(dumps_config(config)).meta["seed"] == seed
