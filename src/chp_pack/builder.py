@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +52,11 @@ class PackingConfiguration:
         return len(self.centers)
 
 
-def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> PackingConfiguration:
+def build_chp(sigma: Sigma, k: int, dna: Optional[str] = None) -> PackingConfiguration:
     """Construct the packing selected by ``dna`` (lowest-letter order when None).
 
-    ``dna`` is a letter string or a Dna; letter b reads its chord direction
-    as border.blocks()[b].  The border ring is the border chain.  Shell
+    ``dna`` is a letter string; letter b reads its chord direction as
+    border.blocks()[b].  The border ring is the border chain.  Shell
     k - j starts at point j of the DNA path from P1 and takes one chord
     per letter not yet read there, in ascending letter order, each
     letter's direction turned by -pi/3; the origin closes the path.
@@ -114,7 +114,7 @@ def build_chp(sigma: Sigma, k: int, dna: Union[Dna, str, None] = None) -> Packin
         sigma=sigma,
         centers=arr,
         diameter=d,
-        meta={"mode": "deterministic", "k": k, "dna": _letters_of(seq)},
+        meta={"mode": "deterministic", "k": k, "dna": dna},
     )
 
 

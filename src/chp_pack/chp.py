@@ -135,26 +135,16 @@ def _vertex_index(s: float, edge: float) -> Union[int, None]:
     return m if abs(s - m * edge) <= GROUP_TOL else None
 
 
-_INF_ORDINAL = 0x7FF0000000000000  # the bits of +inf
-
-
 def _float_steps(x: float, n: int) -> float:
-    """The float n steps above the finite x (below for negative n).
+    """The float n steps above x (below for negative n), as n calls of ``math.nextafter`` give.
 
-    What n calls of ``math.nextafter`` toward +-inf give, in one round
-    trip through the bits: as an int64 the bits of a float >= 0 order
-    those floats, and minus the bits of |x| orders the negative ones, so
-    +0.0 and -0.0 are one step apart from their neighbours as with
-    ``nextafter`` (a step onto zero keeps the sign of the side it comes
-    from).  Past the largest float the result is +-inf.
+    For a positive x whose n-th step is positive and finite too: the bits
+    of such floats, read as an int64, order them, so one round trip
+    through the bits takes all n steps.
     """
     (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    ordinal = bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-    ordinal = max(-_INF_ORDINAL, min(_INF_ORDINAL, ordinal + n))
-    if ordinal == 0:
-        return math.copysign(0.0, x)
-    (y,) = struct.unpack("<d", struct.pack("<q", abs(ordinal)))
-    return y if ordinal > 0 else -y
+    (y,) = struct.unpack("<d", struct.pack("<q", bits + n))
+    return y
 
 
 def _bisect(
@@ -165,7 +155,7 @@ def _bisect(
     estimate: Union[float, None] = None,
     window: int = 16,
 ) -> float:
-    """Where ``below`` turns false in the bracket ``[lo, hi]``.
+    """Where ``below`` turns false in the bracket ``[lo, hi]``, for finite 0 < lo < hi.
 
     ``below(lo)`` must hold and ``below(hi)`` must not.  The bracket is
     halved until its midpoint equals an end, which leaves the two ends
@@ -181,11 +171,12 @@ def _bisect(
     an end, taken as true at lo and false at hi), then halving that small
     bracket, pins a flip ``x`` to adjacent floats.  The loop above is then
     replayed from the original bracket and ``tol``, answering true below
-    and false above a window of ``window`` floats on each side of ``x``,
-    and calling ``below`` inside it, unless stepping out or pinning the
-    flip already asked that float.  The precondition: ``below`` is true
-    below and false above some run of at most ``window`` consecutive
-    floats, within which it may answer anything.  Every flip then lies in
+    and false above a window of ``window`` floats on each side of ``x``
+    (all of them positive and finite), and calling ``below`` inside it,
+    unless stepping out or pinning the flip already asked that float.
+    The precondition: ``below`` is true below and false above some run of
+    at most ``window`` consecutive floats, within which it may answer
+    anything.  Every flip then lies in
     or next to that run, so the window holds all of it, every answer of
     the replay is ``below``'s own, and the result is bit for bit the one
     without an estimate, for a few predicate calls instead of about
@@ -195,15 +186,12 @@ def _bisect(
     lo_edge, hi_edge = -math.inf, math.inf
     ask = below
     if estimate is not None and lo < estimate < hi:
-        # every answer, keyed on the float and its sign, since -0.0 == +0.0
-        # and a predicate may tell them apart
-        answers: Dict[Tuple[float, float], bool] = {}
+        answers: Dict[float, bool] = {}
 
         def ask(t: float) -> bool:
-            key = t, math.copysign(1.0, t)
-            answer = answers.get(key)
+            answer = answers.get(t)
             if answer is None:
-                answer = answers[key] = below(t)
+                answer = answers[t] = below(t)
             return answer
 
         x, step = estimate, math.ulp(estimate)
@@ -483,8 +471,8 @@ def _seq_of(letters: str) -> Tuple[int, ...]:
     return tuple(ord(c) - ord("a") for c in letters)
 
 
-def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
-    """Resolve a letter string against the border's building blocks."""
+def _dna_seq(letters: str, border: BorderSolution) -> Tuple[int, ...]:
+    """The block indices of a DNA's letters, checked against the border's degeneracies."""
     blocks = border.blocks()
     seq = _seq_of(letters)
     if len(seq) != border.k:
@@ -496,12 +484,13 @@ def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
         counts[b] += 1
     if tuple(counts) != border.degeneracies:
         raise InconsistentDna(f"letter multiplicities {tuple(counts)} != {border.degeneracies}")
+    return seq
+
+
+def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
+    """Resolve a letter string against the border's building blocks."""
+    _dna_seq(letters, border)
     return Dna(letters=letters)
-
-
-def _dna_seq(dna: Union[Dna, str], border: BorderSolution) -> Tuple[int, ...]:
-    """The block indices of a DNA given as a Dna or as its letters, checked against the border."""
-    return _seq_of(dna_from_letters(dna.letters if isinstance(dna, Dna) else dna, border).letters)
 
 
 def _nearest_block(value: float, blocks: Sequence[float], tol: float = GROUP_TOL) -> Union[int, None]:
@@ -584,10 +573,9 @@ def _orbit(seq: Sequence[int], maps: Sequence[Tuple[int, ...]]) -> Set[Tuple[int
     return {tuple([m[b] for b in seq]) for m in maps}
 
 
-def canonicalize_dna(dna: Union[Dna, str], border: BorderSolution) -> Dna:
+def canonicalize_dna(letters: str, border: BorderSolution) -> Dna:
     """Lexicographically smallest DNA over vertex rotations and reflection."""
-    best = min(_orbit(_dna_seq(dna, border), border.letter_maps))
-    return dna_from_letters(_letters_of(best), border)
+    return Dna(letters=_letters_of(min(_orbit(_dna_seq(letters, border), border.letter_maps))))
 
 
 def enumerate_dnas(sigma: Sigma, k: int, cap: int = 100000) -> List[Dna]:
@@ -700,11 +688,5 @@ def chp_density(sigma: Sigma, k: int) -> float:
         raise NotMultipleOfSix(f"sigma must be an integer >= 6 or {CIRCLE!r}, got {sigma!r}")
     if k < 1:
         raise NoSolution(f"k must be >= 1, got {k}")
-    n = disk_count(k)
-    if sigma == CIRCLE:
-        s = math.sin(math.pi / (6.0 * k))
-        return n * s * s / (1.0 + s) ** 2
-    d = _solve_polygon_border(sigma, k)["d"] if sigma % 6 else solve_border(sigma, k).d
-    cot = 1.0 / math.tan(math.pi / sigma)
-    cos = math.cos(math.pi / sigma)
-    return n * math.pi * d * d * cot / (sigma * (d + 2.0 * cos) ** 2)
+    d = solve_border(sigma, k).d if sigma == CIRCLE or sigma % 6 == 0 else _solve_polygon_border(sigma, k)["d"]
+    return geometry.packing_fraction(sigma, disk_count(k), d)

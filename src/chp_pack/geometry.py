@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,18 @@ def polygon_area(sigma: int, delta: float = 0.0) -> float:
     """Area enclosed by the polygon."""
     h = apothem(sigma, delta)
     return sigma * h * h * math.tan(math.pi / sigma)
+
+
+def packing_fraction(sigma: Sigma, n: int, d: float) -> float:
+    """Share of the container that ``n`` disks of diameter ``d`` cover.
+
+    The centers lie in the polygon of circumradius 1 (the unit circle for
+    CIRCLE), so the disks fill that domain offset by one radius ``d / 2``.
+    """
+    r = 0.5 * d
+    if sigma == CIRCLE:
+        return n * r * r / (1.0 + r) ** 2
+    return n * math.pi * r * r / polygon_area(sigma, r)
 
 
 def interior_point(t: float, u: float, sigma: Sigma) -> Point2:
@@ -195,13 +207,11 @@ def _span_overflows(x0: float, y0: float, x1: float, y1: float) -> bool:
     return max(x1 - x0, y1 - y0) == math.inf and max(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0) < math.inf
 
 
-def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of rows at most ``reach`` apart, found by a cell list.
+def _near_pairs(points: np.ndarray, reach: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of distinct rows at most ``reach`` apart, found by a cell list.
 
-    With ``b`` None, the pairs of distinct rows of ``a``, each once and
-    in no set order; otherwise each row ``i`` of ``a`` with each row
-    ``j`` of ``b``.  Returns ``(i, j, gap)``, where ``gap`` is the
-    ``hypot`` distance, which alone decides ``gap <= reach``.
+    Returns ``(i, j, gap)``, each pair once and in no set order, where
+    ``gap`` is the ``hypot`` distance, which alone decides ``gap <= reach``.
 
     The rows are sorted by the id ``cx * ny + cy`` of a square cell of
     side at least ``reach``, so a pair within reach shares a cell or
@@ -214,10 +224,10 @@ def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> 
     largest float, the scan runs on the halved points, which is exact,
     and the gaps are doubled.
     """
-    x, y = (a if b is None else np.concatenate((a, b))).T.copy()
+    x, y = points.T.copy()
     x0, y0, x1, y1 = float(x.min()), float(y.min()), float(x.max()), float(y.max())
     if _span_overflows(x0, y0, x1, y1):
-        i, j, gap = _near_pairs(0.5 * a, 0.5 * reach, None if b is None else 0.5 * b)
+        i, j, gap = _near_pairs(0.5 * points, 0.5 * reach)
         with np.errstate(over="ignore"):
             return i, j, 2.0 * gap
     side = max(reach, max(x1 - x0, y1 - y0) * 2.0**-30) * (1.0 + 1e-6) or 1.0
@@ -226,27 +236,16 @@ def _near_pairs(a: np.ndarray, reach: float, b: Optional[np.ndarray] = None) -> 
     # a free row above the top one, so that cy + 1 never reaches the next column
     ny = int(cy.max()) + 2
     ids = cx * ny + cy
-    if b is None:
-        order = ids.argsort()
-        ids = ids[order]
-        # later rows of the own cell and the cell above it, then the three cells of the next column
-        ends = np.searchsorted(ids, ids + np.array([[2], [ny - 1], [ny + 2]]))
-        start = np.concatenate((np.arange(1, len(ids) + 1), ends[1]))
-        stop = np.concatenate((ends[0], ends[2]))
-        owner = np.concatenate((order, order))
-        bx, by = x, y
-    else:
-        n = len(a)
-        order = ids[n:].argsort()
-        # the three cells of the column before, of the own column and of the column after
-        ends = np.searchsorted(ids[n:][order], ids[:n, None] + np.array([-ny - 1, -ny + 2, -1, 2, ny - 1, ny + 2]))
-        start, stop = ends[:, 0::2].T.ravel(), ends[:, 1::2].T.ravel()
-        owner = np.tile(np.arange(n), 3)
-        bx, by = x[n:], y[n:]
+    order = ids.argsort()
+    ids = ids[order]
+    # later rows of the own cell and the cell above it, then the three cells of the next column
+    ends = np.searchsorted(ids, ids + np.array([[2], [ny - 1], [ny + 2]]))
+    start = np.concatenate((np.arange(1, len(ids) + 1), ends[1]))
+    stop = np.concatenate((ends[0], ends[2]))
     count = stop - start
-    i = np.repeat(owner, count)
+    i = np.repeat(np.concatenate((order, order)), count)
     j = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(i))]
-    gap = np.hypot(bx[j] - x[i], by[j] - y[i])
+    gap = np.hypot(x[j] - x[i], y[j] - y[i])
     keep = np.flatnonzero(gap <= reach)
     return i[keep], j[keep], gap[keep]
 

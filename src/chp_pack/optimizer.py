@@ -38,6 +38,7 @@ _INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
 # in all.  This margin covers those errors a thousand times over in every
 # step, so they cannot add up along a run of skipped trials.
 _ROOM_MARGIN = 1e-12
+_ROUNDING_RISE = 2.0**-50  # a rise of the minimum distance that algorithm2 takes for rounding
 _POLISH_START = 1e-3  # the polish's first trust radius, as a share of the minimum distance
 _POLISH_MAX_LPS = 200
 # An LP counts as solved at this mean complementarity and primal residual, and
@@ -610,7 +611,16 @@ def algorithm2(
     trial: int = 0,
     record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
 ) -> PackingConfiguration:
-    """One shake trial: perturb, re-run the ladder, keep only improvements."""
+    """One shake trial: perturb, re-run the ladder, keep only improvements.
+
+    An improvement raises the minimum distance by more than
+    ``_ROUNDING_RISE`` = 2**-50.  The centers lie in a container of
+    circumradius 1, where a coordinate is stored to within 2**-53, and
+    ``min_distance`` rounds each distance's subtractions and ``hypot`` by
+    about as much, so one packing stored and measured twice can show
+    minimum distances a few units of 2**-53 apart.  2**-50 is eight such
+    units; an exact CHP build and its shaken copy differ by up to three.
+    """
     _two_disks(config.n_disks)
     params = params or OptimizerParams()
     base = packing_radius(config.centers)
@@ -625,7 +635,7 @@ def algorithm2(
     x = _project_all(x, config.sigma, pinned)[0]
     shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
     out = polish(ladder(shaken, pins, record), pinned).config
-    if out.diameter > base:
+    if out.diameter > base + _ROUNDING_RISE:
         out.meta = dict(config.meta)
         out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})
         result = out

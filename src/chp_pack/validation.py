@@ -29,18 +29,14 @@ def packing_radius(config: Union[PackingConfiguration, np.ndarray]) -> float:
 
 def density(config: PackingConfiguration) -> float:
     """Disk area over container area; the container is offset by one radius."""
-    r = 0.5 * config.diameter
-    n = config.n_disks
-    if config.sigma == CIRCLE:
-        return n * r * r / (1.0 + r) ** 2
-    return n * math.pi * r * r / geometry.polygon_area(config.sigma, r)
+    return geometry.packing_fraction(config.sigma, config.n_disks, config.diameter)
 
 
 def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[float]:
     """Max distance of the nearest-target bijection a -> b, or None.
 
-    One cell-list scan at reach tol (``geometry._near_pairs``) gives each
-    point its targets within tol, and the nearest of them (least
+    One cell-list scan of both sets at reach tol (``geometry._near_pairs``)
+    gives each point its targets within tol, and the nearest of them (least
     ``hypot`` distance, then least index).  When every row has one and no
     two rows share it, the nearest targets form a bijection in which
     every row sits at its own minimum, so it is the min-sum assignment
@@ -49,17 +45,22 @@ def _matching_residual(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[flo
     within 2·tol of each other, which a packing of diameter above 2·tol
     does only where it overlaps: None as well.
     """
-    if len(a) != len(b):
+    n = len(a)
+    if len(b) != n:
         return None
-    if len(a) == 0:
+    if n == 0:
         return 0.0
-    i, j, gap = geometry._near_pairs(a, tol, b)
+    # the pairs of the union with one row from each set, as (row of a, row of b)
+    i, j, gap = geometry._near_pairs(np.concatenate((a, b)), tol)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    cross = (i < n) & (j >= n)
+    i, j, gap = i[cross], j[cross] - n, gap[cross]
     order = np.lexsort((j, gap, i))
     rows, first = np.unique(i[order], return_index=True)
-    if len(rows) < len(a):
+    if len(rows) < n:
         return None
     nearest = order[first]
-    if len(np.unique(j[nearest])) < len(b):
+    if len(np.unique(j[nearest])) < n:
         return None
     return float(gap[nearest].max())
 

@@ -112,7 +112,7 @@ def test_canonicalize_is_orbit_minimum():
     border = solve_border(18, 4)
     dnas = enumerate_dnas(18, 4)
     for dna in dnas:
-        assert canonicalize_dna(dna, border).letters == dna.letters
+        assert canonicalize_dna(dna.letters, border).letters == dna.letters
 
 
 def test_enumerate_counts():

@@ -548,6 +548,15 @@ def test_algorithm2_never_degrades():
         best = now
 
 
+@pytest.mark.parametrize("sigma", [12, 24])
+def test_algorithm2_returns_exact_builds(sigma):
+    # shakes of the exact build come back a few units of 2**-53 higher in
+    # minimum distance: rounding, not an improvement, so the build stays
+    config = build_chp(sigma, 3)
+    for trial in range(4):
+        assert algorithm2(config, OptimizerParams(seed=1), [], trial=trial) is config, trial
+
+
 def test_guided_shake_reaches_exact_packing():
     config, pins = seed_guided(12, 3, theta=0.1, scale=0.97)
     out = algorithm2(config, OptimizerParams(seed=5), pins, trial=0)

@@ -71,9 +71,10 @@ def test_validate_reports_the_hypot_minimum():
 
 
 def test_density_matches_formula():
-    for sigma, k in ((12, 2), (12, 5), (18, 3), (CIRCLE, 3)):
-        config = build_chp(sigma, k)
-        assert density(config) == pytest.approx(chp_density(sigma, k), abs=1e-12)
+    # chp_density is the packing fraction of the CHP's own build, to the last bit
+    for sigma in [*range(12, 61, 6), CIRCLE]:
+        for k in range(1, 13):
+            assert density(build_chp(sigma, k)) == chp_density(sigma, k), (sigma, k)
 
 
 def test_density_single_disk_hexagon():
@@ -101,7 +102,7 @@ def test_equivalent_rotation_reflection():
 
 
 def test_equivalent_separates_classes():
-    classes = [build_chp(12, 5, d) for d in enumerate_dnas(12, 5)]
+    classes = [build_chp(12, 5, d.letters) for d in enumerate_dnas(12, 5)]
     assert len(classes) == 15
     for i in range(len(classes)):
         assert equivalent(classes[i], classes[i])
@@ -135,7 +136,7 @@ def test_contact_histogram_matches_the_counting_loop(oracle):
         _cfg([[0.1, -0.2]], diameter=0.5),
         _cfg([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], diameter=0.1),
         build_chp(12, 2),
-        build_chp(12, 8, enumerate_dnas(12, 8)[-1]),
+        build_chp(12, 8, enumerate_dnas(12, 8)[-1].letters),
         build_chp(CIRCLE, 9),
         build_chp(12, 20),
     ]
@@ -304,7 +305,7 @@ def test_equivalent_rejects_classes_without_assignment(monkeypatch):
     # every symmetry image of one class misses the other by more than the
     # tolerance at some disk, so the nearest-target query alone says no,
     # and no assignment solver is loaded
-    first, second = (build_chp(12, 8, d) for d in enumerate_dnas(12, 8)[:2])
+    first, second = (build_chp(12, 8, d.letters) for d in enumerate_dnas(12, 8)[:2])
     monkeypatch.setitem(sys.modules, "scipy.optimize", None)
     assert not equivalent(first, second)
     assert equivalent(first, first)
