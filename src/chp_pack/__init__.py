@@ -21,7 +21,6 @@ from .errors import (
     ConstructionFailed,
     InconsistentDna,
     NoPath,
-    NonFinite,
     NoSolution,
     NotMultipleOfSix,
     ParseError,
@@ -77,7 +76,6 @@ __all__ = [
     "InconsistentDna",
     "NoPath",
     "NoSolution",
-    "NonFinite",
     "NotMultipleOfSix",
     "ParseError",
     "PreconditionViolated",

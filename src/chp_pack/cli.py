@@ -124,7 +124,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--enumerate-limit", type=_int_at_least(0), default=2520, help="enumerate only rows with count at most this")
     sp.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
 
-    sp = sub.add_parser("pack", help="random-start energy ladder packing")
+    sp = sub.add_parser("pack", help="random-start basin-hopping packing")
     sp.add_argument("--sigma", type=_sigma_arg, required=True)
     sp.add_argument("--n", type=_int_at_least(2), required=True, help="number of disks")
     sp.add_argument("--seed", type=int, default=0)
@@ -252,14 +252,14 @@ def _cmd_shake(args) -> int:
     config = read_config(args.input)
     pins = _border_pins(config) if args.pin == "border" else ()
     params = OptimizerParams(seed=args.seed)
-    # the header goes out with the first trial's rows, so a trial that
+    # the header goes out with the first trial's row, so a trial that
     # rejects its input leaves stdout empty
-    rows: List[str] = ["trial,rung,s,density"]
+    rows: List[str] = ["trial,lps,stop,density"]
     current = config
     for t in range(args.trials):
 
-        def record(rung: int, s: float, cfg) -> None:
-            rows.append(f"{t},{rung},{format(s, '.6g')},{format(packing_density(cfg), '.12g')}")
+        def record(hop) -> None:
+            rows.append(f"{t},{hop.lps},{hop.stop},{format(packing_density(hop.config), '.12g')}")
 
         current = algorithm2(current, params, pins, trial=t, record=record)
         sys.stdout.write("".join(r + "\n" for r in rows))

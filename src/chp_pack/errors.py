@@ -45,11 +45,7 @@ class PreconditionViolated(ChpError):
 
 
 class CoincidentPoints(ChpError):
-    """Raised when two centers coincide in an energy evaluation."""
-
-
-class NonFinite(ChpError):
-    """Raised when a minimization step produces a non-finite value."""
+    """Raised when two centers coincide in a search's polish."""
 
 
 class ParseError(ChpError):

@@ -1,11 +1,13 @@
-"""Stochastic packing search with a hardening pair potential.
+"""Stochastic packing search: basin hopping on a sequential-LP polish.
 
-Disks repel through (lambda/r^2)^s; a short ladder of rising s finds a
-basin, and ``polish``, a sequence of linear programs, then takes the
-minimum distance to that basin's local maximum, the hard-disk limit the
-soft repulsion only approaches.  Minimization is projected gradient
-descent working on the log of the energy, which has the same minimizers
-and stays finite at any s.
+``polish``, a sequence of linear programs, raises the minimum distance of
+a configuration to a local maximum (Addis, Locatelli & Schoen, INFORMS J.
+Comput. 2008).  A hop moves the free centers at random, projects them
+back into the container and polishes.  ``algorithm1`` polishes a random
+start and hops from the best configuration until several hops in a row
+find no rise, which is monotonic basin hopping (Grosso, Jamali, Locatelli
+& Schoen, J. Glob. Optim. 2010); ``algorithm2`` is one small hop from a
+given configuration, kept only when it improves.
 """
 
 from __future__ import annotations
@@ -19,26 +21,15 @@ import numpy as np
 from . import geometry
 from .builder import PackingConfiguration
 from .chp import solve_border
-from .errors import CoincidentPoints, NonFinite, PreconditionViolated
+from .errors import CoincidentPoints, PreconditionViolated
 from .geometry import CIRCLE, Sigma
 from .validation import packing_radius
 
 _M64 = (1 << 64) - 1
-# the ladder's exponents s, rising by 1.5 from 10 and capped at 100, where the polish takes over
-_RUNGS = (10.0, 15.0, 22.5, 33.75, 50.625, 75.9375, 100.0)
-_MAX_INNER_ITERS = 5000  # iterations of one rung's minimize
 _PERTURB = 0.01  # a shake's largest move of a free center, as a share of the minimum distance
-_INNER_TOL = 1e-12  # relative gradient and f-change at which minimize stops
-# A line-search step x - a*g moves a free center by at most sqrt(2)*a*|g|_inf
-# exactly, and 2*a*|g|_inf covers that with the relative rounding of a*g and
-# of the reach itself.  What is left is absolute: every free center of a
-# skipped trial lies inside a container of circumradius 1, where the
-# subtraction x - a*g, outside_by (a two-term dot product or a hypot, then a
-# subtraction) and room - reach each round by an ulp or two of 1, under 1e-15
-# in all.  This margin covers those errors a thousand times over in every
-# step, so they cannot add up along a run of skipped trials.
-_ROOM_MARGIN = 1e-12
-_ROUNDING_RISE = 2.0**-50  # a rise of the minimum distance that algorithm2 takes for rounding
+_HOP = 0.3  # algorithm1's largest move of a center along each axis, as a share of the minimum distance
+_PATIENCE = 4  # hops in a row without a rise after which algorithm1 stops
+_ROUNDING_RISE = 2.0**-50  # a rise of the minimum distance that a search takes for rounding
 _POLISH_START = 1e-3  # the polish's first trust radius, as a share of the minimum distance
 _POLISH_MAX_LPS = 200
 # An LP counts as solved at this mean complementarity and primal residual, and
@@ -55,12 +46,13 @@ _BLOCK = 16  # block size of the normal equations' substitution
 class OptimizerParams:
     """A search's seed, the one setting it carries.
 
-    The ladder's schedule is fixed: seven rungs at s = 10, 15, 22.5,
-    33.75, 50.625, 75.9375 and 100 (``_RUNGS``), each of at most
-    ``_MAX_INNER_ITERS`` iterations, and a shake moves each free center by
-    at most ``_PERTURB`` of the minimum distance.  The seed is an ``int``,
-    which provenance records as one; anything else, a float or a bool
-    among them, is refused.
+    The rest is fixed: a hop of ``algorithm1`` moves each center by at
+    most ``_HOP`` = 0.3 of the minimum distance along each axis, and the
+    search stops after ``_PATIENCE`` = 4 hops in a row without a rise; a
+    shake of ``algorithm2`` moves each free center by at most
+    ``_PERTURB`` = 0.01 of it.  The seed is an ``int``, which provenance
+    records as one; anything else, a float or a bool among them, is
+    refused.
     """
 
     seed: int = 0
@@ -85,230 +77,24 @@ def _pinned(n: int, pins: Sequence[int]) -> np.ndarray:
 
 
 def _two_disks(n: int) -> None:
-    """Refuse fewer than two disks, which have no pair to measure or repel."""
+    """Refuse fewer than two disks, which have no pair to measure."""
     if n < 2:
         raise PreconditionViolated("need at least two disks")
 
 
-def _workspace(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers one evaluation of n centers fills.
+def _project_all(centers: np.ndarray, sigma: Sigma, pinned: np.ndarray) -> np.ndarray:
+    """``centers`` with the free rows outside the container projected onto its boundary.
 
-    Offsets (2, n, n), then r^2 and log-terms (n, n), then a view of r^2's
-    diagonal.
+    When no free row lies outside, ``centers`` itself comes back; otherwise
+    a projected copy.  Pinned rows stay as they are, inside or not.
     """
-    r2 = np.empty((n, n))
-    return np.empty((2, n, n)), r2, np.empty((n, n)), r2.reshape(-1)[:: n + 1]
-
-
-def _evaluate(centers: np.ndarray, s: float, lam: float, work=None):
-    """log-energy, and the ``(w, total, r2, offsets)`` its gradient is built from.
-
-    The log-terms are s*(log lam - log r^2) over ordered pairs, -inf on
-    the diagonal; ``offsets[:, i, j]`` is ``c_j - c_i``.  All of them are
-    written into ``work``, a ``_workspace(len(centers))``, or into fresh
-    buffers without one, and stay valid until its next evaluation.
-    Rounding is monotone, so the largest log-term is the one at the
-    smallest log r^2, and -inf there means two centers coincide.
-    """
-    n = len(centers)
-    offsets, r2, terms, diagonal = work if work is not None else _workspace(n)
-    ct = centers.T.copy()
-    # copy, then subtract in place: a fifth faster above ~40 centers than one broadcast subtract
-    offsets[...] = ct[:, None, :]
-    offsets -= ct[:, :, None]
-    np.multiply(offsets[0], offsets[0], out=r2)
-    r2 += np.multiply(offsets[1], offsets[1], out=terms)
-    diagonal[...] = np.inf
-    with np.errstate(divide="ignore"):
-        np.log(r2, out=terms)
-    low = float(terms.min())
-    if low == -math.inf:
-        raise CoincidentPoints("two centers coincide")
-    log_lam = math.log(lam)
-    np.subtract(log_lam, terms, out=terms)
-    terms *= s
-    m = s * (log_lam - low)
-    terms -= m
-    w = np.exp(terms, out=terms)
-    total = 0.5 * float(w.sum())
-    return m + math.log(total), (w, total, r2, offsets)
-
-
-def _gradient(state, s: float, pinned: np.ndarray) -> np.ndarray:
-    """Gradient of the log-energy from ``_evaluate``'s state; the ``pinned`` rows are zero.
-
-    Consumes ``state``: its pair arrays are overwritten in place.  Row i
-    is coef[i, j] (x_i - x_j) summed over j in sequence onto +0.0, the
-    order of ``einsum("ij,ijk->ik")`` on an (n, n, 2) difference tensor,
-    the reference formula the tests keep; holding to it keeps optimizer
-    trajectories bit-identical to that formula.  coef is exactly symmetric
-    and ``offsets[:, j, i] = c_i - c_j``, so each row is a column sum of
-    coef * offsets.
-    """
-    w, total, r2, offsets = state
-    coef = w
-    coef /= total
-    coef *= -2.0 * s
-    coef /= r2
-    offsets *= coef
-    # a contiguous (2, n) sum, then transposed: summing into ``out=grad.T``
-    # keeps the order but takes twice as long
-    grad = offsets.sum(axis=1, initial=0.0).T.copy()
-    if len(pinned):
-        grad[pinned] = 0.0
-    return grad
-
-
-def _objective(centers: np.ndarray, s: float, lam: float, pinned: np.ndarray, work=None):
-    """log-energy and its gradient restricted to unpinned disks."""
-    value, state = _evaluate(centers, s, lam, work)
-    return value, _gradient(state, s, pinned)
-
-
-def _excess(sigma: Sigma, centers: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """``outside_by`` of every center, and -inf on the ``pinned`` rows, which never move."""
-    excess = geometry.outside_by(sigma, centers)
-    if len(pinned):
-        excess[pinned] = -math.inf
-    return excess
-
-
-def _room(excess: np.ndarray) -> float:
-    """How far inside the container every center lies, from ``_excess``; negative if some lies outside."""
-    return -float(excess.max())
-
-
-def _project_all(centers: np.ndarray, sigma: Sigma, pinned: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``centers`` with the free rows outside the container projected onto its boundary, and their room.
-
-    When no free row lies outside, ``centers`` itself comes back, with the
-    room ``_room`` reads from this test; otherwise a projected copy comes
-    back, with room -inf.  Pinned rows stay as they are, inside or not.
-    """
-    excess = _excess(sigma, centers, pinned)
-    bad = excess > 0.0
+    bad = geometry.outside_by(sigma, centers) > 0.0
+    bad[pinned] = False
     if not bad.any():
-        return centers, _room(excess)
+        return centers
     out = centers.copy()
     out[bad] = geometry.project_into(sigma, out[bad])
-    return out, -math.inf
-
-
-def _step(
-    x: np.ndarray, a: float, g: np.ndarray, gnorm: float, room: float, sigma: Sigma, pinned: np.ndarray
-) -> Tuple[np.ndarray, float]:
-    """The line-search trial ``x - a*g`` kept in the container, and its room.
-
-    ``room`` is a lower bound on how far inside the container every free
-    row of ``x`` lies, and ``gnorm`` is ``g``'s largest magnitude.  No free
-    row moves further than the reach ``2*a*gnorm + _ROOM_MARGIN``; when
-    that is below ``room``, ``_project_all`` could only return the trial
-    as it is, so the test is skipped and the trial's room is
-    ``room - reach``.
-    """
-    trial = x - a * g
-    reach = 2.0 * a * gnorm + _ROOM_MARGIN
-    if reach < room:
-        return trial, room - reach
-    return _project_all(trial, sigma, pinned)
-
-
-def minimize(
-    config: PackingConfiguration,
-    s: float,
-    lam: float,
-    pins: Sequence[int] = (),
-) -> PackingConfiguration:
-    """Projected gradient descent on the log energy at fixed (s, lambda).
-
-    One rung of the fixed schedule, which ``ladder`` runs at s = 10, 15,
-    22.5, 33.75, 50.625, 75.9375 and 100; each call takes at most
-    ``_MAX_INNER_ITERS`` = 5000 iterations.  Every evaluation of the call,
-    the start's and each line-search trial's, fills one pair workspace;
-    the accepted trial's gradient is built from that trial's buffers
-    before the next trial overwrites them.
-    A trial tests containment only when its step could reach the
-    container's boundary from the room the last test measured (``_step``).
-    """
-    _two_disks(len(config.centers))
-    x = config.centers.copy()
-    pinned = _pinned(len(x), pins)
-    work = _workspace(len(x))
-
-    sigma = config.sigma
-    f, g = _objective(x, s, lam, pinned, work)
-    if not math.isfinite(f):
-        raise NonFinite(f"objective is {f} at the starting point")
-    room = _room(_excess(sigma, x, pinned))
-    alpha = 0.05 * math.sqrt(lam) / max(float(np.abs(g).max()), 1e-300)
-    prev_x: Optional[np.ndarray] = None
-    prev_g: Optional[np.ndarray] = None
-
-    for _ in range(_MAX_INNER_ITERS):
-        gnorm = float(np.abs(g).max())
-        if gnorm <= _INNER_TOL * max(1.0, abs(f)):
-            break
-        if prev_x is not None:
-            dx = (x - prev_x).ravel()
-            dg = (g - prev_g).ravel()
-            dgg = float(dg @ dg)
-            step = float(dx @ dg) / dgg if dgg > 0.0 else 0.0
-            if step > 0.0:
-                alpha = min(max(step, 1e-18), 1e18)
-        accepted = False
-        a = alpha
-        for _ in range(70):
-            trial, trial_room = _step(x, a, g, gnorm, room, sigma, pinned)
-            move = trial - x
-            move_norm2 = float((move * move).sum())
-            if move_norm2 == 0.0:
-                break
-            f_trial, state = _evaluate(trial, s, lam, work)
-            if math.isnan(f_trial):
-                raise NonFinite("objective became NaN during line search")
-            if f_trial <= f - 1e-4 / max(a, 1e-300) * move_norm2:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            break
-        prev_x, prev_g, prev_f = x, g, f
-        x, f, room = trial, f_trial, trial_room
-        g = _gradient(state, s, pinned)
-        if abs(prev_f - f) <= _INNER_TOL * max(1.0, abs(prev_f)):
-            break
-        alpha = a
-
-    out = PackingConfiguration(
-        sigma=sigma,
-        centers=x,
-        diameter=packing_radius(x),
-        meta=dict(config.meta),
-    )
     return out
-
-
-def ladder(
-    config: PackingConfiguration,
-    pins: Sequence[int] = (),
-    record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
-) -> PackingConfiguration:
-    """Run minimize along the fixed schedule, re-deriving lambda per rung.
-
-    The seven rungs are s = 10, 15, 22.5, 33.75, 50.625, 75.9375 and 100
-    (``_RUNGS``); ``record`` sees each rung's index, s and result.
-    lambda is the squared minimum distance of the rung's start: measured
-    on ``config``, then the ``diameter`` the rung before measured.
-    """
-    _two_disks(len(config.centers))
-    current = config
-    d = packing_radius(config.centers)
-    for rung, s in enumerate(_RUNGS):
-        current = minimize(current, s, d ** 2, pins)
-        d = current.diameter
-        if record is not None:
-            record(rung, s, current)
-    return current
 
 
 class Polished(NamedTuple):
@@ -523,7 +309,7 @@ def polish(config: PackingConfiguration, pins: Sequence[int] = ()) -> Polished:
         y = z[:-1].reshape(-1, 2)
         trial = x.copy()
         trial[free] += delta * y
-        trial = _project_all(trial, sigma, pinned)[0]
+        trial = _project_all(trial, sigma, pinned)
         d_trial = geometry.min_distance(trial)
         if d_trial > d:
             rise = d_trial - d
@@ -544,8 +330,26 @@ def polish(config: PackingConfiguration, pins: Sequence[int] = ()) -> Polished:
     return Polished(config, stop, lps, iterations)
 
 
+def _hop(config: PackingConfiguration, pinned: np.ndarray, free: np.ndarray, moves: np.ndarray) -> Polished:
+    """``polish`` of ``config`` with ``moves`` added to its ``free`` rows and the rows left outside projected back."""
+    x = config.centers.copy()
+    x[free] += moves
+    x = _project_all(x, config.sigma, pinned)
+    moved = PackingConfiguration(sigma=config.sigma, centers=x, diameter=packing_radius(x), meta=dict(config.meta))
+    return polish(moved, pinned)
+
+
 def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -> PackingConfiguration:
-    """Energy-ladder packing from a random start; deterministic per seed."""
+    """Monotonic basin hopping from a random start; deterministic per seed.
+
+    The start, n points drawn inside the container, is polished.  Each hop
+    then moves every center of the best configuration so far by up to
+    ``_HOP`` = 0.3 of its minimum distance along each axis and polishes
+    (``_hop``); a hop whose minimum distance rises by more than
+    ``_ROUNDING_RISE`` becomes the best.  The search stops after
+    ``_PATIENCE`` = 4 hops in a row without such a rise, the MaxNoImprove
+    rule of Grosso, Jamali, Locatelli & Schoen (J. Glob. Optim. 2010).
+    """
     geometry.check_sigma(sigma)
     _two_disks(n)
     params = params or OptimizerParams()
@@ -561,9 +365,17 @@ def algorithm1(sigma: Sigma, n: int, params: Optional[OptimizerParams] = None) -
         diameter=packing_radius(pts),
         meta={"mode": "algorithm1", "seed": params.seed},
     )
-    out = polish(ladder(start)).config
-    out.meta = dict(start.meta)
-    return out
+    best = polish(start).config
+    pinned, free = _pinned(n, ()), np.arange(n)
+    misses = 0
+    while misses < _PATIENCE:
+        reach = _HOP * best.diameter
+        out = _hop(best, pinned, free, rng.uniform(-reach, reach, (n, 2))).config
+        if out.diameter > best.diameter + _ROUNDING_RISE:
+            best, misses = out, 0
+        else:
+            misses += 1
+    return best
 
 
 def seed_guided(sigma: Sigma, k: int, theta: float, scale: float) -> Tuple[PackingConfiguration, range]:
@@ -609,34 +421,38 @@ def algorithm2(
     params: Optional[OptimizerParams] = None,
     pins: Sequence[int] = (),
     trial: int = 0,
-    record: Optional[Callable[[int, float, PackingConfiguration], None]] = None,
+    record: Optional[Callable[[Polished], None]] = None,
 ) -> PackingConfiguration:
-    """One shake trial: perturb, re-run the ladder, keep only improvements.
+    """One shake trial: one hop from ``config``, kept only if it improves.
 
-    An improvement raises the minimum distance by more than
-    ``_ROUNDING_RISE`` = 2**-50.  The centers lie in a container of
-    circumradius 1, where a coordinate is stored to within 2**-53, and
-    ``min_distance`` rounds each distance's subtractions and ``hypot`` by
-    about as much, so one packing stored and measured twice can show
-    minimum distances a few units of 2**-53 apart.  2**-50 is eight such
-    units; an exact CHP build and its shaken copy differ by up to three.
+    Each free center moves by at most ``_PERTURB`` = 0.01 of the minimum
+    distance, by a draw of its own generator keyed by seed, trial and
+    index, and the hop polishes (``_hop``); ``record`` sees the hop's
+    ``Polished``, kept or not.  An improvement raises the minimum
+    distance by more than ``_ROUNDING_RISE`` = 2**-50.  The centers lie in
+    a container of circumradius 1, where a coordinate is stored to within
+    2**-53, and ``min_distance`` rounds each distance's subtractions and
+    ``hypot`` by about as much, so one packing stored and measured twice
+    can show minimum distances a few units of 2**-53 apart.  2**-50 is
+    eight such units; an exact CHP build and its shaken copy differ by up
+    to three.
     """
     _two_disks(config.n_disks)
     params = params or OptimizerParams()
     base = packing_radius(config.centers)
-    x = config.centers.copy()
-    pinned = _pinned(len(x), pins)
-    for i in np.setdiff1d(np.arange(len(x)), pinned, assume_unique=True):
+    pinned = _pinned(config.n_disks, pins)
+    free = np.setdiff1d(np.arange(config.n_disks), pinned, assume_unique=True)
+    moves = np.empty((len(free), 2))
+    for move, i in zip(moves, free):
         gen = _rng(params.seed, (trial << 32) | i)
         r = _PERTURB * base * math.sqrt(gen.uniform())
         ang = gen.uniform(0.0, 2.0 * math.pi)
-        x[i, 0] += r * math.cos(ang)
-        x[i, 1] += r * math.sin(ang)
-    x = _project_all(x, config.sigma, pinned)[0]
-    shaken = PackingConfiguration(sigma=config.sigma, centers=x, diameter=0.0, meta=dict(config.meta))
-    out = polish(ladder(shaken, pins, record), pinned).config
+        move[:] = r * math.cos(ang), r * math.sin(ang)
+    hop = _hop(config, pinned, free, moves)
+    if record is not None:
+        record(hop)
+    out = hop.config
     if out.diameter > base + _ROUNDING_RISE:
-        out.meta = dict(config.meta)
         out.meta.update({"mode": "algorithm2", "trial": trial, "seed": params.seed})
         result = out
     else:

@@ -360,20 +360,21 @@ def test_pack_deterministic(tmp_path, capsys):
     assert cfg.n_disks == 2
 
 
-def test_shake_emits_rung_csv(tmp_path, capsys):
+def test_shake_emits_trial_csv(tmp_path, capsys):
     src = tmp_path / "in.json"
     run_cli(["build", "--sigma", "12", "--k", "2", "-o", str(src)], capsys)
-    code, out, _ = run_cli(["shake", "-i", str(src), "--trials", "1", "--pin", "border"], capsys)
+    code, out, _ = run_cli(["shake", "-i", str(src), "--trials", "3", "--pin", "border"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "trial,rung,s,density"
-    # one row per rung of the fixed ladder, in order
-    rungs = [10.0, 15.0, 22.5, 33.75, 50.625, 75.9375, 100.0]
-    assert [row.split(",")[:3] for row in lines[1:]] == [["0", str(r), format(s, ".6g")] for r, s in enumerate(rungs)]
-    # densities stay sane along the whole ladder
-    for row in lines[1:]:
-        val = float(row.split(",")[3])
-        assert 0.0 < val < 0.92
+    assert lines[0] == "trial,lps,stop,density"
+    # one row per trial, in order: the polish's LP count and stop reason, and
+    # the density it reached, kept or not
+    rows = [row.split(",") for row in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    for _, lps, stop, value in rows:
+        assert int(lps) >= 1
+        assert stop in ("converged", "stalled", "singular", "lp cap")
+        assert 0.0 < float(value) < 0.92
 
 
 def test_shake_border_pins_keep_their_rows(tmp_path, capsys):

@@ -72,15 +72,12 @@ def test_outside_by_and_project_into():
     # the optimizer's projection leaves interior rows and pinned rows as they are
     inside = (0.1, -0.2)
     rows = np.array([inside, outside, outside])
-    got, room = optimizer._project_all(rows, sigma, np.array([1]))
+    got = optimizer._project_all(rows, sigma, np.array([1]))
     assert tuple(got[0]) == inside
     assert tuple(got[1]) == outside
     assert tuple(got[2]) == tuple(proj[0])
-    assert room == -math.inf
-    # with no free row outside the rows come back as they are, with the free rows' room
-    got, room = optimizer._project_all(rows, sigma, np.array([1, 2]))
-    assert got is rows
-    assert room == -geometry.outside_by(sigma, rows[:1])[0] > 0.0
+    # with no free row outside the rows come back as they are
+    assert optimizer._project_all(rows, sigma, np.array([1, 2])) is rows
 
 
 def test_projection_is_nearest_boundary_point():
