@@ -9,12 +9,15 @@ P1 to rotate(P1, pi/3), its chord directions are phi_1 <= ... <= phi_k,
 and the order in which the distinct direction values are consumed on the
 contact path from P1 to the center (the DNA string) selects one packing
 out of a finite family that all share the same density.
+
+A polygon's chain is marched in closed form, each chord end a line-circle
+root on a boundary edge, and its chord length is the root of the arc the
+march covers, found by a bracketed secant.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,9 +32,6 @@ PI_3 = math.pi / 3.0
 
 # tolerance for grouping chord directions and detecting occupied vertices
 GROUP_TOL = 1e-9
-
-# _bisect's replay window, in floats, for a chord end on a polygon vertex (see _chain_arcs)
-_VERTEX_WINDOW = 1024
 
 
 def disk_count(k: int) -> int:
@@ -100,21 +100,23 @@ def _perimeter(sigma: int):
 
     ``point_at(s)`` is the boundary point at arclength s from P1, and
     ``corner(i)`` the ``(cos a, cos b, sin a, sin b)`` of the two corners
-    a, b of edge i.  Closures, so that the edge length and angles are
-    worked out once per sigma and not on every call inside the bisections,
-    and the trig of each edge once per edge the march visits.
+    a, b of edge i.  Closures, so that the edge length is worked out once
+    per sigma and not on every chord of every trial length, and the trig of
+    each edge once per edge the march visits.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
-    u0 = geometry.vertex_angle(sigma)
-    step = TWO_PI / sigma
     corners: Dict[float, Tuple[float, float, float, float]] = {}
 
     def corner(i: float) -> Tuple[float, float, float, float]:
         trig = corners.get(i)
         if trig is None:
-            a = u0 + step * i
-            b = a + step
-            trig = corners[i] = (math.cos(a), math.cos(b), math.sin(a), math.sin(b))
+            # corner m lies at the polar angle 3 pi/2 + t for t = (2m - 1) pi/sigma;
+            # on the sextant the march covers t stays below about 1.2, where a
+            # float angle rounds a quarter as far as near 3 pi/2, and corner 0
+            # is P1 = (-sin(pi/sigma), -cos(pi/sigma)) exactly
+            a = math.pi * (2.0 * i - 1.0) / sigma
+            b = math.pi * (2.0 * i + 1.0) / sigma
+            trig = corners[i] = (math.sin(a), math.sin(b), -math.cos(a), -math.cos(b))
         return trig
 
     def point_at(s: float) -> Point2:
@@ -135,89 +137,50 @@ def _vertex_index(s: float, edge: float) -> Union[int, None]:
     return m if abs(s - m * edge) <= GROUP_TOL else None
 
 
-def _float_steps(x: float, n: int) -> float:
-    """The float n steps above x (below for negative n), as n calls of ``math.nextafter`` give.
+def _root(f: Callable[[float], Tuple[float, object]], lo: float, hi: float) -> Tuple[float, object]:
+    """Where a nondecreasing f turns non-negative in ``[lo, hi]``, for finite 0 < lo < hi.
 
-    For a positive x whose n-th step is positive and finite too: the bits
-    of such floats, read as an int64, order them, so one round trip
-    through the bits takes all n steps.
+    ``f(x)`` returns ``(value, payload)``; the value must be negative at lo
+    and not at hi.  The Illinois variant of regula falsi (Dowell & Jarratt,
+    BIT 1971) steps to the secant point of the bracket's ends and, when the
+    same end survives twice in a row, halves that end's value in the
+    interpolation, so that the other end moves too.  A step takes the
+    midpoint instead when the secant point is not inside the open bracket
+    (or the weighed values leave it undefined), or when the last three
+    steps have not halved the bracket between them.  The bracket then
+    halves at least once in every four evaluations, so there are at most
+    2 + 4n of them for a bracket that n bisection steps pin.  The loop ends
+    when the midpoint is an end, which leaves the ends adjacent floats, and
+    returns the end of smaller absolute value with the payload of its own
+    call.
     """
-    (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    (y,) = struct.unpack("<d", struct.pack("<q", bits + n))
-    return y
-
-
-def _bisect(
-    below: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    tol: float = 0.0,
-    estimate: Union[float, None] = None,
-    window: int = 16,
-) -> float:
-    """Where ``below`` turns false in the bracket ``[lo, hi]``, for finite 0 < lo < hi.
-
-    ``below(lo)`` must hold and ``below(hi)`` must not.  The bracket is
-    halved until its midpoint equals an end, which leaves the two ends
-    adjacent floats, or until its width is at most ``tol * max(1, hi)``;
-    the last midpoint is returned.  Every step leaves a strictly smaller
-    bracket of floats, so the loop ends for any finite bracket without an
-    iteration cap.
-
-    The result depends only on the bracket and on the answers of ``below``
-    at the midpoints the loop visits.  An ``estimate`` strictly inside
-    the bracket is used to learn those answers cheaply: stepping out from
-    it by 1, 2, 4, ... ulps until ``below`` changes (or the step reaches
-    an end, taken as true at lo and false at hi), then halving that small
-    bracket, pins a flip ``x`` to adjacent floats.  The loop above is then
-    replayed from the original bracket and ``tol``, answering true below
-    and false above a window of ``window`` floats on each side of ``x``
-    (all of them positive and finite), and calling ``below`` inside it,
-    unless stepping out or pinning the flip already asked that float.
-    The precondition: ``below`` is true below and false above some run of
-    at most ``window`` consecutive floats, within which it may answer
-    anything.  Every flip then lies in
-    or next to that run, so the window holds all of it, every answer of
-    the replay is ``below``'s own, and the result is bit for bit the one
-    without an estimate, for a few predicate calls instead of about
-    fifty; a wider window costs about one call per doubling.  Without an
-    estimate, or with one outside the open bracket, the plain loop runs.
-    """
-    lo_edge, hi_edge = -math.inf, math.inf
-    ask = below
-    if estimate is not None and lo < estimate < hi:
-        answers: Dict[float, bool] = {}
-
-        def ask(t: float) -> bool:
-            answer = answers.get(t)
-            if answer is None:
-                answer = answers[t] = below(t)
-            return answer
-
-        x, step = estimate, math.ulp(estimate)
-        inside = ask(x)
-        while True:
-            y = x + step if inside else x - step
-            if not lo < y < hi:
-                y = hi if inside else lo
-                break
-            if ask(y) != inside:
-                break
-            x, step = y, 2.0 * step
-        flip = _bisect(ask, x, y) if inside else _bisect(ask, y, x)
-        lo_edge, hi_edge = _float_steps(flip, -window), _float_steps(flip, window)
-
-    # halving each end first cannot overflow, and for normal floats it
-    # rounds exactly as 0.5 * (lo + hi) does; the width test spells out
-    # max(1.0, hi), which costs a quarter of the border solve as a call
-    mid = 0.5 * lo + 0.5 * hi
-    while lo < mid < hi and hi - lo > tol * (hi if hi > 1.0 else 1.0):
-        if mid < lo_edge or (mid <= hi_edge and ask(mid)):
-            lo = mid
+    (v_lo, p_lo), (v_hi, p_hi) = f(lo), f(hi)
+    w_lo, w_hi = v_lo, v_hi  # the values the interpolation weighs
+    kept = 0  # +1 when the last step kept hi, -1 when it kept lo
+    widths = [math.inf] * 3  # the bracket's width before each of the last three steps
+    while True:
+        width = hi - lo
+        # halving each end first cannot overflow
+        x = 0.5 * lo + 0.5 * hi
+        if width <= 0.5 * widths[0] and w_lo < w_hi:
+            secant = hi - w_hi * (width / (w_hi - w_lo))
+            if lo < secant < hi:
+                x = secant
+        if not lo < x < hi:
+            break
+        widths = widths[1:] + [width]
+        v, payload = f(x)
+        if v < 0.0:
+            lo, v_lo, p_lo, w_lo = x, v, payload, v
+            if kept == 1:
+                w_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-        mid = 0.5 * lo + 0.5 * hi
-    return mid
+            hi, v_hi, p_hi, w_hi = x, v, payload, v
+            if kept == -1:
+                w_lo *= 0.5
+            kept = -1
+    return (lo, p_lo) if -v_lo < v_hi else (hi, p_hi)
 
 
 def _chord_end(
@@ -251,7 +214,9 @@ def _chord_end(
         wx, wy = cos_a - px, sin_a - py
         a = dx * dx + dy * dy
         b = wx * dx + wy * dy
-        c = wx * wx + wy * wy - d * d
+        # |w|^2 - d^2 as a product, which does not cancel when |w| is near d
+        r = math.hypot(wx, wy)
+        c = (r - d) * (r + d)
         disc = b * b - a * c
         if disc >= 0.0:
             # the larger root, in the form that does not cancel
@@ -265,108 +230,50 @@ def _chord_end(
     return None
 
 
-def _chain_arcs(sigma: int, k: int, d: float) -> List[float]:
-    """Arclength positions of the chain points for a trial chord length d.
-
-    The boundary of the delta=0 polygon is parametrized by arclength
-    starting at P1 and wrapping over vertices as needed; every chord is
-    located by bisection on its endpoint arclength, using that the chord
-    length grows monotonically with arc travel on this scale.  The chord
-    from the point at arclength s is bracketed by ``[s + d(1 - 1e-12),
-    s + 2d]``: an arc is never shorter than its chord, and an arc that
-    turns at one vertex of interior angle at least 120 degrees is at most
-    2/sqrt(3) times its chord, so the chord at arc 2d is longer than d.
-    The bisection ends without a cap: at the float fixed point, or first
-    at a width of 1e-16 on arcs below about 0.25.
-
-    The bisection starts from the closed-form chord end of _chord_end,
-    which leaves its result unchanged (see _bisect) and costs a handful
-    of ``point_at`` calls instead of about fifty.  The replay needs the
-    chord length to be ragged over no more than _bisect's window.  Away
-    from the vertices the default 16 floats hold it: at the solved d of
-    sigma 6..360 (step 6) and k 1..40, the 42,942 such chord ends were
-    ragged over at most 3 floats.  An end on a polygon vertex (an
-    occupied vertex of the packing) gets a window of _VERTEX_WINDOW
-    floats: there ``point_at`` switches edge, and the two edges' corner
-    trig rounds differently.  On the same cells the 6,258 vertex ends were
-    ragged over 0 floats on 5,536 of them and at most 129, at (210, 35)
-    and (276, 23), so the window is 8 times the widest run measured.
-    """
-    point_at, corner = _perimeter(sigma)
-    edge = 2.0 * math.sin(math.pi / sigma)
-    arcs = [0.0]
-    s = 0.0
-    px, py = point_at(0.0)
-    for _ in range(k):
-        def short(t: float) -> bool:
-            qx, qy = point_at(t)
-            return math.hypot(qx - px, qy - py) < d
-
-        lo, hi = s + d * (1.0 - 1e-12), s + 2.0 * d
-        end = _chord_end(corner, edge, px, py, d, lo, hi)
-        window = 16 if end is None or _vertex_index(end, edge) is None else _VERTEX_WINDOW
-        s = _bisect(short, lo, hi, 1e-16, end, window)
-        arcs.append(s)
-        px, py = point_at(s)
-    return arcs
-
-
 def _solve_polygon_border(sigma: int, k: int) -> dict:
     """The raw border chain of a polygon of any side count sigma >= 6.
 
     The chord length d is where the arc that k chords cover reaches one
-    sixth of the perimeter.  _bisect finds it on the chain of _chain_arcs,
-    starting from an estimate that a plain bisection on the closed-form
-    chain gives: k _chord_end calls per trial length, where _chain_arcs
-    bisects on every chord end.  A chord end that _chord_end misses
-    counts as short; that choice steers only the cost, since the replay
-    of _bisect makes d the plain bisection's whatever the estimate.  The
-    chain at d is the one that search evaluated, kept by its predicate; it
-    is worked out again only where the search never asked d itself, as
-    when d is the bracket's end.
+    sixth of the perimeter.  ``travel`` marches the chain of a trial length
+    t with one _chord_end per chord, and _root finds the flip of its arc
+    residual; the chain at d is the one that march gave.  The chord from
+    arclength s ends in ``[s + t(1 - 1e-12), s + 2t]``: an arc is never
+    shorter than its chord, and an arc that turns at one vertex of interior
+    angle at least 120 degrees is at most 2/sqrt(3) times its chord.  A
+    chord end that _chord_end misses counts as short.
 
-    When 6k/sigma is an integer the chords ride the edges, every arc
-    equals its chord and d = target/k = hi up to rounding, so the closed
-    form has no sign change to search (this holds for every k on sigma 6)
-    and the estimate is the float just below hi.  The arc residual may
-    round below zero at hi itself there, against _bisect's precondition,
-    as on (48, 8); d lies up to 12 ulps under hi, at (36, 36), and 7 ulps
-    at (30, 35), where the residual at hi is negative.  On every such
-    cell with sigma <= 360 and k <= 40 the estimated and the plain
-    bisection give the same d.
+    When 6k/sigma is an integer the chords ride the edges: every arc equals
+    its chord, d is target/k and the chain's arcs are j d, with no search.
+    There the residual has no sign change to find, since it rounds either
+    way at target/k (below zero on (48, 8)).
     """
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge
     step = TWO_PI / sigma
     point_at, corner = _perimeter(sigma)
 
-    def closed_form_short(t: float) -> bool:
-        s = 0.0
+    def travel(t: float) -> Tuple[float, List[float]]:
+        arcs = [0.0]
         px, py = point_at(0.0)
         for _ in range(k):
+            s = arcs[-1]
             end = _chord_end(corner, edge, px, py, t, s + t * (1.0 - 1e-12), s + 2.0 * t)
             if end is None:
-                return True
-            s = end
-            px, py = point_at(s)
-        return s < target
+                return -math.inf, arcs
+            arcs.append(end)
+            px, py = point_at(end)
+        return arcs[-1] - target, arcs
 
-    # arclength >= chord length, so d = target/k overshoots (or matches on
-    # sigma=6); k chords cover at most 2/sqrt(3) times their length in arc,
-    # so half of it falls short.  A bad bracket shows in the residual below.
+    # arclength >= chord length, so d = target/k overshoots (or matches when
+    # the chords ride the edges); k chords cover at most 2/sqrt(3) times
+    # their length in arc, so half of it falls short.  A bad bracket shows
+    # in the residual below.
     hi = target / k
-    lo = 0.5 * hi
-    estimate = math.nextafter(hi, lo) if (6 * k) % sigma == 0 else _bisect(closed_form_short, lo, hi)
-    chains: Dict[float, List[float]] = {}
-
-    def short(t: float) -> bool:
-        arcs = chains[t] = _chain_arcs(sigma, k, t)
-        return arcs[-1] < target
-
-    d = _bisect(short, lo, hi, estimate=estimate)
-    arcs = chains[d] if d in chains else _chain_arcs(sigma, k, d)
+    if (6 * k) % sigma == 0:
+        d, arcs = hi, [j * hi for j in range(k + 1)]
+    else:
+        d, arcs = _root(travel, 0.5 * hi, hi)
     chain = [point_at(s) for s in arcs]
-    chain[0] = geometry.fundamental_vertex(sigma)
     # the march must consume exactly one sixth of the perimeter; for
     # side counts divisible by 6 that lands on the rotated start vertex
     endpoint = geometry.rotate(chain[0], PI_3) if sigma % 6 == 0 else point_at(target)

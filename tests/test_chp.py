@@ -265,212 +265,109 @@ def _reference_polygon_border(sigma, k):
     return {"phi": phi, "d": d, "chain": tuple(chain), "hits": tuple(hits), "alphas": tuple(alphas)}
 
 
-# cells where a careless replay of the bisection moves the last bits:
-# (30, 2), in the sigma 30 row, without the window around the flip;
-# (120, 8) with a chord-end estimate on an occupied vertex; (96, 5) moved
-# in an earlier version of the replay without the window
-_REPLAY_CELLS = {96: (5,), 120: (8,)}
-
-
 @pytest.mark.parametrize("sigma", [6, 7, 12, 18, 24, 30, 36, 42, 48, 54, 60, 96, 120])
 def test_border_solver_matches_capped_reference(sigma):
-    for k in _REPLAY_CELLS.get(sigma, (1, 2, 3, 5, 8, 13)):
+    # the closed-form chain and the reference's bisected one put the same
+    # chord ends on the same vertices; d lies within 16 ulps of the
+    # reference's (12 at most measured on these cells, at (60, 5)) and every
+    # chain point within 1e-14 (1.6e-15 measured)
+    for k in (1, 2, 3, 5, 8, 13):
         got = chp._solve_polygon_border(sigma, k)
         want = _reference_polygon_border(sigma, k)
-        for key in ("d", "chain", "phi", "hits", "alphas"):
-            assert got[key] == want[key], (sigma, k, key)
+        assert (got["hits"], got["alphas"]) == (want["hits"], want["alphas"]), (sigma, k)
+        assert chp._group_degeneracies(got["phi"]) == chp._group_degeneracies(want["phi"]), (sigma, k)
+        assert abs(got["d"] - want["d"]) <= 16 * math.ulp(want["d"]), (sigma, k)
+        assert max(dist(p, q) for p, q in zip(got["chain"], want["chain"])) <= 1e-14, (sigma, k)
 
 
-def test_border_estimates_save_point_at_calls(monkeypatch):
-    # the estimates leave the result as it is and cut the boundary
-    # evaluations at least tenfold against plain bisection, vertex chords
-    # included: every chord of (48, 8) ends on a vertex; (6, 29), (24, 20),
-    # (30, 35) and (36, 36) ride the edges, where d lies up to 12 ulps
-    # under the estimate's top of the bracket, and (108, 9) and (210, 35)
-    # hold the widest ragged runs at a vertex
-    calls = [0]
-    perimeter = chp._perimeter
-    bisect = chp._bisect
-
-    def counted_perimeter(sigma):
-        point_at, corner = perimeter(sigma)
-
-        def counted_point_at(s):
-            calls[0] += 1
-            return point_at(s)
-
-        return counted_point_at, corner
-
-    def plain_bisect(below, lo, hi, tol=0.0, estimate=None, window=16):
-        return bisect(below, lo, hi, tol)
-
-    timed = ((12, 8), (48, 8), (12, 20))
-    monkeypatch.setattr(chp, "_perimeter", counted_perimeter)
-    for sigma, k in timed + ((6, 29), (24, 20), (30, 35), (36, 36), (108, 9), (210, 35)):
-        calls[0] = 0
-        got = chp._solve_polygon_border(sigma, k)
-        fast = calls[0]
-        with monkeypatch.context() as plain:
-            plain.setattr(chp, "_bisect", plain_bisect)
-            calls[0] = 0
-            want = chp._solve_polygon_border(sigma, k)
-        assert got == want, (sigma, k)
-        if (sigma, k) in timed:
-            assert 10 * fast <= calls[0], (sigma, k, fast, calls[0])
-
-
-@pytest.mark.parametrize("sigma, k", [(48, 8), (12, 20)])
-def test_every_chord_end_gets_an_estimate(monkeypatch, sigma, k):
-    # every chord of (48, 8) ends on a vertex, and every tenth of (12, 20);
-    # each chord's bisection (the only ones run with tol 1e-16) starts
-    # from an estimate inside its bracket, the vertex ones with the wide window
-    seen = []
-    bisect = chp._bisect
-
-    def recorded_bisect(below, lo, hi, tol=0.0, estimate=None, window=16):
-        if tol == 1e-16:
-            seen.append((estimate is not None and lo < estimate < hi, window))
-        return bisect(below, lo, hi, tol, estimate, window)
-
-    monkeypatch.setattr(chp, "_bisect", recorded_bisect)
-    chp._solve_polygon_border(sigma, k)
-    assert seen and all(estimated for estimated, _ in seen)
-    assert {window for _, window in seen} == {16, chp._VERTEX_WINDOW} if sigma == 12 else {chp._VERTEX_WINDOW}
-
-
-def _ragged_runs_at_vertices(sigma, k, span):
-    """Length of the ragged run of ``short`` around each vertex chord end of the solved chain.
-
-    The run goes from the first float where the chord is not short to the
-    last where it is, 0 when ``short`` flips once; the scan covers ``span``
-    floats on each side of the end and must see it true at its bottom and
-    false at its top.
-    """
-    d = chp._solve_polygon_border(sigma, k)["d"]
-    arcs = chp._chain_arcs(sigma, k, d)
-    point_at, _ = chp._perimeter(sigma)
+@pytest.mark.parametrize("sigma, k", [(6, 1100), (12, 40), (36, 36), (48, 8), (30, 35), (60, 10), (7, 7)])
+def test_edge_riding_borders_are_closed_form(sigma, k):
+    # where 6k/sigma = m is an integer the chords ride the edges: d is one
+    # sixth of the perimeter over k, and every m-th chain point is a vertex
+    got = chp._solve_polygon_border(sigma, k)
     edge = 2.0 * math.sin(math.pi / sigma)
-    runs = []
-    for s, end in zip(arcs, arcs[1:]):
-        if chp._vertex_index(end, edge) is None:
-            continue
-        px, py = point_at(s)
-        short = []
-        for n in range(-span, span + 1):
-            qx, qy = point_at(chp._float_steps(end, n))
-            short.append(math.hypot(qx - px, qy - py) < d)
-        assert short[0] and not short[-1], (sigma, k, end)
-        first_long = short.index(False)
-        last_short = len(short) - 1 - short[::-1].index(True)
-        runs.append(max(0, last_short - first_long + 1))
-    return runs
+    m = 6 * k // sigma
+    assert got["d"] == (sigma / 6.0) * edge / k
+    assert got["hits"] == tuple(range(0, k, m))
+    assert got["alphas"] == tuple(c // m * (2.0 * math.pi / sigma) for c in range(0, k, m))
 
 
-@pytest.mark.parametrize("sigma, k", [(48, 8), (108, 9), (210, 35), (276, 23)])
-def test_vertex_chord_ends_are_ragged_well_inside_the_window(sigma, k):
-    # the precondition of the vertex chords' replay: at the solved d the
-    # chord length is ragged over at most 129 floats, at (210, 35) and
-    # (276, 23), a quarter of the window or less on every vertex chord end
-    runs = _ragged_runs_at_vertices(sigma, k, 400)
-    assert runs, (sigma, k)
-    assert max(runs) <= chp._VERTEX_WINDOW // 4, (sigma, k, runs)
+@pytest.mark.parametrize("sigma", [6, 7, 12, 60, 360])
+def test_perimeter_corners_are_the_polygon_vertices(sigma):
+    # corner m of the march is vertex m from the sine and cosine of
+    # (2m - 1) pi/sigma: P1 exactly, and geometry's vertices, whose angles
+    # round at up to 2 pi, within 4e-15 (2.0e-15 measured)
+    _, corner = chp._perimeter(sigma)
+    vertices = geometry.polygon_vertices(sigma)
+    cos_a, _, sin_a, _ = corner(0.0)
+    assert (cos_a, sin_a) == fundamental_vertex(sigma)
+    for m in range(sigma):
+        cos_a, cos_b, sin_a, sin_b = corner(float(m))
+        assert dist((cos_a, sin_a), vertices[m]) <= 4e-15, m
+        assert dist((cos_b, sin_b), vertices[(m + 1) % sigma]) <= 4e-15, m
 
 
-def test_border_sweep_bisects_positive_brackets(monkeypatch):
-    # _bisect and _float_steps serve only finite brackets with 0 < lo < hi:
-    # every bisection of the border solves, the nested ones that pin a flip
-    # included, gets one
-    brackets = []
-    bisect = chp._bisect
+def test_border_solves_take_few_marches(monkeypatch):
+    # a plain bisection of d's bracket takes about 53 marches; the secant
+    # takes 15 in the median of this sweep and 31 at most
+    counts = []
+    root = chp._root
 
-    def recorded_bisect(below, lo, hi, tol=0.0, estimate=None, window=16):
-        brackets.append((lo, hi))
-        return bisect(below, lo, hi, tol, estimate, window)
+    def counted_root(f, lo, hi):
+        calls = [0]
 
-    monkeypatch.setattr(chp, "_bisect", recorded_bisect)
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        out = root(counted, lo, hi)
+        counts.append(calls[0])
+        return out
+
+    monkeypatch.setattr(chp, "_root", counted_root)
     for sigma in range(6, 121, 6):
         for k in range(1, 21):
             chp._solve_polygon_border(sigma, k)
-    assert brackets
-    bad = [(lo, hi) for lo, hi in brackets if not (0.0 < lo < hi < math.inf)]
-    assert not bad, bad[:5]
+    median = sorted(counts)[len(counts) // 2]
+    assert max(counts) <= 40 and median <= 18, (max(counts), median)
 
 
-# the floats _bisect serves; a bracket in [1e-300, 1e300] keeps every
-# window of float steps around a flip positive and finite
+# the floats _root serves
 _positive = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
-_bracketed = st.floats(min_value=1e-300, max_value=1e300)
+_slope = st.floats(min_value=1.0, max_value=1e6)
 
 
-@given(_positive, _positive, _positive)
-def test_bisect_stops_at_the_float_fixed_point(a, b, c):
+@example(5e-324, 1e-323, 1.5e-323, "kink", 1.0, 1.0)
+# a weighed value that halves to -0.0 against a residual of 0.0
+@example(1.0, 1e-323, 5e-324, "kink", 1.0, 1.0)
+@example(0.5, 0.6, 1.0, "step", 1.0, 1.0)
+@given(_positive, _positive, _positive, st.sampled_from(["kink", "step", "cubic"]), _slope, _slope)
+def test_root_pins_the_flip_to_adjacent_floats(a, b, c, shape, up, down):
     lo, x0, hi = sorted((a, b, c))
     assume(lo < x0)
-    got = chp._bisect(lambda x: x < x0, lo, hi)
-    assert got == x0 or got == math.nextafter(x0, -math.inf)
 
-
-def _steps(x, n):
-    """The float n steps from x (down for negative n)."""
-    for _ in range(abs(n)):
-        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
-    return x
-
-
-@example(5e-324, 3)
-@example(1e-320, 4096)
-@example(sys.float_info.min, -1)
-@example(sys.float_info.max, -2)
-@given(_positive, st.integers(-2100, 2100))
-def test_float_steps_walks_like_nextafter(x, n):
-    # subnormals and the step between them and the normal floats included
-    want = _steps(x, n)
-    assume(0.0 < want < math.inf)
-    assert chp._float_steps(x, n).hex() == want.hex()
-
-
-@given(
-    _bracketed,
-    _bracketed,
-    _bracketed,
-    st.sampled_from([16, chp._VERTEX_WINDOW]),
-    st.integers(0, 2**1023 - 1),
-    st.sampled_from([0.0, 1e-16]),
-    st.data(),
-)
-def test_bisect_with_estimate_replays_the_plain_path(a, b, c, window, ragged, tol, data):
-    lo, x0, hi = sorted((a, b, c))
-    assume(lo < x0)
-    # x < x0, with arbitrary answers on the window - 1 floats strictly
-    # within window / 2 ulps of x0: monotone outside a run narrower than
-    # the window
-    half = window // 2 - 1
-    zone = {}
-    x = _steps(x0, -half)
-    for n in range(2 * half + 1):
-        zone[x] = bool(ragged >> n & 1)
-        x = math.nextafter(x, math.inf)
+    def residual(x):
+        # x - x0 is exact in sign, and a slope of at least 1 keeps it off
+        # zero, so the residual is negative exactly below x0
+        t = x - x0
+        if shape == "kink":
+            return t * (up if t >= 0.0 else down)
+        if shape == "step":
+            return 1.0 if t >= 0.0 else -1.0
+        return t * (1.0 + abs(t))
 
     asked = []
 
-    def below(x):
+    def f(x):
         asked.append(x)
-        return zone.get(x, x < x0)
+        return residual(x), x
 
-    # the window's edges are whole float steps
-    assert chp._float_steps(x0, -window).hex() == _steps(x0, -window).hex()
-    assert chp._float_steps(x0, window).hex() == _steps(x0, window).hex()
-
-    estimate = data.draw(
-        st.one_of(
-            st.none(),
-            st.floats(min_value=lo, max_value=hi),
-            st.integers(-2 * window, 2 * window).map(lambda n: _steps(x0, n)),
-            _bracketed,
-        ),
-        label="estimate",
-    )
-    got = chp._bisect(below, lo, hi, tol, estimate, window)
-    # what stepping out and pinning the flip learned, the replay does not ask again
-    assert len(asked) == len(set(asked))
-    assert got.hex() == chp._bisect(below, lo, hi, tol).hex()
+    got, payload = chp._root(f, lo, hi)
+    assert got in (math.nextafter(x0, 0.0), x0)
+    assert payload == got
+    # at most 2 + 4n evaluations, for the n steps of a plain bisection
+    n, mid = 0, 0.5 * lo + 0.5 * hi
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if mid < x0 else (lo, mid)
+        n, mid = n + 1, 0.5 * lo + 0.5 * hi
+    assert len(asked) <= 2 + 4 * n, (len(asked), n)
