@@ -332,9 +332,38 @@ def test_border_solves_take_few_marches(monkeypatch):
     assert max(counts) <= 40 and median <= 18, (max(counts), median)
 
 
+def test_border_sweep_bisects_positive_brackets(monkeypatch):
+    # _root serves only finite brackets with 0 < lo < hi: every border
+    # solve of the sweep that searches for d gets one
+    brackets = []
+    root = chp._root
+
+    def recorded_root(f, lo, hi):
+        brackets.append((lo, hi))
+        return root(f, lo, hi)
+
+    monkeypatch.setattr(chp, "_root", recorded_root)
+    for sigma in range(6, 121, 6):
+        for k in range(1, 21):
+            chp._solve_polygon_border(sigma, k)
+    assert brackets
+    bad = [(lo, hi) for lo, hi in brackets if not (0.0 < lo < hi < math.inf)]
+    assert not bad, bad[:5]
+
+
 # the floats _root serves
 _positive = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
 _slope = st.floats(min_value=1.0, max_value=1e6)
+
+
+@given(_positive, _positive, _positive)
+def test_bisect_stops_at_the_float_fixed_point(a, b, c):
+    # a step residual gives the secant nothing to weigh, so _root bisects
+    # all the way down to the float fixed point at the flip
+    lo, x0, hi = sorted((a, b, c))
+    assume(lo < x0)
+    got, _ = chp._root(lambda x: (-1.0 if x < x0 else 1.0, None), lo, hi)
+    assert got == x0 or got == math.nextafter(x0, -math.inf)
 
 
 @example(5e-324, 1e-323, 1.5e-323, "kink", 1.0, 1.0)
