@@ -9,7 +9,6 @@ from .chp import (
     chp_density,
     count_configurations,
     disk_count,
-    dna_from_letters,
     enumerate_dnas,
     solve_border,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "chp_density",
     "count_configurations",
     "disk_count",
-    "dna_from_letters",
     "enumerate_dnas",
     "solve_border",
     "PackingConfiguration",

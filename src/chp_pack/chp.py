@@ -5,10 +5,11 @@ a regular polygon with sigma = 6j sides (or in a circle) so that the
 arrangement is invariant under rotations by pi/3 and carries 6k disks on
 the boundary of the center domain.  Everything reduces to one 60 degree
 sector: a chain of k equal chords of the boundary runs from the vertex
-P1 to rotate(P1, pi/3), its chord directions are phi_1 <= ... <= phi_k,
-and the order in which the distinct direction values are consumed on the
-contact path from P1 to the center (the DNA string) selects one packing
-out of a finite family that all share the same density.
+P1 to its image under the rotation by pi/3, its chord directions are
+phi_1 <= ... <= phi_k, and the order in which the distinct direction
+values are consumed on the contact path from P1 to the center (the DNA
+string) selects one packing out of a finite family that all share the
+same density.
 
 A polygon's chain is marched in closed form, each chord end a line-circle
 root on a boundary edge, and its chord length is the root of the arc the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
+from typing import Callable, List, Sequence, Set, Tuple, Union
 
 from . import geometry
 from .errors import CapExceeded, InconsistentDna, NoSolution, NotMultipleOfSix, PreconditionViolated
@@ -96,39 +97,28 @@ def _group_degeneracies(phi: Sequence[float]) -> Tuple[int, ...]:
 
 
 def _perimeter(sigma: int):
-    """``(point_at, corner)`` for the delta=0 polygon boundary.
+    """``(point_at, units)`` for the delta=0 polygon boundary.
 
     ``point_at(s)`` is the boundary point at arclength s from P1, and
-    ``corner(i)`` the ``(cos a, cos b, sin a, sin b)`` of the two corners
-    a, b of edge i.  Closures, so that the edge length is worked out once
-    per sigma and not on every chord of every trial length, and the trig of
-    each edge once per edge the march visits.
+    ``units`` geometry's unit table, whose entries u_(2i-1) and u_(2i+1)
+    are the corners of edge i, vertices i and i + 1, for 0 <= i < sigma.
+    A closure, so that the edge length and the table are looked up once
+    per sigma and not on every chord of every trial length.
     """
     edge = 2.0 * math.sin(math.pi / sigma)
-    corners: Dict[float, Tuple[float, float, float, float]] = {}
-
-    def corner(i: float) -> Tuple[float, float, float, float]:
-        trig = corners.get(i)
-        if trig is None:
-            # corner m lies at the polar angle 3 pi/2 + t for t = (2m - 1) pi/sigma;
-            # on the sextant the march covers t stays below about 1.2, where a
-            # float angle rounds a quarter as far as near 3 pi/2, and corner 0
-            # is P1 = (-sin(pi/sigma), -cos(pi/sigma)) exactly
-            a = math.pi * (2.0 * i - 1.0) / sigma
-            b = math.pi * (2.0 * i + 1.0) / sigma
-            trig = corners[i] = (math.sin(a), math.sin(b), -math.cos(a), -math.cos(b))
-        return trig
+    units = geometry._frame(sigma).units
 
     def point_at(s: float) -> Point2:
         i, t = divmod(s, edge)
-        cos_a, cos_b, sin_a, sin_b = corner(i)
+        m = 2 * int(i)
+        (ax, ay), (bx, by) = units[m - 1], units[m + 1]
         f = t / edge
         return (
-            (1.0 - f) * cos_a + f * cos_b,
-            (1.0 - f) * sin_a + f * sin_b,
+            (1.0 - f) * ax + f * bx,
+            (1.0 - f) * ay + f * by,
         )
 
-    return point_at, corner
+    return point_at, units
 
 
 def _vertex_index(s: float, edge: float) -> Union[int, None]:
@@ -184,7 +174,7 @@ def _root(f: Callable[[float], Tuple[float, object]], lo: float, hi: float) -> T
 
 
 def _chord_end(
-    corner: Callable[[float], Tuple[float, float, float, float]],
+    units: Sequence[Point2],
     edge: float,
     px: float,
     py: float,
@@ -196,7 +186,8 @@ def _chord_end(
 
     The end lies in the arclength bracket ``[lo, hi]``; the walk goes
     forward over the edges from the one holding lo.  On edge i from
-    corner A to corner B the boundary leaves the circle of radius d about
+    corner A = u_(2i-1) to corner B = u_(2i+1) of the unit table
+    ``units`` the boundary leaves the circle of radius d about
     p at the larger root f of |A + f(B - A) - p|^2 = d^2, and the first
     edge with that root in [0, 1] gives (i + f) * edge.  None when the
     walk passes hi.  Starting at lo rather than at the chord's start keeps
@@ -207,11 +198,11 @@ def _chord_end(
     below 0 starts outside the circle, so the end is at its start vertex,
     and the walk returns i * edge.
     """
-    i = lo // edge
+    i = int(lo // edge)
     while i * edge <= hi:
-        cos_a, cos_b, sin_a, sin_b = corner(i)
-        dx, dy = cos_b - cos_a, sin_b - sin_a
-        wx, wy = cos_a - px, sin_a - py
+        (ax, ay), (bx, by) = units[2 * i - 1], units[2 * i + 1]
+        dx, dy = bx - ax, by - ay
+        wx, wy = ax - px, ay - py
         a = dx * dx + dy * dy
         b = wx * dx + wy * dy
         # |w|^2 - d^2 as a product, which does not cancel when |w| is near d
@@ -226,7 +217,7 @@ def _chord_end(
                 return (i + f) * edge
             if f < 0.0:
                 return i * edge
-        i += 1.0
+        i += 1
     return None
 
 
@@ -250,14 +241,14 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     edge = 2.0 * math.sin(math.pi / sigma)
     target = (sigma / 6.0) * edge
     step = TWO_PI / sigma
-    point_at, corner = _perimeter(sigma)
+    point_at, units = _perimeter(sigma)
 
     def travel(t: float) -> Tuple[float, List[float]]:
         arcs = [0.0]
         px, py = point_at(0.0)
         for _ in range(k):
             s = arcs[-1]
-            end = _chord_end(corner, edge, px, py, t, s + t * (1.0 - 1e-12), s + 2.0 * t)
+            end = _chord_end(units, edge, px, py, t, s + t * (1.0 - 1e-12), s + 2.0 * t)
             if end is None:
                 return -math.inf, arcs
             arcs.append(end)
@@ -274,9 +265,10 @@ def _solve_polygon_border(sigma: int, k: int) -> dict:
     else:
         d, arcs = _root(travel, 0.5 * hi, hi)
     chain = [point_at(s) for s in arcs]
-    # the march must consume exactly one sixth of the perimeter; for
-    # side counts divisible by 6 that lands on the rotated start vertex
-    endpoint = geometry.rotate(chain[0], PI_3) if sigma % 6 == 0 else point_at(target)
+    # the march must consume exactly one sixth of the perimeter; for side
+    # counts divisible by 6 that lands on the start vertex's image under the
+    # exact pi/3 rotation that places the next sector's disks
+    endpoint = geometry.sixfold(chain[:1])[1] if sigma % 6 == 0 else point_at(target)
     residual = geometry.dist(chain[-1], endpoint)
     if residual > 1e-12:
         raise NoSolution(f"chain residual {residual:.3e} for sigma={sigma}, k={k}")
@@ -322,7 +314,7 @@ def _solve_circle_border(k: int) -> dict:
 
 @lru_cache(maxsize=None)
 def solve_border(sigma: Sigma, k: int) -> BorderSolution:
-    """Solve for the k equal boundary chords from P1 to rotate(P1, pi/3).
+    """Solve for the k equal boundary chords from P1 to its rotation by pi/3.
 
     Args:
         sigma: polygon side count (multiple of 6) or CIRCLE.
@@ -392,12 +384,6 @@ def _dna_seq(letters: str, border: BorderSolution) -> Tuple[int, ...]:
     if tuple(counts) != border.degeneracies:
         raise InconsistentDna(f"letter multiplicities {tuple(counts)} != {border.degeneracies}")
     return seq
-
-
-def dna_from_letters(letters: str, border: BorderSolution) -> Dna:
-    """Resolve a letter string against the border's building blocks."""
-    _dna_seq(letters, border)
-    return Dna(letters=letters)
 
 
 def _nearest_block(value: float, blocks: Sequence[float], tol: float = GROUP_TOL) -> Union[int, None]:

@@ -26,7 +26,8 @@ class ConstructionFailed(ChpError):
 
 
 class AmbiguousStart(ChpError):
-    """Raised when no disk sits at the fundamental vertex within tolerance."""
+    """Raised when other than exactly one disk sits at the fundamental vertex
+    within tolerance: none, or two or more."""
 
 
 class NoPath(ChpError):

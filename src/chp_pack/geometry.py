@@ -8,9 +8,16 @@ polygon is oriented so that the point
     P1 = (-sin(pi/sigma), -cos(pi/sigma))
 
 is a vertex, which places one edge horizontally at the bottom, running
-from P1 to ``(sin(pi/sigma), -cos(pi/sigma))``.  Vertices sit at polar
-angles ``3*pi/2 - pi/sigma + 2*pi*i/sigma``.  Offsetting by ``delta``
-grows the polygon about the origin without rotating it.
+from P1 to ``(sin(pi/sigma), -cos(pi/sigma))``.  One table of unit points
+
+    u_m = (sin(m*pi/sigma), -cos(m*pi/sigma)),  m = 0 .. 2*sigma - 1,
+
+holds the whole polygon: odd m are the vertices, vertex i being
+``u_(2i-1)`` (so ``u_(-1)`` is P1), and even m are the outward edge
+normals, normal i being ``u_(2i)``.  Each point is formed from an angle
+in [0, pi] and mirrored in the y axis past it, so the table is exactly
+symmetric.  Offsetting by ``delta`` grows the polygon about the origin
+without rotating it.
 
 A container is named by one value, ``sigma``: an int side count for the
 polygon with ``delta = 0``, or ``CIRCLE`` for the unit circle.
@@ -53,12 +60,6 @@ def check_sigma(sigma: Sigma) -> None:
 def vertex_angle(sigma: int) -> float:
     """Polar angle of the fundamental vertex P1."""
     return 1.5 * math.pi - math.pi / sigma
-
-
-def fundamental_vertex(sigma: int) -> Point2:
-    """The vertex P1 = (-sin(pi/sigma), -cos(pi/sigma))."""
-    a = math.pi / sigma
-    return (-math.sin(a), -math.cos(a))
 
 
 def apothem(sigma: int, delta: float = 0.0) -> float:
@@ -111,18 +112,14 @@ def interior_point(t: float, u: float, sigma: Sigma) -> Point2:
 def polygon_vertices(sigma: int, delta: float = 0.0) -> List[Point2]:
     """All ``sigma`` vertices, counterclockwise from P1."""
     r = circumradius(sigma, delta)
-    u0 = vertex_angle(sigma)
-    out: List[Point2] = []
-    for i in range(sigma):
-        u = u0 + TWO_PI * i / sigma
-        out.append((r * math.cos(u), r * math.sin(u)))
-    return out
+    return [(r * x, r * y) for x, y in _frame(sigma).vertices.tolist()]
 
 
 class _Frame(NamedTuple):
     """Read-only constants of one polygon, arrays indexed by edge."""
 
-    normals: np.ndarray  # (2, sigma): outward edge normals, cosines over sines, counterclockwise
+    units: Tuple[Point2, ...]  # u_0 .. u_(2 sigma - 1) of the module docstring, Python floats
+    normals: np.ndarray  # (2, sigma): outward edge normals, x over y, counterclockwise
     vertices: np.ndarray  # (sigma, 2), counterclockwise from P1
     edges: np.ndarray  # (sigma, 2): vertex i + 1 minus vertex i
     edge_len2: np.ndarray  # (sigma,): squared edge lengths
@@ -131,15 +128,16 @@ class _Frame(NamedTuple):
 
 @functools.lru_cache(maxsize=128)
 def _frame(sigma: int) -> _Frame:
-    base = vertex_angle(sigma) + math.pi / sigma
-    angles = [base + TWO_PI * i / sigma for i in range(sigma)]
-    normals = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
-    verts = np.array(polygon_vertices(sigma))
+    half = [(math.sin(a), -math.cos(a)) for a in (math.pi * m / sigma for m in range(sigma))]
+    # the angle pi is where the mirror folds: its sine rounds to 1.2e-16, the point lies on the axis
+    units = tuple(half + [(0.0, 1.0)] + [(-x, y) for x, y in reversed(half[1:])])
+    normals = np.array(units[0::2]).T
+    verts = np.array([units[2 * i - 1] for i in range(sigma)])
     edges = np.roll(verts, -1, axis=0) - verts
     edge_len2 = edges[:, 0] * edges[:, 0] + edges[:, 1] * edges[:, 1]
     for arr in (normals, verts, edges, edge_len2):
         arr.setflags(write=False)
-    return _Frame(normals, verts, edges, edge_len2, apothem(sigma))
+    return _Frame(units, normals, verts, edges, edge_len2, apothem(sigma))
 
 
 def outside_by(sigma: Sigma, points: np.ndarray) -> np.ndarray:
@@ -188,13 +186,6 @@ def sixfold(points: Sequence[Point2]) -> List[Point2]:
     ring is the same wherever it is built.
     """
     return [(c * x - s * y, s * x + c * y) for c, s in _ROT6 for x, y in points]
-
-
-def rotate(point: Point2, angle: float) -> Point2:
-    """Rotate ``point`` about the origin."""
-    c, s = math.cos(angle), math.sin(angle)
-    x, y = point
-    return (c * x - s * y, s * x + c * y)
 
 
 def dist(p: Point2, q: Point2) -> float:

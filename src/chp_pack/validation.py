@@ -10,7 +10,6 @@ import numpy as np
 
 from . import geometry
 from .builder import PackingConfiguration
-from .chp import PI_3
 from .geometry import CIRCLE
 
 # Tolerance of separation, containment, contacts and equivalence.
@@ -71,7 +70,7 @@ def symmetry_residual(config: PackingConfiguration) -> float:
     inf when some rotated center has no center within SYMMETRY_TOL, or two
     rotated centers share their nearest one (see ``_matching_residual``).
     """
-    c, s = math.cos(PI_3), math.sin(PI_3)
+    c, s = geometry._ROT6[1]
     rot = config.centers @ np.array([[c, s], [-s, c]])
     res = _matching_residual(rot, config.centers, SYMMETRY_TOL)
     return math.inf if res is None else res
@@ -88,16 +87,12 @@ def equivalent(a: PackingConfiguration, b: PackingConfiguration) -> bool:
         return False
     if a.sigma == CIRCLE:
         raise ValueError("equivalence over the circle's continuous symmetries is not supported")
-    sigma = a.sigma
-    axis = geometry.vertex_angle(sigma)
-    for mirrored in (False, True):
-        base = a.centers.copy()
-        if mirrored:
-            c2, s2 = math.cos(2 * axis), math.sin(2 * axis)
-            base = base @ np.array([[c2, s2], [s2, -c2]])
-        for i in range(sigma):
-            ang = 2.0 * math.pi * i / sigma
-            c, s = math.cos(ang), math.sin(ang)
+    # the polygon's symmetries: the rotations by 2 pi i / sigma, each alone
+    # and after the mirror in the y axis; rotation i carries normal 0 = (0, -1)
+    # to normal i, so its cosine and sine are that normal's -y and x
+    normals = geometry._frame(a.sigma).normals
+    for base in (a.centers, a.centers * np.array([-1.0, 1.0])):
+        for s, c in zip(normals[0], -normals[1]):
             cand = base @ np.array([[c, s], [-s, c]])
             if _matching_residual(cand, b.centers, TOL) is not None:
                 return True

@@ -22,7 +22,6 @@ from chp_pack import (
 )
 from chp_pack.builder import PackingConfiguration, extract_dna
 from chp_pack.errors import AmbiguousStart, ConstructionFailed, PreconditionViolated
-from chp_pack.geometry import fundamental_vertex
 
 
 def reference_centers(sigma, k, dna):
@@ -39,7 +38,7 @@ def reference_centers(sigma, k, dna):
     d = border.d
     seq = [ord(c) - 97 for c in dna]
 
-    path = [fundamental_vertex(sigma) if sigma != CIRCLE else (0.0, -1.0)]
+    path = [geometry.polygon_vertices(sigma)[0] if sigma != CIRCLE else (0.0, -1.0)]
     for b in seq:
         x, y = path[-1]
         path.append((x + d * math.cos(blocks[b]), y + d * math.sin(blocks[b])))
@@ -203,8 +202,20 @@ def test_extract_dna_requires_start_disk():
         diameter=config.diameter,
         meta={},
     )
-    with pytest.raises(AmbiguousStart):
+    with pytest.raises(AmbiguousStart, match="0 disks at P1"):
         extract_dna(shifted, 12, 3)
+
+
+def test_extract_dna_refuses_two_start_disks():
+    config = build_chp(12, 3)
+    doubled = PackingConfiguration(
+        sigma=config.sigma,
+        centers=np.vstack((config.centers, config.centers[:1])),
+        diameter=config.diameter,
+        meta={},
+    )
+    with pytest.raises(AmbiguousStart, match="2 disks at P1"):
+        extract_dna(doubled, 12, 3)
 
 
 def test_extract_dna_refuses_another_sigma():

@@ -14,7 +14,7 @@ from chp_pack import (
     solve_border,
 )
 from chp_pack import chp, geometry
-from chp_pack.geometry import dist, fundamental_vertex, rotate
+from chp_pack.geometry import dist
 
 
 def test_disk_count():
@@ -103,8 +103,10 @@ def test_phi_ascending_and_mirror():
 def test_chain_endpoints():
     for sigma, k in ((12, 4), (30, 7)):
         b = solve_border(sigma, k)
-        assert dist(b.chain[0], fundamental_vertex(sigma)) == 0.0
-        assert dist(b.chain[-1], rotate(fundamental_vertex(sigma), math.pi / 3)) < 1e-12
+        # P1, and its image under sixfold's exact pi/3 rotation, to the last bit
+        p1 = geometry.polygon_vertices(sigma)[0]
+        assert b.chain[0] == p1
+        assert b.chain[-1] == geometry.sixfold([p1])[1]
         assert len(b.chain) == k + 1
         for i in range(k):
             assert dist(b.chain[i], b.chain[i + 1]) == pytest.approx(b.d, abs=1e-11)
@@ -251,8 +253,8 @@ def _reference_polygon_border(sigma, k):
 
     arcs = _reference_chain_arcs(sigma, k, d)
     chain = [point_at(s) for s in arcs]
-    chain[0] = geometry.fundamental_vertex(sigma)
-    chain[-1] = geometry.rotate(chain[0], math.pi / 3.0) if sigma % 6 == 0 else point_at(target)
+    chain[0] = geometry.polygon_vertices(sigma)[0]
+    chain[-1] = geometry.sixfold(chain[:1])[1] if sigma % 6 == 0 else point_at(target)
     phi = tuple(
         math.atan2(chain[j + 1][1] - chain[j][1], chain[j + 1][0] - chain[j][0]) for j in range(k)
     )
@@ -294,17 +296,18 @@ def test_edge_riding_borders_are_closed_form(sigma, k):
 
 @pytest.mark.parametrize("sigma", [6, 7, 12, 60, 360])
 def test_perimeter_corners_are_the_polygon_vertices(sigma):
-    # corner m of the march is vertex m from the sine and cosine of
-    # (2m - 1) pi/sigma: P1 exactly, and geometry's vertices, whose angles
-    # round at up to 2 pi, within 4e-15 (2.0e-15 measured)
-    _, corner = chp._perimeter(sigma)
+    # the march interpolates geometry's vertices to the last bit, from P1
+    point_at, _ = chp._perimeter(sigma)
     vertices = geometry.polygon_vertices(sigma)
-    cos_a, _, sin_a, _ = corner(0.0)
-    assert (cos_a, sin_a) == fundamental_vertex(sigma)
+    assert vertices[0] == (-math.sin(math.pi / sigma), -math.cos(math.pi / sigma))
+    assert point_at(0.0) == vertices[0]
+    edge = 2.0 * math.sin(math.pi / sigma)
     for m in range(sigma):
-        cos_a, cos_b, sin_a, sin_b = corner(float(m))
-        assert dist((cos_a, sin_a), vertices[m]) <= 4e-15, m
-        assert dist((cos_b, sin_b), vertices[(m + 1) % sigma]) <= 4e-15, m
+        for frac in (0.0, 0.25, 0.5, 0.999):
+            i, t = divmod((m + frac) * edge, edge)
+            f = t / edge
+            (ax, ay), (bx, by) = vertices[int(i)], vertices[(int(i) + 1) % sigma]
+            assert point_at((m + frac) * edge) == ((1.0 - f) * ax + f * bx, (1.0 - f) * ay + f * by), (m, frac)
 
 
 def test_border_solves_take_few_marches(monkeypatch):

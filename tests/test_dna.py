@@ -12,9 +12,9 @@ from chp_pack import (
     CapExceeded,
     CountInput,
     InconsistentDna,
+    build_chp,
     canonicalize_dna,
     count_configurations,
-    dna_from_letters,
     enumerate_dnas,
     solve_border,
 )
@@ -22,25 +22,25 @@ from chp_pack import builder, chp
 from chp_pack.errors import NoPath, PreconditionViolated
 
 
-def _values(dna, border):
+def _values(letters, border):
     """The chord directions a DNA's letters name: blocks[b] for each letter b."""
     blocks = border.blocks()
-    return tuple(blocks[b] for b in chp._seq_of(dna.letters))
+    return tuple(blocks[b] for b in chp._dna_seq(letters, border))
 
 
 def test_letters_round_trip():
     border = solve_border(12, 5)
-    dna = dna_from_letters("abcac", border)
-    assert dna.letters == "abcac"
-    assert builder._dna_from_noisy_values(_values(dna, border), border) == dna.letters
+    assert builder._dna_from_noisy_values(_values("abcac", border), border) == "abcac"
 
 
 def test_letters_multiset_is_checked():
+    # the letter multiset is checked wherever letters come in
     border = solve_border(12, 5)  # degeneracies 2,1,2
-    with pytest.raises(InconsistentDna):
-        dna_from_letters("aaabb", border)
-    with pytest.raises(InconsistentDna):
-        dna_from_letters("abc", border)
+    for letters in ("aaabb", "abc", "abcad"):
+        with pytest.raises(InconsistentDna):
+            canonicalize_dna(letters, border)
+        with pytest.raises(InconsistentDna):
+            build_chp(12, 5, letters)
 
 
 def test_values_snap_to_blocks():
@@ -75,10 +75,10 @@ def test_reflect_letters_complement():
 def test_reflect_values_dodecagon():
     # angle map xi -> pi - xi - 2*pi/sigma sends pi/3 to pi/2 and back
     border = solve_border(12, 4)
-    values = _values(dna_from_letters("aabb", border), border)
+    values = _values("aabb", border)
     assert values[0] == pytest.approx(math.pi / 3, abs=1e-12)
     assert values[2] == pytest.approx(math.pi / 2, abs=1e-12)
-    ref = _values(dna_from_letters(_reflect_letters("aabb", border), border), border)
+    ref = _values(_reflect_letters("aabb", border), border)
     assert ref[0] == pytest.approx(math.pi / 2, abs=1e-12)
     assert ref[3] == pytest.approx(math.pi / 3, abs=1e-12)
     # letter b <-> ell - 1 - b is the angle map on the building blocks
@@ -92,8 +92,8 @@ def test_reflect_preserves_angle_sum():
     for sigma, k in ((12, 5), (18, 4), (24, 6)):
         border = solve_border(sigma, k)
         for dna in enumerate_dnas(sigma, k):
-            values = _values(dna, border)
-            ref = _values(dna_from_letters(_reflect_letters(dna.letters, border), border), border)
+            values = _values(dna.letters, border)
+            ref = _values(_reflect_letters(dna.letters, border), border)
             assert ref == pytest.approx(tuple(_mirror_values(values, sigma)), abs=1e-12)
             assert sum(ref) == pytest.approx(sum(values), abs=1e-9)
             assert sorted(ref) == pytest.approx(sorted(values), abs=1e-9)

@@ -13,18 +13,42 @@ from chp_pack.geometry import CIRCLE
 
 
 def test_fundamental_vertex_is_a_polygon_vertex():
+    # vertex 0 is P1 = (-sin(pi/sigma), -cos(pi/sigma)) to the last bit
     for sigma in (6, 12, 30, 96):
-        p1 = geometry.fundamental_vertex(sigma)
-        verts = geometry.polygon_vertices(sigma)
-        assert min(geometry.dist(p1, v) for v in verts) < 1e-15
+        p1 = geometry.polygon_vertices(sigma)[0]
+        assert p1 == (-math.sin(math.pi / sigma), -math.cos(math.pi / sigma))
         assert abs(math.hypot(*p1) - 1.0) < 1e-15
 
 
-def test_fundamental_vertex_components():
-    sigma = 12
-    x, y = geometry.fundamental_vertex(sigma)
-    assert x == pytest.approx(-math.sin(math.pi / sigma), abs=1e-16)
-    assert y == pytest.approx(-math.cos(math.pi / sigma), abs=1e-16)
+@pytest.mark.parametrize("sigma", [3, 6, 7, 12, 15, 60, 348, 360])
+def test_polygon_table_is_exactly_mirror_symmetric(sigma):
+    # u_m and u_(-m) are mirror images in the y axis, bit for bit; the axis
+    # points u_0 and u_sigma are (0, -1) and (0, 1), and the vertices and
+    # normals of the frame are the table's odd and even entries
+    frame = geometry._frame(sigma)
+    units = frame.units
+    assert len(units) == 2 * sigma
+    for m in range(2 * sigma):
+        x, y = units[m]
+        assert units[-m] == (-x, y), m
+        assert abs(math.hypot(x, y) - 1.0) <= 2e-16, m
+    assert units[0] == (0.0, -1.0) and units[sigma] == (0.0, 1.0)
+    assert frame.vertices.tolist() == [list(units[2 * i - 1]) for i in range(sigma)]
+    assert frame.normals.T.tolist() == [list(units[2 * i]) for i in range(sigma)]
+    # vertex i mirrors onto vertex 1 - i
+    verts = geometry.polygon_vertices(sigma)
+    assert all(verts[i] == (-verts[1 - i][0], verts[1 - i][1]) for i in range(sigma))
+
+
+def test_polygon_corners_sit_on_their_edges():
+    # each vertex lies on the lines of its two edges to within 2.3e-16 of
+    # the apothem over sigma 6..360 (2.2e-16 measured; vertices from the
+    # polar angle near 3 pi/2 were off by up to 5.6e-16)
+    for sigma in range(6, 361, 6):
+        frame = geometry._frame(sigma)
+        normals = frame.normals.T
+        own = np.concatenate(((frame.vertices * normals).sum(1), (frame.vertices * np.roll(normals, 1, axis=0)).sum(1)))
+        assert np.abs(own - frame.apothem).max() <= 2.3e-16, sigma
 
 
 def _gamma(u, sigma):
@@ -64,7 +88,7 @@ def test_apothem():
 def test_outside_by_and_project_into():
     sigma = 12
     assert geometry.outside_by(sigma, np.array([(0.0, 0.0)]))[0] <= 0.0
-    assert geometry.outside_by(sigma, np.array([geometry.fundamental_vertex(12)]))[0] <= 1e-12
+    assert geometry.outside_by(sigma, np.array([geometry.polygon_vertices(12)[0]]))[0] <= 1e-12
     outside = (2.0, 0.3)
     assert geometry.outside_by(sigma, np.array([outside]))[0] > 1e-9
     proj = geometry.project_into(sigma, np.array([outside]))
@@ -99,12 +123,6 @@ def test_interior_point_lands_inside():
             p = geometry.interior_point(t, u, sigma)
             assert geometry.outside_by(sigma, np.array([p]))[0] <= 1e-12
             assert geometry.outside_by(CIRCLE, np.array([geometry.interior_point(t, u, CIRCLE)]))[0] <= 0.0
-
-
-def test_rotate_roundtrip():
-    p = (0.3, -0.7)
-    q = geometry.rotate(p, math.pi / 3)
-    assert geometry.dist(geometry.rotate(q, -math.pi / 3), p) < 1e-16
 
 
 def test_polygon_area():
