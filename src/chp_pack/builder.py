@@ -152,23 +152,25 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
     steps = centers[edges[:, 1]] - centers[edges[:, 0]]
     heads, dx, dy, reach = edges[:, 1].tolist(), steps[:, 0].tolist(), steps[:, 1].tolist(), radius.tolist()
 
+    # depth first on a stack, neighbours pushed descending so they pop ascending;
+    # values[i] is step i's direction on the path to the disk just popped
     value_paths: List[Tuple[float, ...]] = []
-
-    def dfs(node: int, depth: int, values: List[float]) -> None:
+    values = [0.0] * k
+    stack = [(start, 0, 0.0)]
+    while stack:
+        node, depth, value = stack.pop()
+        if depth:
+            values[depth - 1] = value
         if depth == k:
             if node == finish:
                 value_paths.append(tuple(values))
-            return
+            continue
         remaining = k - depth
-        for e in range(starts[node], starts[node + 1]):
+        for e in range(starts[node + 1] - 1, starts[node] - 1, -1):
             nxt = heads[e]
             if reach[nxt] > remaining * d * (1.0 + 10.0 * _EXTRACT_TOL):
                 continue
-            values.append(math.atan2(dy[e], dx[e]))
-            dfs(nxt, depth + 1, values)
-            values.pop()
-
-    dfs(start, 0, [])
+            stack.append((nxt, depth + 1, math.atan2(dy[e], dx[e])))
     if not value_paths:
         raise NoPath(f"no {k}-step contact path from P1 to the center")
 

@@ -49,6 +49,11 @@ def _sigma_arg(text: str) -> Sigma:
         sigma: Sigma = int(text)
     except ValueError:
         sigma = text
+    return _checked_sigma(sigma)
+
+
+def _checked_sigma(sigma: Sigma) -> Sigma:
+    """``sigma`` itself when ``geometry.check_sigma`` takes it; a bad argument otherwise."""
     try:
         geometry.check_sigma(sigma)
     except ValueError as exc:
@@ -64,7 +69,7 @@ def _sigma_list_arg(text: str) -> List[int]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}")
     # the table lists each side count once, in ascending order
-    return sorted(set(values))
+    return sorted({_checked_sigma(sigma) for sigma in values})
 
 
 def _int_at_least(low: int):

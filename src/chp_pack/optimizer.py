@@ -153,32 +153,26 @@ def _lp_rows(sigma: Sigma, x: np.ndarray, slot: np.ndarray, d: float, delta: flo
 def _factor(k: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``k``'s Cholesky factor L, padded by the identity to whole ``_BLOCK``-blocks, and the inverses of its diagonal blocks.
 
-    A numerically singular ``k`` is retried with a growing bump on its
-    diagonal; None when that fails too.  The diagonal blocks are inverted
-    all at once, a row of each per step, so a solve (``_cho_solve``) takes
-    a few matrix-vector products per block and no LAPACK call.
+    When the Cholesky factorization fails, or LAPACK cannot invert one of
+    the factor's diagonal blocks, ``k`` is retried with a growing bump on
+    its diagonal; None when that fails too.  ``np.linalg.inv`` inverts the
+    diagonal blocks in one stacked call, so a solve (``_cho_solve``) takes
+    a few matrix-vector products per block.
     """
+    blocks = -(-len(k) // _BLOCK)
+    padded = np.eye(blocks * _BLOCK)
+    tiles = np.arange(blocks)
     bump = 0.0
     for _ in range(4):
         try:
             factor = np.linalg.cholesky(k + bump * np.eye(len(k)) if bump else k)
+            if np.isfinite(factor).all():
+                padded[: len(k), : len(k)] = factor
+                return padded, np.linalg.inv(padded.reshape(blocks, _BLOCK, blocks, _BLOCK)[tiles, :, tiles, :])
         except np.linalg.LinAlgError:
-            factor = None
-        if factor is not None and np.isfinite(factor).all():
-            break
+            pass
         bump = 1e3 * bump if bump else 1e-14 * float(k.diagonal().max())
-    else:
-        return None
-    blocks = -(-len(k) // _BLOCK)
-    padded = np.eye(blocks * _BLOCK)
-    padded[: len(k), : len(k)] = factor
-    diagonal = padded.reshape(blocks, _BLOCK, blocks, _BLOCK)[np.arange(blocks), :, np.arange(blocks), :]
-    inverse = np.zeros_like(diagonal)
-    for i in range(_BLOCK):
-        rest = (diagonal[:, i : i + 1, :i] @ inverse[:, :i, :])[:, 0, :]
-        rest[:, i] -= 1.0
-        inverse[:, i, :] = -rest / diagonal[:, i, i, None]
-    return padded, inverse
+    return None
 
 
 def _cho_solve(factored: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

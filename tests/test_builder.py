@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -332,6 +333,21 @@ def test_extract_dna_matches_the_reference_walk():
         "NoPath no disk at the origin",
     ]
     assert failures[2].startswith("NoPath path direction") and failures[2].endswith("matches no building block")
+
+
+def test_extract_dna_walk_does_not_recurse_per_step():
+    # a 60-step walk under a recursion limit a few dozen frames above the caller
+    config = build_chp(12, 60)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = extract_dna(config, 12, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.letters == config.meta["dna"]
 
 
 # cells where long runs of one letter bend a shell inside the corner of the

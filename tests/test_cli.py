@@ -242,7 +242,7 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "bad_arguments"
 
-    for bad_list in ("12,x", "circle", ""):
+    for bad_list in ("12,x", "circle", "", "0,12"):
         code, _, err = run_cli(["tables", "--sigma-list", bad_list], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "bad_arguments"

@@ -52,10 +52,10 @@ def test_polish_with_every_disk_pinned_returns_its_input():
     assert (out.stop, out.lps, out.iterations) == ("pinned", 0, 0)
 
 
-@pytest.mark.parametrize("n", [1, 16, 37])
+@pytest.mark.parametrize("n", [1, 16, 37, 121])
 def test_normal_equations_solve_by_blocks(n):
     # the blocked substitutions against LAPACK's general solve, on sizes below,
-    # at and past one block
+    # at and past one block, and on eight blocks with a padded tail
     rng = np.random.default_rng(n)
     g = rng.normal(size=(3 * n, n))
     k = g.T @ g + np.eye(n)
@@ -65,14 +65,16 @@ def test_normal_equations_solve_by_blocks(n):
 
 
 def test_singular_normal_matrix_gets_a_diagonal_bump():
-    # a rank-one matrix fails Cholesky until its diagonal is raised; a nan one never factors
-    k = np.ones((3, 3))
-    factored = optimizer._factor(k)
-    assert factored is not None
-    padded, _ = factored
-    bumped = padded[:3, :3] @ padded[:3, :3].T
-    assert np.allclose(bumped, k, atol=1e-10) and not np.array_equal(bumped, k)
-    assert optimizer._factor(np.full((3, 3), np.nan)) is None
+    # a rank-one matrix, within one block or over three, fails Cholesky until
+    # its diagonal is raised; a nan one never factors
+    for n in (3, 40):
+        k = np.ones((n, n))
+        factored = optimizer._factor(k)
+        assert factored is not None
+        padded, _ = factored
+        bumped = padded[:n, :n] @ padded[:n, :n].T
+        assert np.allclose(bumped, k, atol=1e-10) and not np.array_equal(bumped, k)
+        assert optimizer._factor(np.full((n, n), np.nan)) is None
 
 
 def test_polish_refuses_coincident_centers():
