@@ -150,9 +150,15 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
     edges = edges[np.argsort(edges[:, 0] * n + edges[:, 1])]
     starts = np.searchsorted(edges[:, 0], np.arange(n + 1)).tolist()
     steps = centers[edges[:, 1]] - centers[edges[:, 0]]
-    heads, dx, dy, reach = edges[:, 1].tolist(), steps[:, 0].tolist(), steps[:, 1].tolist(), radius.tolist()
+    heads, dx, dy = edges[:, 1].tolist(), steps[:, 0].tolist(), steps[:, 1].tolist()
+    # leads[r, i]: some walk of exactly r contact steps goes from disk i to the origin's disk
+    leads = np.zeros((k, n), dtype=bool)
+    leads[0, finish] = True
+    for r in range(1, k):
+        leads[r, edges[leads[r - 1, edges[:, 1]], 0]] = True
 
-    # depth first on a stack, neighbours pushed descending so they pop ascending;
+    # depth first on a stack, neighbours pushed descending so they pop ascending and
+    # only when they lead on, so every walk the stack holds ends at the origin's disk;
     # values[i] is step i's direction on the path to the disk just popped
     value_paths: List[Tuple[float, ...]] = []
     values = [0.0] * k
@@ -162,15 +168,12 @@ def extract_dna(config: PackingConfiguration, sigma: Sigma, k: int) -> Dna:
         if depth:
             values[depth - 1] = value
         if depth == k:
-            if node == finish:
-                value_paths.append(tuple(values))
+            value_paths.append(tuple(values))
             continue
-        remaining = k - depth
+        ahead = leads[k - depth - 1]
         for e in range(starts[node + 1] - 1, starts[node] - 1, -1):
-            nxt = heads[e]
-            if reach[nxt] > remaining * d * (1.0 + 10.0 * _EXTRACT_TOL):
-                continue
-            stack.append((nxt, depth + 1, math.atan2(dy[e], dx[e])))
+            if ahead[heads[e]]:
+                stack.append((heads[e], depth + 1, math.atan2(dy[e], dx[e])))
     if not value_paths:
         raise NoPath(f"no {k}-step contact path from P1 to the center")
 

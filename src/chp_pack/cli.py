@@ -49,11 +49,6 @@ def _sigma_arg(text: str) -> Sigma:
         sigma: Sigma = int(text)
     except ValueError:
         sigma = text
-    return _checked_sigma(sigma)
-
-
-def _checked_sigma(sigma: Sigma) -> Sigma:
-    """``sigma`` itself when ``geometry.check_sigma`` takes it; a bad argument otherwise."""
     try:
         geometry.check_sigma(sigma)
     except ValueError as exc:
@@ -62,14 +57,14 @@ def _checked_sigma(sigma: Sigma) -> Sigma:
 
 
 def _sigma_list_arg(text: str) -> List[int]:
+    # the table lists each side count once, in ascending order
     try:
-        values = [int(s) for s in text.split(",") if s.strip()]
+        values = sorted({int(s) for s in text.split(",") if s.strip()})
     except ValueError:
         values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts, got {text!r}")
-    # the table lists each side count once, in ascending order
-    return sorted({_checked_sigma(sigma) for sigma in values})
+    if not values or values[0] < 3:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer side counts >= 3, got {text!r}")
+    return values
 
 
 def _int_at_least(low: int):

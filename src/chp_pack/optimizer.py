@@ -266,9 +266,9 @@ def polish(config: PackingConfiguration, pins: Sequence[int] = ()) -> Polished:
     Each LP (``_lp_rows``, ``_solve_lp``) maximizes the linearized rise
     ``tau`` over moves of the free disks within a box of half-width
     ``delta``.  A step is kept only when ``geometry.min_distance`` rises;
-    then delta becomes 4 times the step's largest coordinate when the
-    step lies inside its box, and twice delta when it reaches the box.
-    A rejected step halves delta.  The polish stops on a rejected step
+    then delta becomes ``4 * max|y| * delta``, 4 times the step's largest
+    coordinate, whether the step lies inside its box or reaches it.  A
+    rejected step halves delta.  The polish stops on a rejected step
     whose predicted rise ``tau * delta`` is at most 1e-12 d ("converged"),
     on a kept rise of at most 4e-16 d ("stalled"), on an LP whose normal
     matrix cannot be factored ("singular"), after ``_POLISH_MAX_LPS``
@@ -311,9 +311,7 @@ def polish(config: PackingConfiguration, pins: Sequence[int] = ()) -> Polished:
             if rise <= 4e-16 * d:
                 stop = "stalled"
                 break
-            # a coordinate within 0.1% of the box's edge counts as reaching it
-            reach = float(np.abs(y).max())
-            delta *= 4.0 * reach if reach < 0.999 else 2.0
+            delta *= 4.0 * float(np.abs(y).max())
         elif z[-1] * delta <= 1e-12 * d:
             stop = "converged"
             break

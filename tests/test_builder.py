@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -347,6 +348,17 @@ def test_extract_dna_walk_does_not_recurse_per_step():
         got = extract_dna(config, 12, 60)
     finally:
         sys.setrecursionlimit(limit)
+    assert got.letters == config.meta["dna"]
+
+
+def test_extract_dna_prunes_to_walks_that_reach_the_center():
+    # a 100-step walk over 30,301 disks: only disks a walk of the remaining
+    # length joins to the center are stacked, so the dead ends that a
+    # distance bound lets through are never walked
+    config = build_chp(12, 100)
+    began = time.perf_counter()
+    got = extract_dna(config, 12, 100)
+    assert time.perf_counter() - began < 5.0
     assert got.letters == config.meta["dna"]
 
 

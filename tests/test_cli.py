@@ -233,6 +233,17 @@ def test_validate_and_shake_single_disk(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "PreconditionViolated"
 
 
+def test_sigma_list_messages_name_side_counts_only(capsys):
+    # --sigma-list takes integer side counts, so neither refusal offers "circle"
+    for bad_list in ("12,x", "0,12"):
+        code, out, err = run_cli(["tables", "--sigma-list", bad_list], capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "bad_arguments"
+        assert f"expected comma-separated integer side counts >= 3, got {bad_list!r}" in doc["message"]
+        assert "circle" not in doc["message"]
+
+
 def test_exit_codes_and_error_json(tmp_path, capsys):
     code, _, err = run_cli(["count", "--sigma", "13", "--k", "2"], capsys)
     assert code == 3

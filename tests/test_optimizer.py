@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chp_pack import build_chp, chp_density, optimizer, solve_border
 from chp_pack.builder import PackingConfiguration
@@ -96,6 +98,57 @@ def test_polish_keeps_chp_builds(sigma, k):
     assert out.stop == "converged" and out.lps == 1
     assert abs(out.config.diameter - solve_border(sigma, k).d) <= 1e-14
     assert validate_config(out.config).is_valid
+
+
+def _lp_steps(monkeypatch, run):
+    """``run()``'s output, and each polish LP's minimum distance, trust radius and largest move, in order."""
+    seen = []
+    lp_rows, solve_lp = optimizer._lp_rows, optimizer._solve_lp
+
+    def rows(sigma, x, slot, d, delta):
+        seen.append([d, delta])
+        return lp_rows(sigma, x, slot, d, delta)
+
+    def solve(*args):
+        z, its, factored = solve_lp(*args)
+        seen[-1].append(float(np.abs(z[:-1]).max()))
+        return z, its, factored
+
+    monkeypatch.setattr(optimizer, "_lp_rows", rows)
+    monkeypatch.setattr(optimizer, "_solve_lp", solve)
+    return run(), seen
+
+
+def _assert_trust_rule(seen):
+    # a kept step (the next LP starts from a larger minimum distance) scales
+    # the trust radius by 4 times its largest coordinate, box-reaching or
+    # not; a rejected one halves it
+    for (d, delta, reach), (d_next, delta_next, _) in zip(seen, seen[1:]):
+        if d_next > d:
+            assert delta_next == delta * (4.0 * reach), (delta, reach, delta_next)
+        else:
+            assert d_next == d and delta_next == 0.5 * delta
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12))
+def test_kept_steps_grow_the_trust_radius_by_four_times_their_reach(seed, n):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, seen = _lp_steps(monkeypatch, lambda: polish(random_instance(np.random.default_rng(seed), n)))
+    _assert_trust_rule(seen)
+
+
+def test_guided_polish_spends_few_lps_reaching_the_box(monkeypatch):
+    # the guided (12, 5) search run: its hop starts 1e-3 d wide, and the early
+    # steps, which reach the box, grow the radius fourfold, not twofold
+    config, pins = seed_guided(12, 5, theta=0.1, scale=0.97)
+    hops = []
+    out, seen = _lp_steps(monkeypatch, lambda: algorithm2(config, OptimizerParams(seed=1), pins, trial=0, record=hops.append))
+    _assert_trust_rule(seen)
+    assert any(reach >= 0.999 for _, _, reach in seen[:-1])
+    (hop,) = hops
+    assert hop.lps == len(seen) <= 13
+    assert abs(out.diameter - solve_border(12, 5).d) <= 1e-14
 
 
 def _polishes(monkeypatch, run):
